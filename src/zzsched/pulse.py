@@ -496,21 +496,6 @@ def _make_spec(model, coeffs, T, sample_rate):
     return PulseSpec((Channel((0, 1), "coupling", env),), sample_rate)
 
 
-def _phase_profile(spec, steps):
-    """Accumulated rotation angle 2*integral(Omega) at the step nodes."""
-    env = spec.channels[0].envelope
-    T = env.T
-    dt = T / steps
-    mids = (np.arange(steps) + 0.5) * dt
-    amps = np.asarray(envelope_value(env, mids), dtype=float)
-    phi = np.concatenate([[0.0], 2 * np.cumsum(amps) * dt])
-    return phi, dt
-
-
-def _trapezoid(y, dt):
-    return float(dt * (y.sum() - 0.5 * (y[0] + y[-1])))
-
-
 def _plane_integrals(spec, steps):
     """Exact first-order integrals of the piecewise-constant propagator.
 

@@ -11,7 +11,10 @@ calibration error counts against the pulse, not the reference.
 Two integrators share the same midpoint sampling grid: a split-step
 statevector propagator (diagonal ZZ half-steps around closed-form local
 drive exponentials) used by default, and a dense eigendecomposition
-propagator kept as a small-system oracle.
+propagator kept as a small-system oracle. The split-step layer lists the
+operators of every step before stepping; each apply is one np.dot on
+exactly the transposed, reshaped operand np.tensordot would build, which
+keeps every amplitude, and so every report, bit-identical to tensordot.
 """
 
 from __future__ import annotations
@@ -23,6 +26,10 @@ import numpy as np
 
 from .circuit import Gate, GateTimes, apply_gate_to_state, gate_matrix
 from .pulse import (
+    _I2,
+    _X,
+    _Y,
+    _Z,
     OptimizedPulse,
     RegionModel,
     avg_gate_fidelity,
@@ -35,11 +42,6 @@ from .pulse import (
 )
 
 TWO_PI = 2 * math.pi
-
-_I2 = np.eye(2, dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.diag([1.0, -1.0]).astype(complex)
 
 
 # ------------------------------------------------------------- devices
@@ -213,17 +215,6 @@ def _batch_zx(amps, dt):
     return u
 
 
-def _apply_one(psi_t, u, q):
-    out = np.tensordot(u, psi_t, axes=([1], [q]))
-    return np.moveaxis(out, 0, q)
-
-
-def _apply_two(psi_t, u, a, b):
-    u4 = u.reshape(2, 2, 2, 2)
-    out = np.tensordot(u4, psi_t, axes=([2, 3], [a, b]))
-    return np.moveaxis(out, [0, 1], [a, b])
-
-
 def _split_layer(psi, n, zz_diag, windows, duration, rate):
     steps = num_steps(duration, rate)
     dt = duration / steps
@@ -235,15 +226,23 @@ def _split_layer(psi, n, zz_diag, windows, duration, rate):
             ops.append((i0, i1, _batch_su2(ax, ay, dt), (q,)))
         for pair, amps in sorted(couplings.items()):
             ops.append((i0, i1, _batch_zx(amps, dt), pair))
-    psi_t = psi.reshape([2] * n)
-    for k in range(steps):
+    # active[k]: step k's operators in window order, each with the operand
+    # transpose and shapes np.tensordot would build, so np.dot multiplies
+    # the same arrays and every amplitude keeps its bits
+    active = [[] for _ in range(steps)]
+    for i0, i1, batch, qubits in ops:
+        perm = qubits + tuple(q for q in range(n) if q not in qubits)
+        inv_perm = tuple(perm.index(q) for q in range(n))
+        in_shape = (len(batch[0]), (1 << n) // len(batch[0]))
+        for k in range(i0, i1):
+            active[k].append((batch[k - i0], perm, inv_perm, in_shape))
+    out_shape = (2,) * n
+    psi_t = psi.reshape(out_shape)
+    for step_ops in active:
         psi_t = psi_t * half
-        for i0, i1, batch, qubits in ops:
-            if i0 <= k < i1:
-                if len(qubits) == 1:
-                    psi_t = _apply_one(psi_t, batch[k - i0], qubits[0])
-                else:
-                    psi_t = _apply_two(psi_t, batch[k - i0], *qubits)
+        for u, perm, inv_perm, in_shape in step_ops:
+            bt = psi_t.transpose(perm).reshape(in_shape)
+            psi_t = np.dot(u, bt).reshape(out_shape).transpose(inv_perm)
         psi_t = psi_t * half
     return np.ascontiguousarray(psi_t).reshape(-1)
 

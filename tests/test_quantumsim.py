@@ -8,16 +8,23 @@ import pytest
 from zzsched.circuit import Circuit, Gate, benchmark, gate_matrix, to_native
 from zzsched.pulse import (
     OptimizeConfig,
+    PulseSpec,
     RegionModel,
     evolve,
     gaussian_pulse,
+    num_steps,
     optimize,
 )
 from zzsched.quantumsim import (
     DeviceInstance,
+    _batch_su2,
+    _batch_zx,
     _layer_windows,
     _pulse_map,
     _run_plan,
+    _split_layer,
+    _window_amplitudes,
+    _zz_diagonal,
     backend_gate_times,
     dcg_library,
     drive_noise_eval,
@@ -54,6 +61,35 @@ def pert_lib():
         "id": optimize(single, "id", "pert"),
         "rzx90": optimize(two, "rzx90", "pert", OptimizeConfig(T=80e-9)),
     }
+
+
+def _reference_split_layer(psi, n, zz_diag, windows, duration, rate):
+    """Split-step loop with a per-step range check and tensordot applies."""
+    steps = num_steps(duration, rate)
+    dt = duration / steps
+    mids = (np.arange(steps) + 0.5) * dt
+    half = np.exp(-0.5j * dt * zz_diag).reshape([2] * n)
+    ops = []
+    for i0, i1, singles, couplings in _window_amplitudes(windows, mids):
+        for q, (ax, ay) in sorted(singles.items()):
+            ops.append((i0, i1, _batch_su2(ax, ay, dt), (q,)))
+        for pair, amps in sorted(couplings.items()):
+            ops.append((i0, i1, _batch_zx(amps, dt), pair))
+    psi_t = psi.reshape([2] * n)
+    for k in range(steps):
+        psi_t = psi_t * half
+        for i0, i1, batch, qubits in ops:
+            if i0 <= k < i1:
+                u = batch[k - i0]
+                if len(qubits) == 1:
+                    out = np.tensordot(u, psi_t, axes=([1], [qubits[0]]))
+                    psi_t = np.moveaxis(out, 0, qubits[0])
+                else:
+                    out = np.tensordot(u.reshape(2, 2, 2, 2), psi_t,
+                                       axes=([2, 3], list(qubits)))
+                    psi_t = np.moveaxis(out, [0, 1], list(qubits))
+        psi_t = psi_t * half
+    return np.ascontiguousarray(psi_t).reshape(-1)
 
 
 class TestDeviceSampling:
@@ -173,6 +209,39 @@ class TestSimulatePlan:
         dense = simulate_plan(dev, plan, gauss_lib, method="dense").fidelity
         # 1.1e-6 across 92 layers; per-layer splitting error is ~1e-8
         assert abs(split - dense) <= 1e-5
+
+    @pytest.mark.parametrize("name,n,rows,cols,policy", [
+        ("qft", 4, 2, 3, "par"),
+        ("ising", 6, 3, 3, "zzx"),
+    ])
+    def test_split_layer_bit_identical_to_tensordot(self, gauss_lib, name, n,
+                                                    rows, cols, policy):
+        g = grid_topology(rows, cols)
+        c = to_native(benchmark(name, n, qubit_order=grid_snake_order(rows, cols)[:n]))
+        plan = schedule(g, c) if policy == "zzx" else par_sched(g, c)
+        # x and y drives together give every 2x2 step operator complex
+        # entries throughout, so a change in rounding shows in the bits
+        pmap = dict(_pulse_map(gauss_lib))
+        for kind in ("rx90", "id"):
+            x = pmap[kind]
+            y = gaussian_pulse(0.5, x.duration, axis="y")
+            pmap[kind] = PulseSpec(x.channels + y.channels, x.sample_rate)
+        windows = [_layer_windows(layer, pmap) for layer in plan.layers]
+        if policy == "zzx":
+            # identity-filled tails and rzx90 coupling windows both occur
+            assert any(start > 0.0 for w in windows for start, _, _ in w)
+            assert any(len(qs) == 2 for w in windows for _, _, qs in w)
+        nq = g.num_qubits
+        for seed in (0, 1):
+            dev = sample_device(g, 200e3, 50e3, seed=seed)
+            zz = _zz_diagonal(g, dev.lambda_sample, nq)
+            rng = np.random.default_rng(seed)
+            psi = rng.standard_normal(1 << nq) + 1j * rng.standard_normal(1 << nq)
+            psi /= np.linalg.norm(psi)
+            for layer, w in zip(plan.layers, windows):
+                ref = _reference_split_layer(psi, nq, zz, w, layer.duration, 200)
+                psi = _split_layer(psi, nq, zz, w, layer.duration, 200)
+                assert np.array_equal(psi, ref)
 
     def test_norm_preserved(self, gauss_lib):
         c = to_native(benchmark("qft", 3))
