@@ -97,16 +97,6 @@ def dependencies(c):
     return tuple(preds)
 
 
-def schedulable(c, scheduled):
-    """Gates whose predecessors are all scheduled and that are not yet."""
-    scheduled = frozenset(scheduled)
-    preds = dependencies(c)
-    return frozenset(
-        i for i in range(len(c.gates))
-        if i not in scheduled and preds[i] <= scheduled
-    )
-
-
 # ---------------------------------------------------------------- parsing
 
 

@@ -20,14 +20,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .circuit import _I2, _X, _Y, _Z, _rx_mat
+
 TWO_PI = 2 * math.pi
 DEFAULT_SAMPLE_RATE = 200  # integrator steps per 20 ns of pulse
 DEFAULT_LAMBDA_SAMPLES = tuple(TWO_PI * f for f in (50e3, 100e3, 200e3, 400e3))
-
-_I2 = np.eye(2, dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.diag([1.0, -1.0]).astype(complex)
 
 
 # ------------------------------------------------------------- envelopes
@@ -473,17 +470,13 @@ class OptimizedPulse:
     warning: str | None = None
 
 
-def _rx(theta):
-    return math.cos(theta / 2) * _I2 - 1j * math.sin(theta / 2) * _X
-
-
 def _rzx(theta):
     zx = np.kron(_Z, _X)
     return math.cos(theta / 2) * np.eye(4) - 1j * math.sin(theta / 2) * zx
 
 
 _TARGETS = {
-    "rx90": ("single", lambda: _rx(math.pi / 2), math.pi / 2),
+    "rx90": ("single", lambda: _rx_mat(math.pi / 2), math.pi / 2),
     "id": ("single", lambda: _I2.copy(), TWO_PI),
     "rzx90": ("two", lambda: _rzx(math.pi / 2), math.pi / 2),
 }

@@ -24,12 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Gate, GateTimes, apply_gate_to_state, gate_matrix
+from .circuit import _X, _Y, _Z, Gate, GateTimes, apply_gate_to_state, gate_matrix
 from .pulse import (
-    _I2,
-    _X,
-    _Y,
-    _Z,
+    _embed,
     OptimizedPulse,
     RegionModel,
     avg_gate_fidelity,
@@ -250,16 +247,6 @@ def _split_layer(psi, n, zz_diag, windows, duration, rate):
 # ---------------------------------------------------- dense oracle path
 
 
-def _embed_sites(site_ops, n):
-    mats = [_I2] * n
-    for q, m in site_ops:
-        mats[q] = m
-    out = np.eye(1, dtype=complex)
-    for m in mats:
-        out = np.kron(out, m)
-    return out
-
-
 def _dense_layer(n, zz_diag, windows, duration, rate):
     """Per-step eigendecomposition propagator; oracle for small registers."""
     if n > 6:
@@ -270,18 +257,15 @@ def _dense_layer(n, zz_diag, windows, duration, rate):
     terms = []
     for i0, i1, singles, couplings in _window_amplitudes(windows, mids):
         for q, (ax, ay) in sorted(singles.items()):
-            full_x = np.zeros(steps)
-            full_x[i0:i1] = ax
-            full_y = np.zeros(steps)
-            full_y[i0:i1] = ay
-            if np.any(full_x):
-                terms.append((full_x, _embed_sites([(q, _X)], n)))
-            if np.any(full_y):
-                terms.append((full_y, _embed_sites([(q, _Y)], n)))
+            for amps, op in ((ax, _X), (ay, _Y)):
+                full = np.zeros(steps)
+                full[i0:i1] = amps
+                if np.any(full):
+                    terms.append((full, _embed([op], [q], n)))
         for (a, b), amps in sorted(couplings.items()):
             full = np.zeros(steps)
             full[i0:i1] = amps
-            terms.append((full, _embed_sites([(a, _Z), (b, _X)], n)))
+            terms.append((full, _embed([_Z, _X], [a, b], n)))
     h_static = np.diag(zz_diag.astype(complex))
     dim = 1 << n
     u = np.eye(dim, dtype=complex)

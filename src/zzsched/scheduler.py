@@ -9,13 +9,18 @@ still meets the (n_q, n_c) requirement.
 
 rz gates are virtual frame updates: they take no slot and are absorbed
 into the start of the next emitted layer (or trail the plan).
+
+Both schedule and the par_sched baseline run one ASAP layering driver; a
+policy hook picks each layer's gates from the ready set and supplies its
+identity supplements and cut fields.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .circuit import Circuit, Gate, GateTimes, dependencies, parse, _expand
 from .suppression import alpha_optimal
@@ -183,7 +188,7 @@ def two_q_schedule(g, sg2, r, alpha=0.5, k=3):
         cand = None
         for i in sorted(rest):
             for tag, grp in ((0, group_a), (1, group_b)):
-                d = min(gate_distance(gates[i], gates[j], g) for j in grp)
+                d = group_distance(gates[i], (gates[j] for j in grp), g)
                 key = (-d, i, tag)
                 if cand is None or key < cand:
                     cand = key
@@ -213,75 +218,101 @@ def _validate(g, c):
             raise ValueError(f"{gate.name} operands {gate.qubits} are not coupled")
 
 
-def schedule(g, c, r=None, alpha=0.5, k=3, gate_times=None):
-    """Suppression-aware layering of a circuit over the device graph."""
-    if r is None:
-        r = SuppressionRequirement.default(g)
+def _layered(g, c, gate_times, place):
+    """ASAP layering shared by every policy.
+
+    place(ready) gets the ready non-rz gate indices in ascending order and
+    returns (members, supplements, fields): the gates to run now, the extra
+    identity gates, and the cut/n_q/n_c/flagged/warning fields of the Layer.
+    Unplaced ready gates wait for a later layer.
+    """
     if gate_times is None:
         gate_times = GateTimes()
     _validate(g, c)
     preds = dependencies(c)
-    n = len(c.gates)
-    done = set()
+    waiting = [len(p) for p in preds]
+    succs = [[] for _ in preds]
+    for i, p in enumerate(preds):
+        for j in p:
+            succs[j].append(i)
+    freed = [i for i, w in enumerate(waiting) if w == 0]  # ascending: a heap
+
+    def finish(i):
+        for j in succs[i]:
+            waiting[j] -= 1
+            if not waiting[j]:
+                heapq.heappush(freed, j)
+
+    ready = []
     pending_rz = []
     layers = []
     gate_layer = {}
-
-    def absorb_rz():
-        moved = True
-        while moved:
-            moved = False
-            for i in range(n):
-                if i not in done and c.gates[i].name == "rz" and preds[i] <= done:
-                    pending_rz.append(i)
-                    done.add(i)
-                    moved = True
-
     while True:
-        absorb_rz()
-        ready = [i for i in range(n) if i not in done and preds[i] <= done]
+        # successors carry larger indices, so gates leave the heap ascending
+        while freed:
+            i = heapq.heappop(freed)
+            if c.gates[i].name == "rz":
+                pending_rz.append(i)
+                finish(i)
+            else:
+                ready.append(i)
         if not ready:
             break
-        sg2 = [i for i in ready if len(c.gates[i].qubits) == 2]
-        flagged = False
-        warning = None
-        if not sg2:
-            res = alpha_optimal(g, frozenset(), alpha, k)
-            gate_qubits = {c.gates[i].qubits[0] for i in ready}
-            cut = _orient_case1(res.cut, gate_qubits)
-            warning = res.warning
-        else:
-            grouping = two_q_schedule(g, [c.gates[i] for i in sg2], r, alpha, k)
-            res = grouping.result
-            cut = res.cut
-            flagged = grouping.flagged
-            warning = res.warning
-            if flagged and warning is None:
-                warning = "single gate exceeds the suppression requirement; scheduled alone"
-        side = cut.partition_s
-        members = [i for i in ready if all(q in side for q in c.gates[i].qubits)]
-        used = {q for i in members for q in c.gates[i].qubits}
-        supplements = tuple(Gate("id", (q,)) for q in sorted(side - used))
+        ready.sort()
+        members, supplements, fields = place(ready)
         phys = tuple(c.gates[i] for i in members) + supplements
         duration = max(gate_duration(gate, gate_times) for gate in phys)
         layers.append(Layer(
-            gates=phys, cut=cut, n_q=res.n_q, n_c=res.n_c, duration=duration,
-            rz_gates=tuple(c.gates[i] for i in pending_rz),
-            flagged=flagged, warning=warning,
+            gates=phys, duration=duration,
+            rz_gates=tuple(c.gates[i] for i in pending_rz), **fields,
         ))
-        idx = len(layers) - 1
-        for i in pending_rz:
-            gate_layer[i] = idx
+        for i in pending_rz + members:
+            gate_layer[i] = len(layers) - 1
         pending_rz = []
+        placed = set(members)
+        ready = [i for i in ready if i not in placed]
         for i in members:
-            done.add(i)
-            gate_layer[i] = idx
+            finish(i)
 
     trailing = tuple(c.gates[i] for i in pending_rz)
     for i in pending_rz:
         gate_layer[i] = len(layers)
     total = sum(layer.duration for layer in layers)
     return SchedulePlan(g.num_qubits, tuple(layers), total, gate_layer, trailing)
+
+
+def schedule(g, c, r=None, alpha=0.5, k=3, gate_times=None):
+    """Suppression-aware layering of a circuit over the device graph."""
+    if r is None:
+        r = SuppressionRequirement.default(g)
+
+    @cache
+    def gate_free():
+        return alpha_optimal(g, frozenset(), alpha, k)
+
+    def place(ready):
+        sg2 = [i for i in ready if len(c.gates[i].qubits) == 2]
+        flagged = False
+        if not sg2:
+            res = gate_free()
+            gate_qubits = {c.gates[i].qubits[0] for i in ready}
+            cut = _orient_case1(res.cut, gate_qubits)
+        else:
+            grouping = two_q_schedule(g, [c.gates[i] for i in sg2], r, alpha, k)
+            res = grouping.result
+            cut = res.cut
+            flagged = grouping.flagged
+        warning = res.warning
+        if flagged and warning is None:
+            warning = "single gate exceeds the suppression requirement; scheduled alone"
+        side = cut.partition_s
+        members = [i for i in ready if all(q in side for q in c.gates[i].qubits)]
+        used = {q for i in members for q in c.gates[i].qubits}
+        supplements = tuple(Gate("id", (q,)) for q in sorted(side - used))
+        return members, supplements, dict(
+            cut=cut, n_q=res.n_q, n_c=res.n_c, flagged=flagged, warning=warning)
+
+    return _layered(g, c, gate_times, place)
 
 
 def _orient_case1(cut, gate_qubits):
@@ -296,47 +327,12 @@ def _orient_case1(cut, gate_qubits):
     return cut
 
 
+_NO_CUT = dict(cut=None, n_q=None, n_c=None)
+
+
 def par_sched(g, c, gate_times=None):
     """Parallelism-maximizing baseline: plain ASAP layers, no supplements."""
-    if gate_times is None:
-        gate_times = GateTimes()
-    _validate(g, c)
-    preds = dependencies(c)
-    n = len(c.gates)
-    done = set()
-    pending_rz = []
-    layers = []
-    gate_layer = {}
-    while True:
-        moved = True
-        while moved:
-            moved = False
-            for i in range(n):
-                if i not in done and c.gates[i].name == "rz" and preds[i] <= done:
-                    pending_rz.append(i)
-                    done.add(i)
-                    moved = True
-        ready = [i for i in range(n) if i not in done and preds[i] <= done]
-        if not ready:
-            break
-        phys = tuple(c.gates[i] for i in ready)
-        duration = max(gate_duration(gate, gate_times) for gate in phys)
-        layers.append(Layer(
-            gates=phys, cut=None, n_q=None, n_c=None, duration=duration,
-            rz_gates=tuple(c.gates[i] for i in pending_rz),
-        ))
-        idx = len(layers) - 1
-        for i in pending_rz:
-            gate_layer[i] = idx
-        pending_rz = []
-        for i in ready:
-            done.add(i)
-            gate_layer[i] = idx
-    trailing = tuple(c.gates[i] for i in pending_rz)
-    for i in pending_rz:
-        gate_layer[i] = len(layers)
-    total = sum(layer.duration for layer in layers)
-    return SchedulePlan(g.num_qubits, tuple(layers), total, gate_layer, trailing)
+    return _layered(g, c, gate_times, lambda ready: (ready, (), _NO_CUT))
 
 
 # ------------------------------------------------------------------ JSON

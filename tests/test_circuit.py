@@ -16,7 +16,6 @@ from zzsched.circuit import (
     ideal_unitary,
     parse,
     print_circuit,
-    schedulable,
     to_native,
 )
 from zzsched.topology import grid_snake_order, grid_topology
@@ -120,21 +119,6 @@ def test_round_trip_property(gates):
 def test_dependencies_chain():
     c = parse("h 0\ncx 0 1\nh 1\n")
     assert dependencies(c) == (frozenset(), frozenset({0}), frozenset({1}))
-
-
-def test_schedulable_after_first_layer():
-    # eight-qubit program: Hadamards, one X, then a CNOT wave
-    text = (
-        "h 0\nh 2\nh 4\nh 6\nx 7\n"
-        "cx 0 3\ncx 4 1\ncx 2 5\ncx 6 7\n"
-        "h 3\nx 5\n"
-    )
-    c = parse(text)
-    assert schedulable(c, frozenset()) == frozenset({0, 1, 2, 3, 4})
-    done = frozenset({0, 1, 2, 3})  # the four h gates
-    ready = schedulable(c, done)
-    names = {(c.gates[i].name, c.gates[i].qubits) for i in ready}
-    assert names == {("cx", (0, 3)), ("cx", (4, 1)), ("cx", (2, 5)), ("x", (7,))}
 
 
 # ------------------------------------------------------------ durations

@@ -1,9 +1,13 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zzsched.circuit import Circuit, Gate, GateTimes, parse
+from zzsched import scheduler
+from zzsched.circuit import Circuit, Gate, GateTimes, benchmark, parse, to_native
 from zzsched.scheduler import (
     SuppressionRequirement,
     gate_distance,
@@ -15,7 +19,8 @@ from zzsched.scheduler import (
     schedule,
     two_q_schedule,
 )
-from zzsched.topology import grid_topology, line_topology
+from zzsched.suppression import alpha_optimal
+from zzsched.topology import grid_snake_order, grid_topology, line_topology
 
 EIGHT_QUBIT_PROGRAM = (
     "h 0\nh 2\nh 4\nh 6\nx 7\n"
@@ -406,6 +411,60 @@ def test_plan_json_round_trip_with_rz(g3):
     plan = schedule(g3, parse("rz 0.25 0\nrx90 0\nrz 0.5 0\n", num_qubits=9))
     again = plan_from_json(plan_to_json(plan))
     assert again == plan
+
+# sha256 of json.dumps(plan_to_json(plan), sort_keys=True) for six-qubit
+# lowered benchmarks on a grid snake; any change to layering, cut choice or
+# the JSON layout moves them
+PLAN_SHA256 = {
+    ("qft", 2, 3, "zzx"): "2a49403b7bf2736e7a93146a8c63af437af068a35f530be8318265437eb7c820",
+    ("qft", 2, 3, "par"): "ae4321dba5a01cfdcedfea79300a92f9405b72b099641eeedb24253186c2f3ba",
+    ("qft", 3, 3, "zzx"): "2395ecdbbec9cb6837c5e813f80512c52801a2442b17526fd4c0c2cd44ba7b72",
+    ("qft", 3, 3, "par"): "85df17e2fa2e644f8f59f01948ac9f4616d049124765d004a4607ee6554bb067",
+    ("hs", 2, 3, "zzx"): "096d8ee367816b312c46a4177154ab08b7404d0e787b92c32a3f18541fff0938",
+    ("hs", 2, 3, "par"): "bd47c014fb225187d13720fb907fe11c06c1ad2acb3f6c193c9706b0b34d60be",
+    ("hs", 3, 3, "zzx"): "f3918da4b1f76b23887cadca5ffe8204d64ad3796949c7c2f8355218642fa656",
+    ("hs", 3, 3, "par"): "fc243451bd6e52a10ba292df84a368e173a56ac77cb773e5b94bb331f414e324",
+    ("qpe", 2, 3, "zzx"): "37163bfa91270ade11be2331dc56e87962c48e6a5946b40c027653d55faff646",
+    ("qpe", 2, 3, "par"): "efb33967a1d491fd9602132d687356fd2ab2c24e522e986f39367ef0c7b96f2f",
+    ("qpe", 3, 3, "zzx"): "96f6ae7f085992d142ed95e64d8bca46532ea184d5c031babb909af82b0d0062",
+    ("qpe", 3, 3, "par"): "a40227263dc965b671595089be3920fe4a9abab71c7dcee7e7fbdab2230aa79a",
+    ("qaoa", 2, 3, "zzx"): "0cb9e3687e77c192985baf4db3e5fd8c2d7ff50d74535332317b00ceb9b26624",
+    ("qaoa", 2, 3, "par"): "827c6cd3db90d6b55efca6ae5cefa31abfcd01a173f2a2bfe78c464ad80a11c2",
+    ("qaoa", 3, 3, "zzx"): "0922f69886d467c95e2afce017563ff4d27667801fa53d3ead3865cd1916413d",
+    ("qaoa", 3, 3, "par"): "c6e76389aaf1ae95c884af78160dd0a669fe79083d73dc6cb7feb12f7b036e2f",
+    ("ising", 2, 3, "zzx"): "b2f7bc2dc15908ae64118dabdddab54155038e66a8e4d151e9a2e5a835d38504",
+    ("ising", 2, 3, "par"): "d48aa908e1469c713989017550ca52244e5c80a784161dc31cb7961a45f43623",
+    ("ising", 3, 3, "zzx"): "342ca283ba841824076db9b26c56a4cc3f88907923277131c69feffae7291893",
+    ("ising", 3, 3, "par"): "5b4e8204257f415dcccfc9aaae30f677c2950c1f8987c43cb7ce631327d869e6",
+    ("grc", 2, 3, "zzx"): "6ad165f3450b08becafa7e82d3c119c9d7cf735a12a4ade8bca05646a6ec2a3d",
+    ("grc", 2, 3, "par"): "b6cac7aa343f0bb3052c5ae98f961408afc41417764809d2c72ac0dcd8ff6476",
+    ("grc", 3, 3, "zzx"): "125ea727b997e8c12aaad76807a1d2fe8b9fcd7bc6f1541c10dfef51d85fff89",
+    ("grc", 3, 3, "par"): "bd7942d9a7c06ffce7ab306117e6beb14dde7ee7ea7bf542d3693ba16f837313",
+}
+
+
+@pytest.mark.parametrize("name,rows,cols,policy", sorted(PLAN_SHA256))
+def test_plan_json_pinned(name, rows, cols, policy):
+    g = grid_topology(rows, cols)
+    c = to_native(benchmark(name, 6, qubit_order=grid_snake_order(rows, cols)[:6]))
+    plan = (schedule if policy == "zzx" else par_sched)(g, c)
+    assert_plan_valid(g, c, plan)
+    blob = json.dumps(plan_to_json(plan), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == PLAN_SHA256[name, rows, cols, policy]
+
+
+def test_schedule_solves_gate_free_cut_once(g3, monkeypatch):
+    calls = []
+
+    def counting(g, gate_qubits, alpha, k):
+        calls.append(frozenset(gate_qubits))
+        return alpha_optimal(g, gate_qubits, alpha, k)
+
+    monkeypatch.setattr(scheduler, "alpha_optimal", counting)
+    c = to_native(parse("h 0\nx 0\nh 0\n", num_qubits=9))
+    plan = schedule(g3, c)
+    assert len(plan.layers) > 1
+    assert calls.count(frozenset()) == 1
 
 
 # ------------------------------------------------------ property checks
