@@ -9,7 +9,10 @@ Omega_y sigma_y on a gate qubit (no 1/2, so the rotation angle is
 Three pulse backends: optctrl (penalized fidelity averaged over coupling
 strengths), pert (first-order interaction-picture cancellation), and dcg
 (fixed composed Gaussian sequences). All internal units are rad/s and
-seconds; file formats carry Hz and ns with explicit conversion.
+seconds; file formats carry Hz and ns with explicit conversion. The fast
+pert loss evaluates a whole finite-difference stencil in one batched pass,
+and the stepper diagonalizes chunks of steps in stacked eigh calls, with
+the same bits as a per-point, per-step loop.
 """
 
 from __future__ import annotations
@@ -299,18 +302,33 @@ def build_hamiltonian(model, pulses, t):
 # ------------------------------------------------------------- evolution
 
 
-def _step_product(h_static, terms, amps, dt, dim, steps, collect=None):
-    u = np.eye(dim, dtype=complex)
-    if collect is not None:
-        collect.append(u.copy())
-    for k in range(steps):
-        h = h_static.copy()
-        for (env, mat), row in zip(terms, amps):
-            h += row[k] * mat
+_STEP_CHUNK = 32  # steps per stacked eigh; a whole-pulse stack costs memory and time
+
+
+def _step_nodes(h_static, terms, dt, steps):
+    """Yield the propagator at every step boundary, identity first.
+
+    terms holds (amplitude per step, constant matrix) pairs. Each chunk of
+    steps builds its Hamiltonians as one stack, diagonalizes them in one
+    eigh call and forms the step unitaries with one stacked matmul; they
+    are then applied in order, u = su @ u, exactly as a per-step loop would.
+    """
+    u = np.eye(h_static.shape[0], dtype=complex)
+    yield u
+    for k0 in range(0, steps, _STEP_CHUNK):
+        k1 = min(k0 + _STEP_CHUNK, steps)
+        h = np.repeat(h_static[None], k1 - k0, axis=0)
+        for amps, mat in terms:
+            h += amps[k0:k1, None, None] * mat
         w, v = np.linalg.eigh(h)
-        u = (v * np.exp(-1j * w * dt)) @ v.conj().T @ u
-        if collect is not None:
-            collect.append(u.copy())
+        for su in (v * np.exp(-1j * w * dt)[:, None, :]) @ v.conj().swapaxes(1, 2):
+            u = su @ u
+            yield u
+
+
+def _step_product(h_static, terms, dt, steps):
+    for u in _step_nodes(h_static, terms, dt, steps):
+        pass
     return u
 
 
@@ -326,13 +344,10 @@ def evolve(model, pulses, steps=None, include_crosstalk=True, include_intra=True
         steps = num_steps(T, pulses.sample_rate)
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    terms = control_terms(model, pulses)
     dt = T / steps
     mids = (np.arange(steps) + 0.5) * dt
-    amps = np.array([
-        np.asarray(envelope_value(env, mids), dtype=float) * amp_scale
-        for env, _ in terms
-    ])
+    terms = [(np.asarray(envelope_value(env, mids), dtype=float) * amp_scale, mat)
+             for env, mat in control_terms(model, pulses)]
     h_static = np.zeros((model.dim, model.dim), dtype=complex)
     if include_crosstalk:
         h_static += crosstalk_hamiltonian(model)
@@ -340,7 +355,7 @@ def evolve(model, pulses, steps=None, include_crosstalk=True, include_intra=True
         h_static += intra_hamiltonian(model)
     for q, omega in detunings:
         h_static += (omega / 2) * _embed([_Z], [q], model.num_qubits)
-    return _step_product(h_static, terms, amps, dt, model.dim, steps)
+    return _step_product(h_static, terms, dt, steps)
 
 
 def control_unitary(model, pulses, steps=None, include_intra=False):
@@ -374,21 +389,16 @@ def pert_first_order(model, pulses, steps=None):
     T = pulses.duration
     if steps is None:
         steps = num_steps(T, pulses.sample_rate)
-    terms = control_terms(model, pulses)
     dt = T / steps
     mids = (np.arange(steps) + 0.5) * dt
-    amps = np.array([
-        np.asarray(envelope_value(env, mids), dtype=float) for env, _ in terms
-    ])
-    h0 = intra_hamiltonian(model)
-    nodes = []
-    _step_product(h0, terms, amps, dt, model.dim, steps, collect=nodes)
+    terms = [(np.asarray(envelope_value(env, mids), dtype=float), mat)
+             for env, mat in control_terms(model, pulses)]
     hx = crosstalk_hamiltonian(model, normalized=True)
     acc = np.zeros((model.dim, model.dim), dtype=complex)
-    for k, u in enumerate(nodes):
-        integrand = u.conj().T @ hx @ u
-        weight = 0.5 if k in (0, len(nodes) - 1) else 1.0
-        acc += weight * integrand
+    # trapezoid over the step nodes, summed as they are produced
+    for k, u in enumerate(_step_nodes(intra_hamiltonian(model), terms, dt, steps)):
+        weight = 0.5 if k in (0, steps) else 1.0
+        acc += weight * (u.conj().T @ hx @ u)
     return -1j * acc * dt
 
 
@@ -489,38 +499,58 @@ def _make_spec(model, coeffs, T, sample_rate):
     return PulseSpec((Channel((0, 1), "coupling", env),), sample_rate)
 
 
-def _plane_integrals(spec, steps):
+def _fourier_basis(T, steps):
+    """Rows 1 + cos(2 pi j t / T - pi), j = 1..5, on the step midpoints."""
+    mids = (np.arange(steps) + 0.5) * (T / steps)
+    return np.array([1 + np.cos(TWO_PI * j * mids / T - math.pi) for j in range(1, 6)])
+
+
+def _plane_integrals_batch(basis, coeffs, T, steps):
     """Exact first-order integrals of the piecewise-constant propagator.
 
     Over one constant step the toggled z operator rotates linearly, so
     integral cos(phi) dt = [sin(phi_next) - sin(phi)] / (2 Omega) in closed
     form; summing steps gives the discrete dynamics' first-order term with
-    no quadrature error.
+    no quadrature error. coeffs holds one five-coefficient envelope (rad/s)
+    per row; returns the arrays (cos integral, sin integral, phi(T)).
     """
-    env = spec.channels[0].envelope
-    T = env.T
     dt = T / steps
-    mids = (np.arange(steps) + 0.5) * dt
-    om = np.asarray(envelope_value(env, mids), dtype=float)
-    phi = np.concatenate([[0.0], 2 * np.cumsum(om) * dt])
-    lo, hi = phi[:-1], phi[1:]
+    om = np.zeros((len(coeffs), steps))
+    for j in range(5):  # fourier_eval's summation order
+        om = om + (coeffs[:, j, None] / 2) * basis[j]
+    phi = np.zeros((len(coeffs), steps + 1))
+    phi[:, 1:] = 2 * np.cumsum(om, axis=1) * dt
+    sin_phi, cos_phi = np.sin(phi), np.cos(phi)
     two_om = 2 * om
     small = np.abs(two_om) * dt < 1e-12
     denom = np.where(small, 1.0, two_om)
-    cos_steps = np.where(small, dt * np.cos(lo), (np.sin(hi) - np.sin(lo)) / denom)
-    sin_steps = np.where(small, dt * np.sin(lo), (np.cos(lo) - np.cos(hi)) / denom)
-    return float(cos_steps.sum()), float(sin_steps.sum()), float(phi[-1])
+    cos_steps = np.where(small, dt * cos_phi[:, :-1],
+                         (sin_phi[:, 1:] - sin_phi[:, :-1]) / denom)
+    sin_steps = np.where(small, dt * sin_phi[:, :-1],
+                         (cos_phi[:, :-1] - cos_phi[:, 1:]) / denom)
+    return cos_steps.sum(axis=1), sin_steps.sum(axis=1), phi[:, -1]
+
+
+def _plane_integrals(spec, steps):
+    env = spec.channels[0].envelope
+    rows = _plane_integrals_batch(_fourier_basis(env.T, steps), np.array([env.a]),
+                                  env.T, steps)
+    return tuple(float(r[0]) for r in rows)
 
 
 def _fast_pert_parts(model, spec, steps, angle):
-    """(residuals, norm, gate fidelity) for commuting single-channel drives.
+    """(plane integrals, norm, gate fidelity) for commuting single-channel drives.
 
     Valid when the drive is one x channel (single region) or one coupling
     channel with zero intra strength: the toggled z operator rotates in a
     plane, so the first-order term reduces to two scalar integrals.
     """
-    cos_i, sin_i, phi_t = _plane_integrals(spec, steps)
-    T = spec.duration
+    parts = _plane_integrals(spec, steps)
+    return parts, *_pert_norm_fid(model, spec.duration, angle, *parts)
+
+
+def _pert_norm_fid(model, T, angle, cos_i, sin_i, phi_t):
+    """First-order norm and gate fidelity from the plane integrals."""
     m = model.num_qubits - model.num_gate_qubits
     if model.kind == "single":
         wsum = _normalized_weight_sq(model.neighbor_lambdas_a)
@@ -533,7 +563,7 @@ def _fast_pert_parts(model, spec, steps, angle):
         d = 4
         tr = 4 * math.cos((phi_t - angle) / 2)
     fid = (tr * tr + d) / (d * (d + 1))
-    return (cos_i, sin_i, phi_t), math.sqrt(max(norm_sq, 0.0)), fid
+    return math.sqrt(max(norm_sq, 0.0)), fid
 
 
 def _normalized_weight_sq(lams):
@@ -553,23 +583,23 @@ def _normalized_weight_sq_two(model):
     return wa, wb
 
 
-def _fd_grad(f, x):
-    g = np.zeros_like(x)
-    for i in range(len(x)):
-        h = 1e-6 * max(abs(x[i]), 1.0)
-        xp = x.copy(); xp[i] += h
-        xm = x.copy(); xm[i] -= h
-        g[i] = (f(xp) - f(xm)) / (2 * h)
-    return g
+def _fd_stencil(x):
+    """Central-difference points x + h_0 e_0, x - h_0 e_0, x + h_1 e_1, ... and h."""
+    h = 1e-6 * np.maximum(np.abs(x), 1.0)
+    pts = np.repeat(x[None], 2 * len(x), axis=0)
+    i = np.arange(len(x))
+    pts[2 * i, i] += h
+    pts[2 * i + 1, i] -= h
+    return pts, h
 
 
-def _descend(f, x0, max_iter, grad_tol):
+def _descend(f, grad, x0, max_iter, grad_tol):
     x = np.asarray(x0, dtype=float).copy()
     fx = f(x)
     iters = 0
     step = 1.0
     for _ in range(max_iter):
-        g = _fd_grad(f, x)
+        g = grad(x)
         gn = float(np.linalg.norm(g))
         if gn < grad_tol:
             break
@@ -609,22 +639,39 @@ def optimize(model, target, backend, config=None):
     gate = gate_fn()
     T = config.T
     steps = num_steps(T, config.sample_rate)
-    fast = model.kind == "single" or model.intra_lambda == 0.0
+    fast = backend == "pert" and (model.kind == "single" or model.intra_lambda == 0.0)
+    basis = _fourier_basis(T, steps) if fast else None
 
     def build(x):
         return _make_spec(model, np.asarray(x) / T, T, config.sample_rate)
 
+    def integrals(xs):
+        return _plane_integrals_batch(basis, xs / T, T, steps)
+
+    def losses(xs):
+        if fast:
+            out = []
+            for parts in zip(*integrals(xs)):
+                norm, fid = _pert_norm_fid(model, T, angle, *map(float, parts))
+                out.append(norm / T - config.w * fid)
+            return out
+        return [loss_fn(x) for x in xs]
+
     def loss_fn(x):
+        if fast:
+            return losses(np.asarray(x)[None])[0]
         spec = build(x)
         if backend == "pert":
-            if fast:
-                _, norm, fid = _fast_pert_parts(model, spec, steps, angle)
-                return norm / T - config.w * fid
             first = pert_first_order(model, spec, steps=steps)
             uc = control_unitary(model, spec, steps=steps)
             return float(np.linalg.norm(first)) / T - config.w * avg_gate_fidelity(uc, gate)
         return optctrl_loss(model, spec, gate, w=config.w,
                             lambda_samples=config.lambda_samples, steps=steps)
+
+    def grad(x):
+        pts, h = _fd_stencil(x)
+        vals = np.array(losses(pts))
+        return (vals[0::2] - vals[1::2]) / (2 * h)
 
     x_init = np.zeros(5)
     x_init[0] = angle  # normalized A1*T; integral Omega = angle/2
@@ -635,7 +682,7 @@ def optimize(model, target, backend, config=None):
 
     best = (None, math.inf, 0)
     for x0 in starts:
-        x, fx, iters = _descend(loss_fn, x0, config.max_iter, config.grad_tol)
+        x, fx, iters = _descend(loss_fn, grad, x0, config.max_iter, config.grad_tol)
         if fx < best[1]:
             best = (x, fx, iters)
     x, fx, iters = best
@@ -643,12 +690,12 @@ def optimize(model, target, backend, config=None):
         x, fx, iters = x_init, loss_fn(x_init), 0
 
     baseline = float(np.linalg.norm(pert_first_order(model, build(x_init), steps=steps)))
-    if backend == "pert" and fast and baseline > 0 and config.max_iter > 0:
+    if fast and baseline > 0 and config.max_iter > 0:
         # Newton polish of the cancellation system; the calibrated-init
         # candidate keeps the landing point reproducible when descent
         # stalls in a basin the polish cannot finish from.
-        for cand in (_pert_polish(model, build, angle, steps, x_init.copy()),
-                     _pert_polish(model, build, angle, steps, x)):
+        for cand in (_pert_polish(integrals, angle, T, x_init.copy()),
+                     _pert_polish(integrals, angle, T, x)):
             fc = loss_fn(cand)
             if fc < fx - 1e-12:
                 x, fx = cand, fc
@@ -694,33 +741,31 @@ def _cancelable_residual(model, spec, steps, fast):
     return math.hypot(c, s) * scale, T * scale
 
 
-def _pert_polish(model, build, angle, steps, x):
-    """Newton steps on the residual system (cos and sin integrals, angle)."""
-    T = build(x).duration
+def _pert_polish(integrals, angle, T, x):
+    """Newton steps on the residual system (cos and sin integrals, angle).
 
-    def residual(xv):
-        c, s, phi_t = _plane_integrals(build(xv), steps)
+    integrals maps rows of normalized coefficients to their plane integrals.
+    """
+    def residuals(xs):
+        c, s, phi_t = integrals(xs)
         # two-qubit regions keep an uncancelable z-side term; the solvable
         # part is identical in both kinds
-        return np.array([c / T, s / T, phi_t - angle])
+        return np.stack([c / T, s / T, phi_t - angle], axis=1)
 
     for _ in range(25):
-        r = residual(x)
+        r = residuals(x[None])[0]
         if np.linalg.norm(r) < 1e-13:
             break
-        jac = np.zeros((3, len(x)))
-        for i in range(len(x)):
-            h = 1e-6 * max(abs(x[i]), 1.0)
-            xp = x.copy(); xp[i] += h
-            xm = x.copy(); xm[i] -= h
-            jac[:, i] = (residual(xp) - residual(xm)) / (2 * h)
+        pts, h = _fd_stencil(x)
+        res = residuals(pts)
+        jac = ((res[0::2] - res[1::2]) / (2 * h)[:, None]).T
         delta, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         scale = 1.0
         base = np.linalg.norm(r)
         improved = False
         while scale > 1e-6:
             xn = x + scale * delta
-            if np.linalg.norm(residual(xn)) < base:
+            if np.linalg.norm(residuals(xn[None])[0]) < base:
                 x = xn
                 improved = True
                 break

@@ -27,6 +27,7 @@ import numpy as np
 from .circuit import _X, _Y, _Z, Gate, GateTimes, apply_gate_to_state, gate_matrix
 from .pulse import (
     _embed,
+    _step_product,
     OptimizedPulse,
     RegionModel,
     avg_gate_fidelity,
@@ -266,17 +267,7 @@ def _dense_layer(n, zz_diag, windows, duration, rate):
             full = np.zeros(steps)
             full[i0:i1] = amps
             terms.append((full, _embed([_Z, _X], [a, b], n)))
-    h_static = np.diag(zz_diag.astype(complex))
-    dim = 1 << n
-    u = np.eye(dim, dtype=complex)
-    for k in range(steps):
-        h = h_static.copy()
-        for amps, mat in terms:
-            if amps[k] != 0.0:
-                h = h + amps[k] * mat
-        w, v = np.linalg.eigh(h)
-        u = (v * np.exp(-1j * dt * w)) @ v.conj().T @ u
-    return u
+    return _step_product(np.diag(zz_diag.astype(complex)), terms, dt, steps)
 
 
 # ------------------------------------------------------------ simulate

@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from zzsched import topology as topo
+
+# property tests draw the same examples on every run, so a test run repeats exactly
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")
