@@ -77,10 +77,9 @@ class GateTimes:
         return cls(rx90=120e-9, id=40e-9, rzx90=80e-9)
 
     def duration(self, gate):
-        try:
-            return getattr(self, gate.name)
-        except AttributeError:
+        if gate.name not in NATIVE_NAMES:
             raise ValueError(f"no duration for non-native gate {gate.name!r}")
+        return getattr(self, gate.name)
 
 
 def dependencies(c):
@@ -163,13 +162,14 @@ def _is_int(tok):
         return False
 
 
+def _gate_line(gate):
+    """One gate in the text format: name, repr'd params, qubit ids."""
+    return " ".join([gate.name, *map(repr, gate.params), *map(str, gate.qubits)])
+
+
 def print_circuit(c):
     lines = [f"qubits {c.num_qubits}"]
-    for gate in c.gates:
-        parts = [gate.name]
-        parts.extend(repr(p) for p in gate.params)
-        parts.extend(str(q) for q in gate.qubits)
-        lines.append(" ".join(parts))
+    lines.extend(_gate_line(gate) for gate in c.gates)
     return "\n".join(lines) + "\n"
 
 

@@ -474,18 +474,12 @@ def cmd_report(args):
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=1)
-    common.add_argument("--verbose", action="store_true")
-
     p = argparse.ArgumentParser(
         prog="zzsched",
         description="crosstalk-aware scheduling and pulse shaping toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("suppress", parents=[common],
-                       help="find a cut meeting gate constraints")
+    s = sub.add_parser("suppress", help="find a cut meeting gate constraints")
     s.add_argument("--topology", required=True)
     s.add_argument("--qubits", default="")
     s.add_argument("--alpha", type=float, default=0.5)
@@ -493,17 +487,16 @@ def build_parser():
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_suppress)
 
-    s = sub.add_parser("bench", parents=[common],
-                       help="emit a deterministic benchmark circuit")
+    s = sub.add_parser("bench", help="emit a deterministic benchmark circuit")
     s.add_argument("--name", required=True)
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--grid", default=None,
                    help="RxC; embed the chain as a grid snake")
+    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_bench)
 
-    s = sub.add_parser("schedule", parents=[common],
-                       help="layer a circuit over a device")
+    s = sub.add_parser("schedule", help="layer a circuit over a device")
     s.add_argument("--topology", required=True)
     s.add_argument("--circuit", required=True)
     s.add_argument("--policy", choices=("zzx", "par"), default="zzx")
@@ -516,8 +509,7 @@ def build_parser():
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_schedule)
 
-    s = sub.add_parser("optimize-pulse", parents=[common],
-                       help="shape one native-gate pulse")
+    s = sub.add_parser("optimize-pulse", help="shape one native-gate pulse")
     s.add_argument("--gate", choices=GATE_KINDS, required=True)
     s.add_argument("--backend", choices=BACKENDS, default="pert")
     s.add_argument("--neighbors", type=int, default=1)
@@ -525,19 +517,18 @@ def build_parser():
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_optimize_pulse)
 
-    s = sub.add_parser("simulate", parents=[common],
-                       help="run a plan on sampled devices")
+    s = sub.add_parser("simulate", help="run a plan on sampled devices")
     s.add_argument("--topology", required=True)
     s.add_argument("--plan", required=True)
     s.add_argument("--pulses", required=True, help="directory of pulse JSON")
     s.add_argument("--samples", type=int, default=20)
     s.add_argument("--lambda-mu-hz", type=float, default=200e3)
     s.add_argument("--lambda-sigma-hz", type=float, default=50e3)
+    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_simulate)
 
-    s = sub.add_parser("ramsey", parents=[common],
-                       help="probe the effective ZZ strength")
+    s = sub.add_parser("ramsey", help="probe the effective ZZ strength")
     s.add_argument("--topology", required=True)
     s.add_argument("--pulses", required=True)
     s.add_argument("--policy",
@@ -549,8 +540,7 @@ def build_parser():
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_ramsey)
 
-    s = sub.add_parser("sweep", parents=[common],
-                       help="infidelity vs coupling strength curve")
+    s = sub.add_parser("sweep", help="infidelity vs coupling strength curve")
     s.add_argument("--scenario",
                    choices=("single_gate_pair", "two_gate_chain"),
                    default="single_gate_pair")
@@ -561,8 +551,7 @@ def build_parser():
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_sweep)
 
-    s = sub.add_parser("report", parents=[common],
-                       help="full pipeline with summary table")
+    s = sub.add_parser("report", help="full pipeline with summary table")
     s.add_argument("--topology", required=True)
     s.add_argument("--circuit", required=True)
     s.add_argument("--policy", choices=("zzx", "par", "both"), default="both")
@@ -575,6 +564,9 @@ def build_parser():
     s.add_argument("--lambda-sigma-hz", type=float, default=50e3)
     s.add_argument("--samples", type=int, default=1)
     s.add_argument("--out-dir", default="runs")
+    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--threads", type=int, default=1)
+    s.add_argument("--verbose", action="store_true")
     s.set_defaults(func=cmd_report)
 
     return p

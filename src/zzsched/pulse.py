@@ -703,7 +703,7 @@ def optimize(model, target, backend, config=None):
     spec = build(x)
     uc = control_unitary(model, spec, steps=steps)
     fid = avg_gate_fidelity(uc, gate)
-    fid_ok = fid >= 1 - 1e-4
+    fid_ok = bool(fid >= 1 - 1e-4)
     converged = fid_ok
     warning = None
     if backend == "pert" and baseline > 0:

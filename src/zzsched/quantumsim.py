@@ -484,21 +484,6 @@ def _probe_population(psi, probe, n):
     return float(np.sum(np.abs(one) ** 2))
 
 
-def _device_pulse_unitary(device, spec, qubits, rate):
-    """Full-device propagator for one pulse window with ZZ always on."""
-    n = device.topology.num_qubits
-    zz = _zz_diagonal(device.topology, device.lambda_sample, n)
-    windows = [(0.0, spec, tuple(qubits))]
-    return _dense_layer(n, zz, windows, spec.duration, rate)
-
-
-def _wait_slot_unitary(device, id_spec, driven, rate):
-    n = device.topology.num_qubits
-    zz = _zz_diagonal(device.topology, device.lambda_sample, n)
-    windows = [(0.0, id_spec, (q,)) for q in driven]
-    return _dense_layer(n, zz, windows, id_spec.duration, rate)
-
-
 def fit_cosine(taus, values):
     """Fit values ~ a cos(2 pi f tau) + b sin(2 pi f tau) + c.
 
@@ -575,16 +560,19 @@ def ramsey_experiment(device, pulses, policy, delays=None, probe=0, control=1,
     if any(t < 0 for t in taus) or list(taus) != sorted(taus):
         raise ValueError("delays must be sorted and nonnegative")
 
-    u_rx = _device_pulse_unitary(device, pmap["rx90"], (probe,), rate)
+    # full-device propagators of one pulse slot, ZZ always on
+    zz = _zz_diagonal(g, device.lambda_sample, n)
+    rx = pmap["rx90"]
+    u_rx = _dense_layer(n, zz, [(0.0, rx, (probe,))], rx.duration, rate)
     if policy == "bare":
         u_slot = None
         slot = taus[1] - taus[0] if len(taus) > 1 else t_id
     else:
         driven = (probe,) if policy == "suppressed_B" else tuple(
             q for q in range(n) if q != probe)
-        u_slot = _wait_slot_unitary(device, pmap["id"], driven, rate)
+        windows = [(0.0, pmap["id"], (q,)) for q in driven]
+        u_slot = _dense_layer(n, zz, windows, t_id, rate)
         slot = t_id
-    zz = _zz_diagonal(g, device.lambda_sample, n)
     dim = 1 << n
 
     omega_v = TWO_PI * virtual_detuning_hz

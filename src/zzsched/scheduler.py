@@ -22,7 +22,8 @@ import json
 from dataclasses import dataclass
 from functools import cache, lru_cache
 
-from .circuit import Circuit, Gate, GateTimes, dependencies, parse, _expand
+from .circuit import NATIVE_NAMES, Circuit, Gate, GateTimes, dependencies, parse
+from .circuit import _expand, _gate_line
 from .suppression import alpha_optimal
 from .topology import Cut, adjacency, bfs_distances
 
@@ -114,17 +115,17 @@ def group_distance(a, grp, g):
 
 def gate_duration(gate, times):
     """Duration of a gate; composite gates cost their lowered critical path."""
-    if hasattr(times, gate.name):
-        return getattr(times, gate.name)
+    if gate.name in NATIVE_NAMES:
+        return times.duration(gate)
     finish = {q: 0.0 for q in gate.qubits}
     stack = list(reversed(_expand(gate)))
     while stack:
         g2 = stack.pop()
-        if not hasattr(times, g2.name):
+        if g2.name not in NATIVE_NAMES:
             stack.extend(reversed(_expand(g2)))
             continue
         start = max(finish[q] for q in g2.qubits)
-        end = start + getattr(times, g2.name)
+        end = start + times.duration(g2)
         for q in g2.qubits:
             finish[q] = end
     return max(finish.values())
@@ -338,13 +339,6 @@ def par_sched(g, c, gate_times=None):
 # ------------------------------------------------------------------ JSON
 
 
-def _gate_str(gate):
-    parts = [gate.name]
-    parts.extend(repr(p) for p in gate.params)
-    parts.extend(str(q) for q in gate.qubits)
-    return " ".join(parts)
-
-
 def _gate_from_str(text, num_qubits):
     return parse(text, num_qubits=num_qubits).gates[0]
 
@@ -353,8 +347,8 @@ def plan_to_json(plan):
     layers = []
     for layer in plan.layers:
         entry = {
-            "gates": [_gate_str(g) for g in layer.gates],
-            "rz": [_gate_str(g) for g in layer.rz_gates],
+            "gates": [_gate_line(g) for g in layer.gates],
+            "rz": [_gate_line(g) for g in layer.rz_gates],
             "n_q": layer.n_q,
             "n_c": layer.n_c,
             "duration": layer.duration,
@@ -373,7 +367,7 @@ def plan_to_json(plan):
         "num_qubits": plan.num_qubits,
         "total_duration": plan.total_duration,
         "layers": layers,
-        "trailing_rz": [_gate_str(g) for g in plan.trailing_rz],
+        "trailing_rz": [_gate_line(g) for g in plan.trailing_rz],
         "source_gate_map": {str(k): v for k, v in sorted(plan.source_gate_map.items())},
     }
 

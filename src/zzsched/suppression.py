@@ -7,7 +7,10 @@ pair by a shortest dual path, and then greedily swaps single pairs to their
 next-shortest alternatives while a strictly better feasible candidate
 exists. Gate-internal couplings are forced into the remaining-set by
 deleting their duals up front and re-adding them to every candidate, and a
-candidate is feasible only when all gate qubits land on one side.
+candidate is feasible only when all gate qubits land on one side. Each
+candidate is scored from the contraction that builds its cut: the cut's
+remaining-set is exactly the contracted edge set, so N_C is that set's size
+and N_Q the largest contracted class.
 """
 
 from __future__ import annotations
@@ -57,39 +60,27 @@ def _result_pairing(g, cut, q):
     return topo.OddVertexPairing(rem - _gate_internal_edges(g, q))
 
 
+def _mask(qubits):
+    return sum(1 << v for v in qubits)
+
+
 def metrics(g, c):
     """(N_Q, N_C): largest same-side region and count of unsuppressed couplings."""
-    rem = topo.remaining_set(g, c)
-    uf = topo._UnionFind(g.num_qubits)
-    for e in rem:
-        u, v = g.edges[e]
-        uf.union(u, v)
-    size = {}
-    for v in range(g.num_qubits):
-        r = uf.find(v)
-        size[r] = size.get(r, 0) + 1
-    return max(size.values()), len(rem)
+    topo._check_cut(g, c)
+    return _mask_metrics(g, _mask(c.partition_s))
 
 
 def _mask_metrics(g, mask):
-    parent = list(range(g.num_qubits))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    """metrics for the cut whose partition_s is the bit set of mask."""
+    uf = topo._UnionFind(g.num_qubits)
     n_c = 0
     for u, v in g.edges:
         if (mask >> u & 1) == (mask >> v & 1):
             n_c += 1
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[max(ru, rv)] = min(ru, rv)
+            uf.union(u, v)
     size = {}
     for v in range(g.num_qubits):
-        r = find(v)
+        r = uf.find(v)
         size[r] = size.get(r, 0) + 1
     return max(size.values()), n_c
 
@@ -102,9 +93,7 @@ def brute_force_optimal(g, q, alpha):
     q = frozenset(q)
     _check_gate_set(g, q)
     if q:
-        base = 0
-        for v in q:
-            base |= 1 << v
+        base = _mask(q)
         free = [v for v in range(n) if v not in q]
     else:
         base = 1  # pin qubit 0; complement cuts have identical metrics
@@ -262,7 +251,7 @@ def _max_weight_matching(weights):
 # ------------------------------------------------------------ the solver
 
 
-def alpha_optimal(g, q, alpha, k=3, fallback=True, _trace=None):
+def alpha_optimal(g, q, alpha, k=3, _trace=None):
     """Greedy pairing search for a cut minimizing alpha*N_Q + N_C.
 
     All of q ends up in partition_s. _trace, when a list, collects the kept
@@ -278,13 +267,7 @@ def alpha_optimal(g, q, alpha, k=3, fallback=True, _trace=None):
     e_q = _gate_internal_edges(g, q)
 
     # odd-degree faces of the dual after deleting gate-internal duals
-    deg = [0] * d.num_vertices
-    for e, (a, b) in enumerate(d.edges):
-        if e in e_q:
-            continue
-        deg[a] += 1
-        deg[b] += 1
-    odd = [v for v in range(d.num_vertices) if deg[v] % 2]
+    odd = sorted(d.odd_vertices(e_q))
 
     path_lists = []
     if odd:
@@ -293,18 +276,7 @@ def alpha_optimal(g, q, alpha, k=3, fallback=True, _trace=None):
             if a != b and e not in e_q:
                 adj[a].append(b)
                 adj[b].append(a)
-        dist = {}
-        for src in odd:
-            dl = [-1] * d.num_vertices
-            dl[src] = 0
-            qq = deque([src])
-            while qq:
-                u = qq.popleft()
-                for w in adj[u]:
-                    if dl[w] < 0:
-                        dl[w] = dl[u] + 1
-                        qq.append(w)
-            dist[src] = dl
+        dist = {src: topo.bfs_distances(adj, src) for src in odd}
         finite = [
             dist[u][v]
             for u, v in itertools.combinations(odd, 2)
@@ -330,10 +302,11 @@ def alpha_optimal(g, q, alpha, k=3, fallback=True, _trace=None):
             sel ^= set(paths[idx[pi]])
         dset = frozenset(sel) | e_q
         try:
-            cut = topo.cut_from_contraction(g, dset)
+            # the cut's remaining-set is exactly dset
+            cut, n_q = topo._contract(g, dset)
         except ValueError:
             return None
-        n_q, n_c = metrics(g, cut)
+        n_c = len(dset)
         feasible = q <= cut.partition_s or q <= cut.partition_t
         return (alpha * n_q + n_c, n_q, n_c, cut, feasible)
 
@@ -403,8 +376,6 @@ def alpha_optimal(g, q, alpha, k=3, fallback=True, _trace=None):
                 _result_pairing(g, cut, q),
                 warning="initial pairing split the gate set; full index scan used",
             )
-    if not fallback:
-        raise ValueError("no pairing candidate keeps all gate qubits on one side")
 
     # Repair: push the gate set into one side of the best evaluated cut.
     repaired = []
@@ -413,11 +384,10 @@ def alpha_optimal(g, q, alpha, k=3, fallback=True, _trace=None):
             continue
         c = trec[3]
         for side in (c.partition_s | q, c.partition_t | q):
-            s2 = frozenset(side)
-            cut2 = topo.Cut(s2, frozenset(range(g.num_qubits)) - s2)
-            n_q2, n_c2 = metrics(g, cut2)
-            repaired.append((alpha * n_q2 + n_c2, n_q2, n_c2, cut2))
-    obj, n_q2, n_c2, cut2 = min(repaired, key=lambda r: r[0])
+            n_q2, n_c2 = _mask_metrics(g, _mask(side))
+            repaired.append((alpha * n_q2 + n_c2, n_q2, n_c2, side))
+    obj, n_q2, n_c2, s2 = min(repaired, key=lambda r: r[0])
+    cut2 = topo.Cut(s2, frozenset(range(g.num_qubits)) - s2)
     return SuppressionResult(
         cut2,
         n_q2,

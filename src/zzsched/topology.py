@@ -7,7 +7,10 @@ interaction active, and those leftover couplings form the remaining-set of
 the cut. In the dual graph the remaining-set of any cut becomes an
 odd-vertex pairing (an edge set whose contraction kills all odd-degree
 faces), and conversely any such pairing induces a cut. The suppression
-solver searches pairings instead of cuts.
+solver searches pairings instead of cuts. One routine, _contract, turns
+edge sets into cuts: it contracts the edges to keep inside a side, deletes
+the edges to ignore, and 2-colors the quotient, so the same union-find
+gives each candidate cut its largest same-side region.
 
 Couplings carry ZZ strengths in rad/s internally; files store lambda/2pi
 in Hz and the conversion happens at the I/O boundary.
@@ -114,8 +117,14 @@ class DualGraph:
                 d += 1
         return d
 
-    def odd_vertices(self):
-        return frozenset(v for v in range(self.num_vertices) if self.degree(v) % 2 == 1)
+    def odd_vertices(self, skip=frozenset()):
+        """Odd-degree vertices once the edge ids in skip are deleted."""
+        deg = [0] * self.num_vertices
+        for e, (a, b) in enumerate(self.edges):
+            if e not in skip:
+                deg[a] += 1
+                deg[b] += 1
+        return frozenset(v for v, k in enumerate(deg) if k % 2)
 
 
 @dataclass(frozen=True)
@@ -347,51 +356,16 @@ def is_odd_vertex_pairing(d, s):
     return all(c % 2 == 0 for c in odd_count.values())
 
 
-def cut_from_pairing(g, p):
-    """Cut induced by a pairing: drop its primal edges, 2-color the rest.
+def _contract(g, edge_ids, dropped=()):
+    """Contract edge_ids, delete dropped, 2-color the quotient.
 
-    Each leftover component is colored by breadth-first search with its
-    lowest qubit id anchored to partition_s. The remaining-set of the
-    returned cut is contained in the pairing's primal edges. A leftover odd
-    cycle means p was not a valid pairing and raises.
-    """
-    removed = set(p.dual_edges)
-    n = g.num_qubits
-    adj = [[] for _ in range(n)]
-    for e, (u, v) in enumerate(g.edges):
-        if e not in removed:
-            adj[u].append(v)
-            adj[v].append(u)
-    color = [-1] * n
-    for start in range(n):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        q = deque([start])
-        while q:
-            u = q.popleft()
-            for w in adj[u]:
-                if color[w] < 0:
-                    color[w] = 1 - color[u]
-                    q.append(w)
-                elif color[w] == color[u]:
-                    raise ValueError(
-                        "invalid pairing: leftover graph has an odd cycle"
-                    )
-    s = frozenset(v for v in range(n) if color[v] == 0)
-    t = frozenset(v for v in range(n) if color[v] == 1)
-    return Cut(s, t)
-
-
-def cut_from_contraction(g, edge_ids):
-    """Cut whose remaining-set equals edge_ids exactly, when one exists.
-
-    Contracts the chosen edges and 2-colors the quotient, so every chosen
-    edge ends up inside a side and every other edge crosses. Raises when
-    the quotient is not bipartite. The quotient class holding the lowest
-    qubit id of each quotient component is anchored to partition_s.
+    Returns the cut and the size of its largest contracted class. Every
+    edge in neither set must join classes of opposite color, else this
+    raises. The class holding the lowest qubit id of each quotient
+    component is anchored to partition_s.
     """
     ids = set(edge_ids)
+    skip = ids.union(dropped)
     n = g.num_qubits
     uf = _UnionFind(n)
     for e in ids:
@@ -399,7 +373,7 @@ def cut_from_contraction(g, edge_ids):
         uf.union(u, v)
     adj = {}
     for e, (u, v) in enumerate(g.edges):
-        if e in ids:
+        if e in skip:
             continue
         ru, rv = uf.find(u), uf.find(v)
         if ru == rv:
@@ -407,8 +381,10 @@ def cut_from_contraction(g, edge_ids):
         adj.setdefault(ru, []).append(rv)
         adj.setdefault(rv, []).append(ru)
     color = {}
+    size = {}
     for v in range(n):
         r = uf.find(v)
+        size[r] = size.get(r, 0) + 1
         if r in color:
             continue
         color[r] = 0
@@ -420,10 +396,28 @@ def cut_from_contraction(g, edge_ids):
                     color[b] = 1 - color[a]
                     q.append(b)
                 elif color[b] == color[a]:
-                    raise ValueError("quotient graph is not bipartite; no exact cut")
+                    raise ValueError("quotient graph is not bipartite")
     s = frozenset(v for v in range(n) if color[uf.find(v)] == 0)
-    t = frozenset(v for v in range(n) if color[uf.find(v)] == 1)
-    return Cut(s, t)
+    return Cut(s, frozenset(range(n)) - s), max(size.values())
+
+
+def cut_from_pairing(g, p):
+    """Cut induced by a pairing: drop its primal edges, 2-color the rest.
+
+    The remaining-set of the returned cut is contained in the pairing's
+    primal edges. A leftover odd cycle means p was not a valid pairing and
+    raises.
+    """
+    return _contract(g, (), p.dual_edges)[0]
+
+
+def cut_from_contraction(g, edge_ids):
+    """Cut whose remaining-set equals edge_ids exactly, when one exists.
+
+    Every chosen edge ends up inside a side and every other edge crosses;
+    raises when no such cut exists. See _contract.
+    """
+    return _contract(g, edge_ids)[0]
 
 
 # ------------------------------------------------------------------ I/O

@@ -106,6 +106,15 @@ class TestSuppress:
         assert code == 1
         assert "[suppression]" in capsys.readouterr().err
 
+    def test_rejects_flags_it_does_not_read(self, workspace, tmp_path, capsys):
+        # --seed, --threads and --verbose belong to the subcommands that use them
+        for flag in (["--threads", "4"], ["--seed", "3"], ["--verbose"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["suppress", "--topology", str(workspace / "g23.json"),
+                      "--out", str(tmp_path / "cut.json"), *flag])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestSchedule:
     def test_both_policies(self, workspace, tmp_path):

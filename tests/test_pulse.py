@@ -569,6 +569,16 @@ class TestPulseJson:
         a1 = np.array(back.spec.channels[0].envelope.a)
         assert np.allclose(a0, a1, rtol=1e-12)
 
+    def test_optctrl_round_trip(self, tmp_path):
+        opt = optimize(single_region(1), "rx90", "optctrl",
+                       OptimizeConfig(max_iter=1, restarts=1))
+        assert type(opt.converged) is bool
+        path = tmp_path / "rx90_optctrl.json"
+        save_pulse(path, opt)
+        back = load_pulse(path)
+        assert back.backend == "optctrl"
+        assert back.converged == opt.converged
+
     def test_segment_round_trip(self):
         op = OptimizedPulse(dcg_sequence("rx_half_pi"), "rx90", "dcg", 0.0, 0, True)
         back = pulse_from_json(pulse_to_json(op))
@@ -642,9 +652,7 @@ def test_pulse_json_pinned(backend, target, m):
     if backend == "optctrl":
         config = OptimizeConfig(max_iter=5, restarts=1)
     op = optimize(model, target, backend, config)
-    # optctrl's converged flag is a numpy bool; it serializes as its value
-    blob = json.dumps(pulse_to_json(op), sort_keys=True,
-                      default=lambda o: o.item()).encode()
+    blob = json.dumps(pulse_to_json(op), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == PULSE_SHA256[backend, target, m]
 
 

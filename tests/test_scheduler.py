@@ -103,6 +103,17 @@ def test_gate_duration_native_and_composite():
     assert gate_duration(Gate("rz", (0,), (1.0,)), t) == 0.0
 
 
+@pytest.mark.parametrize("name", ["dcg", "duration"])
+def test_gate_named_like_a_gate_times_member_is_not_native(name):
+    # GateTimes also has a dcg classmethod and a duration method
+    with pytest.raises(ValueError, match=f"cannot lower gate '{name}'"):
+        gate_duration(Gate(name, (0,)), GateTimes())
+    with pytest.raises(ValueError, match=f"cannot lower gate '{name}'"):
+        par_sched(line_topology(2), parse(f"{name} 0\n", num_qubits=2))
+    with pytest.raises(ValueError, match="non-native"):
+        GateTimes().duration(Gate(name, (0,)))
+
+
 # ------------------------------------------------------- two-qubit sets
 
 
