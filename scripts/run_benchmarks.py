@@ -12,7 +12,7 @@ import numpy as np
 
 from zzsched.circuit import benchmark, to_native
 from zzsched.pulse import OptimizeConfig, RegionModel, optimize
-from zzsched.quantumsim import gaussian_library, sample_device, simulate_plan
+from zzsched.quantumsim import gaussian_library, sample_device, simulate_ensemble
 from zzsched.scheduler import par_sched, schedule
 from zzsched.topology import grid_snake_order, grid_topology
 
@@ -39,8 +39,8 @@ def run_benchmark(name, n, rows, cols, libraries, samples=10,
     means = {}
     for policy, plan in plans.items():
         for lib_name, lib in libraries.items():
-            fids = [simulate_plan(sample_device(g, mu_hz, sigma_hz, s),
-                                  plan, lib).fidelity for s in range(samples)]
+            devices = [sample_device(g, mu_hz, sigma_hz, s) for s in range(samples)]
+            fids = [r.fidelity for r in simulate_ensemble(devices, plan, lib)]
             means[(lib_name, policy)] = float(np.mean(fids))
     duration_ratio = plans["zzx"].total_duration / plans["par"].total_duration
     return means, duration_ratio

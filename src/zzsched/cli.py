@@ -6,7 +6,6 @@ them, and re-running an identical config reproduces the bytes.
 """
 
 import argparse
-import concurrent.futures
 import contextlib
 import hashlib
 import json
@@ -33,7 +32,7 @@ from .quantumsim import (
     gaussian_library,
     ramsey_experiment,
     sample_device,
-    simulate_plan,
+    simulate_ensemble,
     suppression_sweep,
     uniform_device,
 )
@@ -204,23 +203,19 @@ def _schedule_policy(g, circ, policy, cfg, gate_times):
     return schedule(g, circ, r, alpha=cfg.alpha, k=cfg.k, gate_times=gate_times)
 
 
-def _simulate_seeds(g, plan, pulses, cfg, policy, threads):
-    def one(seed):
-        dev = sample_device(g, cfg.lambda_mu_hz, cfg.lambda_sigma_hz, seed)
-        return simulate_plan(dev, plan, pulses, policy=policy,
+def _simulate_seeds(g, plan, pulses, cfg, policy):
+    devices = [sample_device(g, cfg.lambda_mu_hz, cfg.lambda_sigma_hz, s)
+               for s in cfg.seeds]
+    return simulate_ensemble(devices, plan, pulses, policy=policy,
                              pulse_backend=cfg.backend)
-
-    if threads > 1 and len(cfg.seeds) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(one, cfg.seeds))
-    return [one(s) for s in cfg.seeds]
 
 
 def run_pipeline(cfg, threads=1, verbose=False):
     """Schedule, provision pulses, simulate across seeds, write artifacts.
 
     Returns {policy: [SimReport]} after writing plan/pulse/report files
-    under cfg.out_dir and printing the summary table.
+    under cfg.out_dir and printing the summary table. threads is accepted
+    and unused: all seeds of a plan run in one batched simulation.
     """
     with _stage("topology"):
         g = load_topology(cfg.topology)
@@ -250,7 +245,7 @@ def run_pipeline(cfg, threads=1, verbose=False):
     with _stage("quantumsim"):
         for policy in policies:
             reports[policy] = _simulate_seeds(g, plans[policy], pulses, cfg,
-                                              policy, threads)
+                                              policy)
 
     with _stage("cli"):
         doc = _report_json(cfg, plans, reports)
@@ -393,10 +388,9 @@ def cmd_simulate(args):
         seeds = tuple(range(args.seed, args.seed + args.samples))
         backends = {op.backend for op in pulses.values()}
         label = backends.pop() if len(backends) == 1 else "mixed"
-        reports = []
-        for s in seeds:
-            dev = sample_device(g, args.lambda_mu_hz, args.lambda_sigma_hz, s)
-            reports.append(simulate_plan(dev, plan, pulses, pulse_backend=label))
+        devices = [sample_device(g, args.lambda_mu_hz, args.lambda_sigma_hz, s)
+                   for s in seeds]
+        reports = simulate_ensemble(devices, plan, pulses, pulse_backend=label)
     with _stage("cli"):
         doc = {
             "topology": args.topology,
@@ -466,7 +460,7 @@ def cmd_report(args):
                         lambda_mu_hz=args.lambda_mu_hz,
                         lambda_sigma_hz=args.lambda_sigma_hz,
                         seeds=seeds, out_dir=args.out_dir)
-    run_pipeline(cfg, threads=args.threads, verbose=args.verbose)
+    run_pipeline(cfg, verbose=args.verbose)
     return 0
 
 
@@ -565,7 +559,6 @@ def build_parser():
     s.add_argument("--samples", type=int, default=1)
     s.add_argument("--out-dir", default="runs")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--threads", type=int, default=1)
     s.add_argument("--verbose", action="store_true")
     s.set_defaults(func=cmd_report)
 

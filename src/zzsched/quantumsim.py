@@ -15,6 +15,17 @@ propagator kept as a small-system oracle. The split-step layer lists the
 operators of every step before stepping; each apply is one np.dot on
 exactly the transposed, reshaped operand np.tensordot would build, which
 keeps every amplitude, and so every report, bit-identical to tensordot.
+
+Device samples of one topology differ only in the diagonal ZZ phase, so
+simulate_ensemble evolves all of them in one (devices, 2^n) state. The
+batch axis sits between an operator's target axes and the remaining
+qubit axes: each column of the np.dot operand belongs to one device and
+holds the same numbers a single-device run would. zgemm computes each
+output column from its own operand column, with the same kernel as long
+as every device's block is a whole number of its 4-column tiles (true
+from 4 qubits up; smaller registers step one device at a time), so every
+amplitude keeps the bits of a one-device run. A test checks this against
+the tensordot reference, device by device.
 """
 
 from __future__ import annotations
@@ -214,10 +225,12 @@ def _batch_zx(amps, dt):
 
 
 def _split_layer(psi, n, zz_diag, windows, duration, rate):
+    """One layer for a batch of devices: psi and zz_diag are (B, 2^n)."""
     steps = num_steps(duration, rate)
     dt = duration / steps
     mids = (np.arange(steps) + 0.5) * dt
-    half = np.exp(-0.5j * dt * zz_diag).reshape([2] * n)
+    b = len(psi)
+    half = np.exp(-0.5j * dt * zz_diag).reshape((b,) + (2,) * n)
     ops = []
     for i0, i1, singles, couplings in _window_amplitudes(windows, mids):
         for q, (ax, ay) in sorted(singles.items()):
@@ -225,24 +238,27 @@ def _split_layer(psi, n, zz_diag, windows, duration, rate):
         for pair, amps in sorted(couplings.items()):
             ops.append((i0, i1, _batch_zx(amps, dt), pair))
     # active[k]: step k's operators in window order, each with the operand
-    # transpose and shapes np.tensordot would build, so np.dot multiplies
-    # the same arrays and every amplitude keeps its bits
+    # transpose and shapes np.tensordot would build for one device, plus
+    # the batch axis (0) between the target axes and the rest, so np.dot
+    # multiplies the same columns and every amplitude keeps its bits
     active = [[] for _ in range(steps)]
-    for i0, i1, batch, qubits in ops:
-        perm = qubits + tuple(q for q in range(n) if q not in qubits)
-        inv_perm = tuple(perm.index(q) for q in range(n))
-        in_shape = (len(batch[0]), (1 << n) // len(batch[0]))
+    for i0, i1, us, qubits in ops:
+        rest = tuple(1 + q for q in range(n) if q not in qubits)
+        perm = tuple(1 + q for q in qubits) + (0,) + rest
+        inv_perm = tuple(perm.index(a) for a in range(n + 1))
+        d = len(us[0])
+        in_shape = (d, (b << n) // d)
+        out_shape = (2,) * len(qubits) + (b,) + (2,) * len(rest)
         for k in range(i0, i1):
-            active[k].append((batch[k - i0], perm, inv_perm, in_shape))
-    out_shape = (2,) * n
-    psi_t = psi.reshape(out_shape)
+            active[k].append((us[k - i0], perm, inv_perm, in_shape, out_shape))
+    psi_t = psi.reshape((b,) + (2,) * n)
     for step_ops in active:
         psi_t = psi_t * half
-        for u, perm, inv_perm, in_shape in step_ops:
+        for u, perm, inv_perm, in_shape, out_shape in step_ops:
             bt = psi_t.transpose(perm).reshape(in_shape)
             psi_t = np.dot(u, bt).reshape(out_shape).transpose(inv_perm)
         psi_t = psi_t * half
-    return np.ascontiguousarray(psi_t).reshape(-1)
+    return np.ascontiguousarray(psi_t).reshape(b, -1)
 
 
 # ---------------------------------------------------- dense oracle path
@@ -279,61 +295,94 @@ def _apply_rz_like(state, gates, n):
     return state
 
 
-def _run_plan(device, plan, pmap, input_state, method, rate):
-    g = device.topology
+def _apply_rz_rows(psi, gates, n):
+    """Frame rotations on each device's row, one state at a time."""
+    if not gates:
+        return psi
+    return np.stack([_apply_rz_like(row, gates, n) for row in psi])
+
+
+def _run_plan(devices, plan, pmap, input_state, method, rate):
+    g = devices[0].topology
     n = g.num_qubits
+    if any(d.topology != g for d in devices[1:]):
+        raise ValueError("devices must share one topology")
     if plan.num_qubits != n:
         raise ValueError("plan does not fit the device")
     if n > 12:
         raise ValueError("simulation capped at 12 qubits")
     dim = 1 << n
     if input_state is None:
-        psi = np.zeros(dim, dtype=complex)
-        psi[0] = 1.0
+        ideal = np.zeros(dim, dtype=complex)
+        ideal[0] = 1.0
     else:
-        psi = np.asarray(input_state, dtype=complex)
-        if psi.shape != (dim,):
+        ideal = np.asarray(input_state, dtype=complex)
+        if ideal.shape != (dim,):
             raise ValueError(f"input state must have dimension {dim}")
-        psi = psi.copy()
-    ideal = psi.copy()
-    zz_diag = _zz_diagonal(g, device.lambda_sample, n)
+    psi = np.tile(ideal, (len(devices), 1))
+    zz_diag = np.stack([_zz_diagonal(g, d.lambda_sample, n) for d in devices])
+    # zgemm computes 4-column blocks with one kernel and a narrower tail
+    # with another, so a device keeps its one-device bits only when its
+    # operand block (2^n / 4 columns for a coupling) is a multiple of 4
+    # wide; smaller registers step one device at a time
+    group = len(devices) if n >= 4 else 1
     per_layer = []
     for layer in plan.layers:
-        psi = _apply_rz_like(psi, layer.rz_gates, n)
+        psi = _apply_rz_rows(psi, layer.rz_gates, n)
         ideal = _apply_rz_like(ideal, layer.rz_gates, n)
         ideal = _apply_rz_like(ideal, layer.gates, n)
         windows = _layer_windows(layer, pmap)
         if method == "dense":
-            u = _dense_layer(n, zz_diag, windows, layer.duration, rate)
-            psi = u @ psi
+            psi = np.stack([_dense_layer(n, zz, windows, layer.duration, rate) @ row
+                            for zz, row in zip(zz_diag, psi)])
         else:
-            psi = _split_layer(psi, n, zz_diag, windows, layer.duration, rate)
+            psi = np.concatenate([
+                _split_layer(psi[i:i + group], n, zz_diag[i:i + group], windows,
+                             layer.duration, rate)
+                for i in range(0, len(psi), group)])
         per_layer.append((layer.n_q, layer.n_c, layer.duration))
-    psi = _apply_rz_like(psi, plan.trailing_rz, n)
+    psi = _apply_rz_rows(psi, plan.trailing_rz, n)
     ideal = _apply_rz_like(ideal, plan.trailing_rz, n)
     return psi, ideal, tuple(per_layer)
 
 
-def simulate_plan(device, plan, pulses, input_state=None, method="split",
-                  policy=None, pulse_backend="custom", rate=None):
-    """Evolve a scheduled plan on a device and score it against the ideal.
+def simulate_ensemble(devices, plan, pulses, input_state=None, method="split",
+                      policy=None, pulse_backend="custom", rate=None):
+    """Evolve one plan on every device in one pass; one SimReport each.
 
-    pulses maps native gate kind to a PulseSpec (or OptimizedPulse); every
-    kind appearing in the plan must be covered. method "split" runs the
-    split-step statevector engine; "dense" the small-system oracle.
+    devices share one topology and differ in their ZZ strengths; every
+    device starts from input_state (|0...0> when None), and the ideal
+    reference is evolved once. pulses maps native gate kind to a
+    PulseSpec (or OptimizedPulse); every kind appearing in the plan must
+    be covered. method "split" runs the split-step statevector engine on
+    all devices at once; "dense" the small-system oracle, device by device.
     """
+    devices = tuple(devices)
+    if not devices:
+        raise ValueError("need at least one device")
     if method not in ("split", "dense"):
         raise ValueError(f"unknown method {method!r}")
     pmap = _pulse_map(pulses)
     if rate is None:
         rate = max((p.sample_rate for p in pmap.values()), default=200)
-    psi, ideal, per_layer = _run_plan(device, plan, pmap, input_state, method, rate)
-    fid = abs(np.vdot(ideal, psi)) ** 2
-    fid = min(max(float(fid), 0.0), 1.0)
+    psi, ideal, per_layer = _run_plan(devices, plan, pmap, input_state, method, rate)
     if policy is None:
         policy = "zzx" if any(l.cut is not None for l in plan.layers) else "par"
-    return SimReport(fid, per_layer, plan.total_duration, policy, pulse_backend,
-                     device.seed)
+    reports = []
+    for device, row in zip(devices, psi):
+        fid = abs(np.vdot(ideal, row)) ** 2
+        fid = min(max(float(fid), 0.0), 1.0)
+        reports.append(SimReport(fid, per_layer, plan.total_duration, policy,
+                                 pulse_backend, device.seed))
+    return reports
+
+
+def simulate_plan(device, plan, pulses, input_state=None, method="split",
+                  policy=None, pulse_backend="custom", rate=None):
+    """Evolve a scheduled plan on one device and score it against the ideal;
+    simulate_ensemble with a single device."""
+    return simulate_ensemble((device,), plan, pulses, input_state, method,
+                             policy, pulse_backend, rate)[0]
 
 
 # ------------------------------------------------------ pulse libraries

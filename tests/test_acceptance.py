@@ -29,7 +29,7 @@ from zzsched.quantumsim import (
     gaussian_library,
     ramsey_effective_zz,
     sample_device,
-    simulate_plan,
+    simulate_ensemble,
     suppression_sweep,
 )
 from zzsched.scheduler import (
@@ -308,10 +308,8 @@ def test_criterion_09_end_to_end_ordering(pert_pulses):
         means = {}
         for pol in ("zzx", "par"):
             for lib_name, lib in (("pert", pert_pulses), ("gauss", gauss)):
-                fids = []
-                for seed in range(10):
-                    dev = sample_device(g, 200e3, 50e3, seed)
-                    fids.append(simulate_plan(dev, plans[pol], lib).fidelity)
+                devices = [sample_device(g, 200e3, 50e3, seed) for seed in range(10)]
+                fids = [r.fidelity for r in simulate_ensemble(devices, plans[pol], lib)]
                 means[(lib_name, pol)] = float(np.mean(fids))
         co = means[("pert", "zzx")]
         base = means[("gauss", "par")]

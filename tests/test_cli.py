@@ -1,16 +1,19 @@
 """Tests for the command-line pipeline and its file artifacts."""
 
+import contextlib
+import hashlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 
-from zzsched.circuit import Circuit, load_circuit, save_circuit
-from zzsched.cli import RunConfig, main
+from zzsched.circuit import Circuit, benchmark, load_circuit, save_circuit
+from zzsched.cli import RunConfig, main, run_pipeline
 from zzsched.pulse import load_pulse
 from zzsched.scheduler import load_plan
-from zzsched.topology import grid_topology, line_topology, save_topology
+from zzsched.topology import grid_snake_order, grid_topology, line_topology, save_topology
 
 TWO_PI = 2 * math.pi
 
@@ -107,11 +110,17 @@ class TestSuppress:
         assert "[suppression]" in capsys.readouterr().err
 
     def test_rejects_flags_it_does_not_read(self, workspace, tmp_path, capsys):
-        # --seed, --threads and --verbose belong to the subcommands that use them
-        for flag in (["--threads", "4"], ["--seed", "3"], ["--verbose"]):
+        # --seed and --verbose belong to the subcommands that use them;
+        # --threads went away with the seed thread pool
+        suppress = ["suppress", "--topology", str(workspace / "g23.json"),
+                    "--out", str(tmp_path / "cut.json")]
+        report = ["report", "--topology", str(workspace / "g23.json"),
+                  "--circuit", str(workspace / "qft4.zzq"),
+                  "--out-dir", str(tmp_path / "runs")]
+        for argv in (suppress + ["--threads", "4"], suppress + ["--seed", "3"],
+                     suppress + ["--verbose"], report + ["--threads", "2"]):
             with pytest.raises(SystemExit) as exc:
-                main(["suppress", "--topology", str(workspace / "g23.json"),
-                      "--out", str(tmp_path / "cut.json"), *flag])
+                main(argv)
             assert exc.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -232,6 +241,25 @@ class TestReportPipeline:
         assert doc["summary"]["mean_fidelity"]["zzx"] == 1.0
         assert doc["summary"]["mean_fidelity"]["par"] == 1.0
         assert doc["summary"]["layers"] == {"zzx": 0, "par": 0}
+
+
+# sha256 of report.json with its three path fields replaced by "<dir>",
+# recorded before the simulator evolved all seeds of a plan in one batch
+REPORT_SHA256 = "96f5943dd736f7de9a696bf687b456e3768209bcd019aa53ff8b8295761f1dcc"
+
+
+def test_report_json_pinned(tmp_path):
+    save_topology(tmp_path / "g23.json", grid_topology(2, 3))
+    save_circuit(tmp_path / "qft4.zzq",
+                 benchmark("qft", 4, qubit_order=grid_snake_order(2, 3)[:4]))
+    cfg = RunConfig(str(tmp_path / "g23.json"), str(tmp_path / "qft4.zzq"),
+                    policy="both", backend="pert", seeds=(0, 1, 2),
+                    out_dir=str(tmp_path / "out"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        run_pipeline(cfg)
+    raw = (tmp_path / "out" / "report.json").read_bytes()
+    raw = raw.replace(str(tmp_path).encode(), b"<dir>")
+    assert hashlib.sha256(raw).hexdigest() == REPORT_SHA256
 
 
 class TestSimulateCommand:

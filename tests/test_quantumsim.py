@@ -33,12 +33,19 @@ from zzsched.quantumsim import (
     ramsey_effective_zz,
     ramsey_experiment,
     sample_device,
+    simulate_ensemble,
     simulate_plan,
     suppression_sweep,
     uniform_device,
 )
 from zzsched.scheduler import Layer, par_sched, schedule
-from zzsched.topology import Cut, grid_snake_order, grid_topology, line_topology
+from zzsched.topology import (
+    Cut,
+    from_positions,
+    grid_snake_order,
+    grid_topology,
+    line_topology,
+)
 
 TWO_PI = 2 * math.pi
 LAM = TWO_PI * 200e3
@@ -232,23 +239,32 @@ class TestSimulatePlan:
             assert any(start > 0.0 for w in windows for start, _, _ in w)
             assert any(len(qs) == 2 for w in windows for _, _, qs in w)
         nq = g.num_qubits
-        for seed in (0, 1):
-            dev = sample_device(g, 200e3, 50e3, seed=seed)
-            zz = _zz_diagonal(g, dev.lambda_sample, nq)
-            rng = np.random.default_rng(seed)
-            psi = rng.standard_normal(1 << nq) + 1j * rng.standard_normal(1 << nq)
-            psi /= np.linalg.norm(psi)
-            for layer, w in zip(plan.layers, windows):
-                ref = _reference_split_layer(psi, nq, zz, w, layer.duration, 200)
-                psi = _split_layer(psi, nq, zz, w, layer.duration, 200)
-                assert np.array_equal(psi, ref)
+        zz = np.stack([_zz_diagonal(g, sample_device(g, 200e3, 50e3, s).lambda_sample, nq)
+                       for s in range(3)])
+        rng = np.random.default_rng(0)
+        psi0 = rng.standard_normal((3, 1 << nq)) + 1j * rng.standard_normal((3, 1 << nq))
+        psi0 /= np.linalg.norm(psi0, axis=1, keepdims=True)
+        refs = []
+        psi = psi0
+        for layer, w in zip(plan.layers, windows):
+            psi = np.stack([_reference_split_layer(row, nq, z, w, layer.duration, 200)
+                            for row, z in zip(psi, zz)])
+            refs.append(psi)
+        # the batch changes zgemm's column count; each device's row must
+        # still match its own single-device tensordot run bit for bit
+        for batch in (1, 2, 3):
+            psi = psi0[:batch]
+            for layer, w, ref in zip(plan.layers, windows, refs):
+                psi = _split_layer(psi, nq, zz[:batch], w, layer.duration, 200)
+                for row, r in zip(psi, ref):
+                    assert np.array_equal(row, r)
 
     def test_norm_preserved(self, gauss_lib):
         c = to_native(benchmark("qft", 3))
         plan = schedule(LINE3, c)
         dev = uniform_device(LINE3, 200e3)
-        psi, ideal, _ = _run_plan(dev, plan, _pulse_map(gauss_lib), None, "split", 200)
-        assert abs(np.linalg.norm(psi) - 1) <= 1e-8
+        psi, ideal, _ = _run_plan((dev,), plan, _pulse_map(gauss_lib), None, "split", 200)
+        assert abs(np.linalg.norm(psi[0]) - 1) <= 1e-8
         assert abs(np.linalg.norm(ideal) - 1) <= 1e-10
 
     def test_empty_plan_is_perfect(self, gauss_lib):
@@ -337,6 +353,46 @@ class TestSimulatePlan:
         fz = simulate_plan(dev, schedule(g, c), pert_lib).fidelity
         fp = simulate_plan(dev, par_sched(g, c), gauss_lib).fidelity
         assert fz >= 2 * fp
+
+
+class TestSimulateEnsemble:
+    @pytest.mark.parametrize("method", ["split", "dense"])
+    def test_matches_single_device_runs(self, gauss_lib, method):
+        plan = schedule(LINE3, to_native(benchmark("qft", 3)))
+        devices = [sample_device(LINE3, 200e3, 50e3, seed=s) for s in range(3)]
+        batch = simulate_ensemble(devices, plan, gauss_lib, method=method)
+        for dev, r in zip(devices, batch):
+            assert r == simulate_plan(dev, plan, gauss_lib, method=method)
+
+    def test_input_state_shared(self, gauss_lib):
+        g = line_topology(4)
+        plan = par_sched(g, Circuit(4, (Gate("rx90", (0,)), Gate("rzx90", (1, 2)))))
+        rng = np.random.default_rng(1)
+        psi0 = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        psi0 /= np.linalg.norm(psi0)
+        devices = [sample_device(g, 200e3, 50e3, seed=s) for s in range(2)]
+        batch = simulate_ensemble(devices, plan, gauss_lib, input_state=psi0)
+        for dev, r in zip(devices, batch):
+            assert r == simulate_plan(dev, plan, gauss_lib, input_state=psi0)
+            assert r != simulate_plan(dev, plan, gauss_lib)
+
+    def test_empty_device_list(self, gauss_lib):
+        plan = par_sched(LINE2, Circuit(2, ()))
+        with pytest.raises(ValueError, match="at least one device"):
+            simulate_ensemble([], plan, gauss_lib)
+
+    def test_devices_on_different_topologies(self, gauss_lib):
+        plan = par_sched(LINE3, Circuit(3, ()))
+        triangle = from_positions([(0, 0), (1, 0), (0.5, 1)], [(0, 1), (1, 2), (0, 2)])
+        devices = [uniform_device(LINE3, 0.0), uniform_device(triangle, 0.0)]
+        with pytest.raises(ValueError, match="one topology"):
+            simulate_ensemble(devices, plan, gauss_lib)
+
+    def test_plan_size_mismatch(self, gauss_lib):
+        plan = par_sched(LINE3, Circuit(3, ()))
+        devices = [uniform_device(LINE2, 0.0, seed=s) for s in range(2)]
+        with pytest.raises(ValueError, match="does not fit"):
+            simulate_ensemble(devices, plan, gauss_lib)
 
 
 class TestPulseLibraries:
