@@ -21,7 +21,6 @@ from .pulse import (
     OptimizeConfig,
     OptimizedPulse,
     RegionModel,
-    dcg_sequence,
     load_pulse,
     optimize,
     save_pulse,
@@ -136,8 +135,7 @@ def _build_pulse(kind, backend, m, lambda_hz):
         if kind == "rzx90":
             raise ValueError("no composed sequence for rzx90; it keeps the "
                              "plain Gaussian shape")
-        name = "rx_half_pi" if kind == "rx90" else "identity"
-        return _wrap(dcg_sequence(name), kind, backend)
+        return _wrap(dcg_library()[kind], kind, backend)
     if kind == "rzx90":
         model = RegionModel("two", neighbor_lambdas_a=(lam,) * m,
                             neighbor_lambdas_b=(lam,) * m)

@@ -460,13 +460,11 @@ def dcg_sequence(target):
 @dataclass
 class OptimizeConfig:
     T: float = 20e-9
-    w: float = 1.0
-    lambda_samples: tuple = DEFAULT_LAMBDA_SAMPLES
-    sample_rate: int = DEFAULT_SAMPLE_RATE
     max_iter: int = 300
     restarts: int = 3
-    seed: int = 0
-    grad_tol: float = 1e-9
+
+
+_GRAD_TOL = 1e-9  # descent stops below this gradient norm
 
 
 @dataclass(frozen=True)
@@ -492,11 +490,11 @@ _TARGETS = {
 }
 
 
-def _make_spec(model, coeffs, T, sample_rate):
+def _make_spec(model, coeffs, T):
     env = FourierEnvelope(tuple(coeffs), T)
     if model.kind == "single":
-        return PulseSpec((Channel(0, "x", env),), sample_rate)
-    return PulseSpec((Channel((0, 1), "coupling", env),), sample_rate)
+        return PulseSpec((Channel(0, "x", env),))
+    return PulseSpec((Channel((0, 1), "coupling", env),))
 
 
 def _fourier_basis(T, steps):
@@ -531,49 +529,27 @@ def _plane_integrals_batch(basis, coeffs, T, steps):
     return cos_steps.sum(axis=1), sin_steps.sum(axis=1), phi[:, -1]
 
 
-def _plane_integrals(spec, steps):
-    env = spec.channels[0].envelope
-    rows = _plane_integrals_batch(_fourier_basis(env.T, steps), np.array([env.a]),
-                                  env.T, steps)
-    return tuple(float(r[0]) for r in rows)
-
-
-def _fast_pert_parts(model, spec, steps, angle):
-    """(plane integrals, norm, gate fidelity) for commuting single-channel drives.
+def _pert_norm_fid(model, T, angle, cos_i, sin_i, phi_t):
+    """First-order norm and gate fidelity from the plane integrals.
 
     Valid when the drive is one x channel (single region) or one coupling
     channel with zero intra strength: the toggled z operator rotates in a
     plane, so the first-order term reduces to two scalar integrals.
     """
-    parts = _plane_integrals(spec, steps)
-    return parts, *_pert_norm_fid(model, spec.duration, angle, *parts)
-
-
-def _pert_norm_fid(model, T, angle, cos_i, sin_i, phi_t):
-    """First-order norm and gate fidelity from the plane integrals."""
     m = model.num_qubits - model.num_gate_qubits
+    wa, wb = _normalized_weights(model)
     if model.kind == "single":
-        wsum = _normalized_weight_sq(model.neighbor_lambdas_a)
-        norm_sq = 2 * (cos_i ** 2 + sin_i ** 2) * wsum * 2 ** m
-        d = 2
-        tr = 2 * math.cos((phi_t - angle) / 2)
+        norm_sq = 2 * (cos_i ** 2 + sin_i ** 2) * wa * 2 ** m
     else:
-        wa, wb = _normalized_weight_sq_two(model)
         norm_sq = (4 * T * T * wa + 4 * (cos_i ** 2 + sin_i ** 2) * wb) * 2 ** m
-        d = 4
-        tr = 4 * math.cos((phi_t - angle) / 2)
+    d = 2 * model.num_gate_qubits
+    tr = d * math.cos((phi_t - angle) / 2)
     fid = (tr * tr + d) / (d * (d + 1))
     return math.sqrt(max(norm_sq, 0.0)), fid
 
 
-def _normalized_weight_sq(lams):
-    top = max((abs(v) for v in lams), default=0.0)
-    if top == 0:
-        return 0.0
-    return sum((v / top) ** 2 for v in lams)
-
-
-def _normalized_weight_sq_two(model):
+def _normalized_weights(model):
+    """(a side, b side) sums of squared cross strengths over the largest |lambda|."""
     lams = model.neighbor_lambdas_a + model.neighbor_lambdas_b
     top = max((abs(v) for v in lams), default=0.0)
     if top == 0:
@@ -593,7 +569,7 @@ def _fd_stencil(x):
     return pts, h
 
 
-def _descend(f, grad, x0, max_iter, grad_tol):
+def _descend(f, grad, x0, max_iter):
     x = np.asarray(x0, dtype=float).copy()
     fx = f(x)
     iters = 0
@@ -601,7 +577,7 @@ def _descend(f, grad, x0, max_iter, grad_tol):
     for _ in range(max_iter):
         g = grad(x)
         gn = float(np.linalg.norm(g))
-        if gn < grad_tol:
+        if gn < _GRAD_TOL:
             break
         alpha = step
         accepted = False
@@ -623,9 +599,12 @@ def _descend(f, grad, x0, max_iter, grad_tol):
 def optimize(model, target, backend, config=None):
     """Gradient-descent pulse search on Fourier coefficients.
 
-    Deterministic given config.seed; three restarts from a calibrated
-    initialization keep the best final loss. Non-convergence returns the
-    best pulses with a warning flag rather than failing.
+    Deterministic: the first start is a calibrated initialization and each
+    further restart adds seeded noise to it; the best final loss wins. The
+    pert fast path (one x drive, or a coupling drive with no intra
+    coupling) is closed-form in the plane integrals throughout and builds
+    no dense region. Non-convergence returns the best pulses with a
+    warning flag rather than failing.
     """
     if config is None:
         config = OptimizeConfig()
@@ -638,35 +617,39 @@ def optimize(model, target, backend, config=None):
         raise ValueError(f"unknown backend {backend!r}")
     gate = gate_fn()
     T = config.T
-    steps = num_steps(T, config.sample_rate)
+    steps = num_steps(T, DEFAULT_SAMPLE_RATE)
     fast = backend == "pert" and (model.kind == "single" or model.intra_lambda == 0.0)
-    basis = _fourier_basis(T, steps) if fast else None
+    coupled = any(lam for _, _, lam in model.cross_pairs())
 
     def build(x):
-        return _make_spec(model, np.asarray(x) / T, T, config.sample_rate)
+        return _make_spec(model, np.asarray(x) / T, T)
 
-    def integrals(xs):
-        return _plane_integrals_batch(basis, xs / T, T, steps)
+    if fast:
+        basis = _fourier_basis(T, steps)
 
-    def losses(xs):
-        if fast:
+        def integrals(xs):
+            return _plane_integrals_batch(basis, xs / T, T, steps)
+
+        def losses(xs):
             out = []
             for parts in zip(*integrals(xs)):
                 norm, fid = _pert_norm_fid(model, T, angle, *map(float, parts))
-                out.append(norm / T - config.w * fid)
+                out.append(norm / T - fid)
             return out
-        return [loss_fn(x) for x in xs]
-
-    def loss_fn(x):
-        if fast:
-            return losses(np.asarray(x)[None])[0]
-        spec = build(x)
-        if backend == "pert":
+    else:
+        def point_loss(x):
+            spec = build(x)
+            if backend == "optctrl":
+                return optctrl_loss(model, spec, gate, steps=steps)
             first = pert_first_order(model, spec, steps=steps)
             uc = control_unitary(model, spec, steps=steps)
-            return float(np.linalg.norm(first)) / T - config.w * avg_gate_fidelity(uc, gate)
-        return optctrl_loss(model, spec, gate, w=config.w,
-                            lambda_samples=config.lambda_samples, steps=steps)
+            return float(np.linalg.norm(first)) / T - avg_gate_fidelity(uc, gate)
+
+        def losses(xs):
+            return [point_loss(x) for x in xs]
+
+    def loss_fn(x):
+        return losses(np.asarray(x)[None])[0]
 
     def grad(x):
         pts, h = _fd_stencil(x)
@@ -677,20 +660,19 @@ def optimize(model, target, backend, config=None):
     x_init[0] = angle  # normalized A1*T; integral Omega = angle/2
     starts = [x_init]
     for i in range(1, config.restarts):
-        rng = np.random.default_rng(config.seed + i)
+        rng = np.random.default_rng(i)
         starts.append(x_init + 0.15 * angle * rng.standard_normal(5))
 
     best = (None, math.inf, 0)
     for x0 in starts:
-        x, fx, iters = _descend(loss_fn, grad, x0, config.max_iter, config.grad_tol)
+        x, fx, iters = _descend(loss_fn, grad, x0, config.max_iter)
         if fx < best[1]:
             best = (x, fx, iters)
     x, fx, iters = best
     if x is None:
         x, fx, iters = x_init, loss_fn(x_init), 0
 
-    baseline = float(np.linalg.norm(pert_first_order(model, build(x_init), steps=steps)))
-    if fast and baseline > 0 and config.max_iter > 0:
+    if fast and coupled and config.max_iter > 0:
         # Newton polish of the cancellation system; the calibrated-init
         # candidate keeps the landing point reproducible when descent
         # stalls in a basin the polish cannot finish from.
@@ -706,10 +688,18 @@ def optimize(model, target, backend, config=None):
     fid_ok = bool(fid >= 1 - 1e-4)
     converged = fid_ok
     warning = None
-    if backend == "pert" and baseline > 0:
-        resid, base = _cancelable_residual(model, spec, steps, fast)
-        if base == 0.0:
-            base = baseline
+    if backend == "pert" and coupled:
+        if fast:
+            c, s, phi_t = (float(r[0]) for r in integrals(x[None]))
+            resid, base = _cancelable_residual(model, T, c, s)
+            if base == 0.0:
+                # nothing a drive can null: score the whole first-order term
+                init = (float(r[0]) for r in integrals(x_init[None]))
+                base = _pert_norm_fid(model, T, angle, *init)[0]
+                resid = _pert_norm_fid(model, T, angle, c, s, phi_t)[0]
+        else:
+            base = float(np.linalg.norm(
+                pert_first_order(model, build(x_init), steps=steps)))
             resid = float(np.linalg.norm(pert_first_order(model, spec, steps=steps)))
         converged = fid_ok and resid <= 1e-3 * base
         if not converged:
@@ -720,7 +710,7 @@ def optimize(model, target, backend, config=None):
     return OptimizedPulse(spec, target, backend, float(fx), iters, converged, warning)
 
 
-def _cancelable_residual(model, spec, steps, fast):
+def _cancelable_residual(model, T, cos_i, sin_i):
     """(residual, unoptimized residual) over the part a drive can null.
 
     A coupling drive commutes with z on the driven-side qubit, so the
@@ -728,17 +718,11 @@ def _cancelable_residual(model, spec, steps, fast):
     convergence measure covers the rotating-plane component only. The
     gate decomposition refocuses the fixed part with an x-gate echo.
     """
-    if not fast:
-        return 0.0, 0.0
-    c, s, _ = _plane_integrals(spec, steps)
-    T = spec.duration
     m = model.num_qubits - model.num_gate_qubits
-    if model.kind == "single":
-        wsum = _normalized_weight_sq(model.neighbor_lambdas_a)
-    else:
-        wsum = _normalized_weight_sq_two(model)[1]
+    # the rotating side: the x-driven qubit, or b under a coupling drive
+    wsum = _normalized_weights(model)[model.num_gate_qubits - 1]
     scale = math.sqrt(2 ** (model.num_gate_qubits - 1) * 2 * wsum * 2 ** m)
-    return math.hypot(c, s) * scale, T * scale
+    return math.hypot(cos_i, sin_i) * scale, T * scale
 
 
 def _pert_polish(integrals, angle, T, x):

@@ -37,6 +37,7 @@ import numpy as np
 
 from .circuit import _X, _Y, _Z, Gate, GateTimes, apply_gate_to_state, gate_matrix
 from .pulse import (
+    DEFAULT_SAMPLE_RATE,
     _embed,
     _step_product,
     OptimizedPulse,
@@ -107,6 +108,11 @@ def _unwrap(pulse):
 
 def _pulse_map(pulses):
     return {kind: _unwrap(p) for kind, p in pulses.items()}
+
+
+def _sample_rate(pmap):
+    """Integrator rate for a pulse set: the finest any of its pulses asks for."""
+    return max((p.sample_rate for p in pmap.values()), default=DEFAULT_SAMPLE_RATE)
 
 
 def _zz_diagonal(g, lambdas, n):
@@ -302,7 +308,7 @@ def _apply_rz_rows(psi, gates, n):
     return np.stack([_apply_rz_like(row, gates, n) for row in psi])
 
 
-def _run_plan(devices, plan, pmap, input_state, method, rate):
+def _run_plan(devices, plan, pmap, input_state, method):
     g = devices[0].topology
     n = g.num_qubits
     if any(d.topology != g for d in devices[1:]):
@@ -320,6 +326,7 @@ def _run_plan(devices, plan, pmap, input_state, method, rate):
         if ideal.shape != (dim,):
             raise ValueError(f"input state must have dimension {dim}")
     psi = np.tile(ideal, (len(devices), 1))
+    rate = _sample_rate(pmap)
     zz_diag = np.stack([_zz_diagonal(g, d.lambda_sample, n) for d in devices])
     # zgemm computes 4-column blocks with one kernel and a narrower tail
     # with another, so a device keeps its one-device bits only when its
@@ -347,7 +354,7 @@ def _run_plan(devices, plan, pmap, input_state, method, rate):
 
 
 def simulate_ensemble(devices, plan, pulses, input_state=None, method="split",
-                      policy=None, pulse_backend="custom", rate=None):
+                      policy=None, pulse_backend="custom"):
     """Evolve one plan on every device in one pass; one SimReport each.
 
     devices share one topology and differ in their ZZ strengths; every
@@ -362,10 +369,8 @@ def simulate_ensemble(devices, plan, pulses, input_state=None, method="split",
         raise ValueError("need at least one device")
     if method not in ("split", "dense"):
         raise ValueError(f"unknown method {method!r}")
-    pmap = _pulse_map(pulses)
-    if rate is None:
-        rate = max((p.sample_rate for p in pmap.values()), default=200)
-    psi, ideal, per_layer = _run_plan(devices, plan, pmap, input_state, method, rate)
+    psi, ideal, per_layer = _run_plan(devices, plan, _pulse_map(pulses), input_state,
+                                      method)
     if policy is None:
         policy = "zzx" if any(l.cut is not None for l in plan.layers) else "par"
     reports = []
@@ -378,11 +383,11 @@ def simulate_ensemble(devices, plan, pulses, input_state=None, method="split",
 
 
 def simulate_plan(device, plan, pulses, input_state=None, method="split",
-                  policy=None, pulse_backend="custom", rate=None):
+                  policy=None, pulse_backend="custom"):
     """Evolve a scheduled plan on one device and score it against the ideal;
     simulate_ensemble with a single device."""
     return simulate_ensemble((device,), plan, pulses, input_state, method,
-                             policy, pulse_backend, rate)[0]
+                             policy, pulse_backend)[0]
 
 
 # ------------------------------------------------------ pulse libraries
@@ -451,6 +456,17 @@ def _sweep_infidelity(spec, kind, lam, detunings=(), amp_scale=1.0,
     return 1.0 - avg_gate_fidelity(u, target)
 
 
+def _curve(spec, kind, lambdas, floor, **settings):
+    """(strength, infidelity) per strength, clipped from below at floor."""
+    curve = []
+    for lam in lambdas:
+        infid = _sweep_infidelity(spec, kind, float(lam), **settings)
+        if floor is not None:
+            infid = max(infid, floor)
+        curve.append((float(lam), infid))
+    return curve
+
+
 def suppression_sweep(scenario, pulse, lambdas, floor=1e-8, target_gate=None):
     """Infidelity-vs-strength curve for one pulse in a fixed scenario.
 
@@ -479,13 +495,7 @@ def suppression_sweep(scenario, pulse, lambdas, floor=1e-8, target_gate=None):
             raise ValueError("target_gate applies to single-qubit sweeps")
         if target_gate not in ("rx90", "id"):
             raise ValueError(f"unknown target gate {target_gate!r}")
-    curve = []
-    for lam in lambdas:
-        infid = _sweep_infidelity(spec, kind, float(lam), target_gate=target_gate)
-        if floor is not None:
-            infid = max(infid, floor)
-        curve.append((float(lam), infid))
-    return curve
+    return _curve(spec, kind, lambdas, floor, target_gate=target_gate)
 
 
 def drive_noise_eval(pulse, noise, lambdas, floor=1e-8):
@@ -504,14 +514,8 @@ def drive_noise_eval(pulse, noise, lambdas, floor=1e-8):
     if _pulse_kind(spec) != "single":
         raise ValueError("drive-noise evaluation covers single-qubit pulses")
     detunings = ((0, TWO_PI * det),) if det else ()
-    curve = []
-    for lam in lambdas:
-        infid = _sweep_infidelity(spec, "single", float(lam),
-                                  detunings=detunings, amp_scale=1.0 + amp)
-        if floor is not None:
-            infid = max(infid, floor)
-        curve.append((float(lam), infid))
-    return curve
+    return _curve(spec, "single", lambdas, floor, detunings=detunings,
+                  amp_scale=1.0 + amp)
 
 
 # ------------------------------------------------------ Ramsey protocol
@@ -601,7 +605,7 @@ def ramsey_experiment(device, pulses, policy, delays=None, probe=0, control=1,
         raise KeyError("pulses must cover rx90")
     if policy != "bare" and "id" not in pmap:
         raise KeyError("suppressed policies need an identity pulse")
-    rate = max(p.sample_rate for p in pmap.values())
+    rate = _sample_rate(pmap)
     t_id = pmap["id"].duration if "id" in pmap else 20e-9
     if delays is None:
         delays = tuple(k * 8 * t_id for k in range(64))

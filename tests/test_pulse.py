@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zzsched import pulse
 from zzsched.pulse import (
+    DEFAULT_LAMBDA_SAMPLES,
     Channel,
     FourierEnvelope,
     GaussianSegment,
@@ -18,6 +20,7 @@ from zzsched.pulse import (
     RegionModel,
     SegmentEnvelope,
     _fourier_basis,
+    _pert_norm_fid,
     _plane_integrals_batch,
     _step_nodes,
     avg_gate_fidelity,
@@ -531,8 +534,8 @@ class TestOptimizeOptctrl:
         cfg = OptimizeConfig(max_iter=8)
         opt = optimize(model, "rx90", "optctrl", cfg)
         init = x_pulse((math.pi / 2 / cfg.T, 0, 0, 0, 0), cfg.T)
-        init_loss = optctrl_loss(model, init, RX90, w=cfg.w,
-                                 lambda_samples=cfg.lambda_samples)
+        init_loss = optctrl_loss(model, init, RX90, w=1.0,
+                                 lambda_samples=DEFAULT_LAMBDA_SAMPLES)
         assert opt.loss <= init_loss + 1e-12
         uc = control_unitary(model, opt.spec)
         assert avg_gate_fidelity(uc, RX90) >= 1 - 1e-3
@@ -604,11 +607,12 @@ class TestFastPathConsistency:
     @given(st.lists(st.floats(-1.5e8, 1.5e8), min_size=5, max_size=5))
     @settings(max_examples=10, deadline=None)
     def test_plane_reduction_matches_full_space(self, coeffs):
-        from zzsched.pulse import _fast_pert_parts
-
         model = single_region(1)
-        spec = x_pulse(tuple(coeffs), 20e-9)
-        _, fast_norm, fast_fid = _fast_pert_parts(model, spec, 200, math.pi / 2)
+        T = 20e-9
+        spec = x_pulse(tuple(coeffs), T)
+        parts = _plane_integrals_batch(_fourier_basis(T, 200), np.array([coeffs]), T, 200)
+        fast_norm, fast_fid = _pert_norm_fid(model, T, math.pi / 2,
+                                             *(float(r[0]) for r in parts))
         full = np.linalg.norm(pert_first_order(model, spec))
         uc = control_unitary(model, spec)
         fid = avg_gate_fidelity(uc, RX90)
@@ -637,12 +641,35 @@ PULSE_SHA256 = {
     ("pert", "rzx90", 1): "870ae62004f613f019bc177aadb15bb09d343274954e56a685697c6e19c9f2ce",
     ("pert", "rzx90", 2): "ef27ffaf9f593646766a638d21146205819cb04156a8c835b69234a79bf49b9f",
     ("optctrl", "rx90", 1): "ab9a41d6394d8a209f09a78ea8953b1bc1e3552d76c95e51a522d6e382114936",
+    # edge branches of optimize, recorded before the fast path lost its
+    # dense baseline; the label names a (model, config) in _PINNED_VARIANTS
+    ("pert", "rzx90", "a-only"): "b13dffd5228dcfd70fe5225618c936f9dd978d51d78728e69852425b929df88c",
+    ("pert", "rzx90", "b-zero"): "e00c7e0b4151cd702930175ff2cff910cfa9a316bab14a9d207e2b27cb843569",
+    ("pert", "rx90", "uncoupled"): "d14230748979369b00dc913d062c5af2738cec758108eca5c443fc3add61cd22",
+    ("pert", "rx90", "no-iter"): "64efc432e4f5c5db645df915dcf4df2d55c90b8b1eab82793bf789e4c634078b",
+    ("pert", "rzx90", "intra"): "e381ff3580d95a22190bd1a96f011eafb2c4faf51b226afaecebd41eec3b8a60",
+}
+
+_PINNED_VARIANTS = {
+    # no b side: the whole term is fixed, so residual equals baseline
+    "a-only": (RegionModel("two", neighbor_lambdas_a=(LAM,)), OptimizeConfig(T=80e-9)),
+    # a b side of zero weight: the cancelable base is 0
+    "b-zero": (RegionModel("two", neighbor_lambdas_a=(LAM,), neighbor_lambdas_b=(0.0,)),
+               OptimizeConfig(T=80e-9)),
+    "uncoupled": (single_region(1, lam=0.0), None),
+    "no-iter": (single_region(1), OptimizeConfig(max_iter=0, restarts=1)),
+    # intra coupling: the slow, dense path
+    "intra": (RegionModel("two", neighbor_lambdas_a=(LAM,), neighbor_lambdas_b=(LAM,),
+                          intra_lambda=0.3 * LAM),
+              OptimizeConfig(T=80e-9, max_iter=3, restarts=1)),
 }
 
 
-@pytest.mark.parametrize("backend,target,m", sorted(PULSE_SHA256))
+@pytest.mark.parametrize("backend,target,m", list(PULSE_SHA256))
 def test_pulse_json_pinned(backend, target, m):
-    if target == "rzx90":
+    if isinstance(m, str):
+        model, config = _PINNED_VARIANTS[m]
+    elif target == "rzx90":
         model = RegionModel("two", neighbor_lambdas_a=(LAM,) * m,
                             neighbor_lambdas_b=(LAM,) * m)
         config = OptimizeConfig(T=80e-9)
@@ -654,6 +681,20 @@ def test_pulse_json_pinned(backend, target, m):
     op = optimize(model, target, backend, config)
     blob = json.dumps(pulse_to_json(op), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == PULSE_SHA256[backend, target, m]
+
+
+def test_fast_pert_path_builds_no_dense_region(monkeypatch):
+    def dense(*args, **kwargs):
+        raise AssertionError("fast pert path built the dense first-order term")
+
+    monkeypatch.setattr(pulse, "pert_first_order", dense)
+    for model, target, config in [
+        (single_region(1), "rx90", None),
+        (RegionModel("two", neighbor_lambdas_a=(LAM,), neighbor_lambdas_b=(LAM,)),
+         "rzx90", OptimizeConfig(T=80e-9)),
+        (RegionModel("two", neighbor_lambdas_a=(LAM,)), "rzx90", OptimizeConfig(T=80e-9)),
+    ]:
+        optimize(model, target, "pert", config)
 
 
 # ------------------------------------------- batched kernels, same bits

@@ -263,7 +263,7 @@ class TestSimulatePlan:
         c = to_native(benchmark("qft", 3))
         plan = schedule(LINE3, c)
         dev = uniform_device(LINE3, 200e3)
-        psi, ideal, _ = _run_plan((dev,), plan, _pulse_map(gauss_lib), None, "split", 200)
+        psi, ideal, _ = _run_plan((dev,), plan, _pulse_map(gauss_lib), None, "split")
         assert abs(np.linalg.norm(psi[0]) - 1) <= 1e-8
         assert abs(np.linalg.norm(ideal) - 1) <= 1e-10
 
