@@ -11,7 +11,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -97,20 +97,7 @@ class RunConfig:
             raise ValueError("need at least one seed")
 
     def to_json(self):
-        return {
-            "topology": self.topology,
-            "circuit": self.circuit,
-            "policy": self.policy,
-            "alpha": self.alpha,
-            "k": self.k,
-            "nq_max": self.nq_max,
-            "nc_max": self.nc_max,
-            "backend": self.backend,
-            "lambda_mu_hz": self.lambda_mu_hz,
-            "lambda_sigma_hz": self.lambda_sigma_hz,
-            "seeds": list(self.seeds),
-            "out_dir": self.out_dir,
-        }
+        return {**asdict(self), "seeds": list(self.seeds)}
 
 
 # --------------------------------------------------------- pulse provisioning
@@ -192,20 +179,15 @@ def _load_pulse_dir(path):
 def _schedule_policy(g, circ, policy, cfg, gate_times):
     if policy == "par":
         return par_sched(g, circ, gate_times=gate_times)
-    if cfg.nq_max is None and cfg.nc_max is None:
-        r = SuppressionRequirement.default(g)
-    else:
-        base = SuppressionRequirement.default(g)
-        r = SuppressionRequirement(cfg.nq_max or base.max_n_q,
-                                   cfg.nc_max or base.max_n_c)
+    base = SuppressionRequirement.default(g)
+    r = SuppressionRequirement(cfg.nq_max or base.max_n_q, cfg.nc_max or base.max_n_c)
     return schedule(g, circ, r, alpha=cfg.alpha, k=cfg.k, gate_times=gate_times)
 
 
-def _simulate_seeds(g, plan, pulses, cfg, policy):
+def _simulate_seeds(g, plan, pulses, cfg):
     devices = [sample_device(g, cfg.lambda_mu_hz, cfg.lambda_sigma_hz, s)
                for s in cfg.seeds]
-    return simulate_ensemble(devices, plan, pulses, policy=policy,
-                             pulse_backend=cfg.backend)
+    return simulate_ensemble(devices, plan, pulses)
 
 
 def run_pipeline(cfg, threads=1, verbose=False):
@@ -242,8 +224,7 @@ def run_pipeline(cfg, threads=1, verbose=False):
     reports = {}
     with _stage("quantumsim"):
         for policy in policies:
-            reports[policy] = _simulate_seeds(g, plans[policy], pulses, cfg,
-                                              policy)
+            reports[policy] = _simulate_seeds(g, plans[policy], pulses, cfg)
 
     with _stage("cli"):
         doc = _report_json(cfg, plans, reports)
@@ -384,12 +365,13 @@ def cmd_simulate(args):
         pulses = _load_pulse_dir(args.pulses)
     with _stage("quantumsim"):
         seeds = tuple(range(args.seed, args.seed + args.samples))
-        backends = {op.backend for op in pulses.values()}
-        label = backends.pop() if len(backends) == 1 else "mixed"
         devices = [sample_device(g, args.lambda_mu_hz, args.lambda_sigma_hz, s)
                    for s in seeds]
-        reports = simulate_ensemble(devices, plan, pulses, pulse_backend=label)
+        reports = simulate_ensemble(devices, plan, pulses)
     with _stage("cli"):
+        backends = {op.backend for op in pulses.values()}
+        label = backends.pop() if len(backends) == 1 else "mixed"
+        policy = "zzx" if any(layer.cut is not None for layer in plan.layers) else "par"
         doc = {
             "topology": args.topology,
             "plan": args.plan,
@@ -397,7 +379,7 @@ def cmd_simulate(args):
             "lambda_mu_hz": args.lambda_mu_hz,
             "lambda_sigma_hz": args.lambda_sigma_hz,
             "seeds": list(seeds),
-            "policy": reports[0].policy,
+            "policy": policy,
             "pulse_backend": label,
             "runs": [{"seed": r.seed, "fidelity": r.fidelity} for r in reports],
             "mean_fidelity": float(np.mean([r.fidelity for r in reports])),

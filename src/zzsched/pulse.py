@@ -171,7 +171,6 @@ class RegionModel:
     neighbor_lambdas_a: tuple = ()
     neighbor_lambdas_b: tuple = ()
     intra_lambda: float = 0.0
-    coupling_form: str = "zx"
 
     def __post_init__(self):
         object.__setattr__(
@@ -184,10 +183,6 @@ class RegionModel:
             raise ValueError("region kind must be 'single' or 'two'")
         if self.kind == "single" and (self.neighbor_lambdas_b or self.intra_lambda):
             raise ValueError("single-qubit regions have no second gate qubit")
-        if self.coupling_form not in ("zx", "xxyy"):
-            raise ValueError("coupling form must be 'zx' or 'xxyy'")
-        if 2 ** self.num_qubits > 64:
-            raise ValueError("region dimension capped at 64")
 
     @property
     def num_gate_qubits(self):
@@ -203,7 +198,13 @@ class RegionModel:
 
     @property
     def dim(self):
-        return 2 ** self.num_qubits
+        """Hilbert-space dimension, read by every dense routine; the pert
+        fast path never builds the region, so only dense work is capped."""
+        dim = 2 ** self.num_qubits
+        if dim > 64:
+            raise ValueError(f"region of {self.num_qubits} qubits has dimension "
+                             f"{dim}; dense region routines are capped at 64")
+        return dim
 
     def cross_pairs(self):
         """(gate qubit, neighbor qubit, lambda) for every cross-region coupling."""
@@ -242,13 +243,6 @@ def _embed(ops, positions, n):
     return out
 
 
-def _coupling_matrix(model):
-    n = model.num_qubits
-    if model.coupling_form == "zx":
-        return _embed([_Z, _X], [0, 1], n)
-    return _embed([_X, _X], [0, 1], n) + _embed([_Y, _Y], [0, 1], n)
-
-
 def control_terms(model, pulses):
     """(envelope, constant matrix) per drive channel; validates the match."""
     n = model.num_qubits
@@ -263,7 +257,7 @@ def control_terms(model, pulses):
         elif ch.axis == "coupling":
             if model.kind != "two" or tuple(ch.target) != (0, 1):
                 raise ValueError("coupling drive needs a two-qubit region on (0, 1)")
-            terms.append((ch.envelope, _coupling_matrix(model)))
+            terms.append((ch.envelope, _embed([_Z, _X], [0, 1], n)))
         else:
             raise ValueError(f"unknown channel axis {ch.axis!r}")
     return terms
@@ -332,23 +326,30 @@ def _step_product(h_static, terms, dt, steps):
     return u
 
 
-def evolve(model, pulses, steps=None, include_crosstalk=True, include_intra=True,
+def _drive_terms(model, pulses, amp_scale=1.0):
+    """(dt, steps, terms) on the pulse's own midpoint grid.
+
+    terms pairs each drive channel's amplitude per step, times amp_scale,
+    with its constant matrix, as _step_nodes takes them.
+    """
+    T = pulses.duration
+    steps = num_steps(T, pulses.sample_rate)
+    dt = T / steps
+    mids = (np.arange(steps) + 0.5) * dt
+    terms = [(np.asarray(envelope_value(env, mids), dtype=float) * amp_scale, mat)
+             for env, mat in control_terms(model, pulses)]
+    return dt, steps, terms
+
+
+def evolve(model, pulses, include_crosstalk=True, include_intra=True,
            amp_scale=1.0, detunings=()):
     """Midpoint piecewise-constant propagator over the pulse duration.
 
     detunings: iterable of (qubit, omega_rad) adding omega/2 * sigma_z terms;
     amp_scale multiplies every drive envelope (drive-noise evaluation hooks).
     """
-    T = pulses.duration
-    if steps is None:
-        steps = num_steps(T, pulses.sample_rate)
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    dt = T / steps
-    mids = (np.arange(steps) + 0.5) * dt
-    terms = [(np.asarray(envelope_value(env, mids), dtype=float) * amp_scale, mat)
-             for env, mat in control_terms(model, pulses)]
     h_static = np.zeros((model.dim, model.dim), dtype=complex)
+    dt, steps, terms = _drive_terms(model, pulses, amp_scale)
     if include_crosstalk:
         h_static += crosstalk_hamiltonian(model)
     if include_intra:
@@ -358,11 +359,10 @@ def evolve(model, pulses, steps=None, include_crosstalk=True, include_intra=True
     return _step_product(h_static, terms, dt, steps)
 
 
-def control_unitary(model, pulses, steps=None, include_intra=False):
+def control_unitary(model, pulses, include_intra=False):
     """Propagator of the drives alone, on the gate qubits only."""
     reduced = gate_space_model(model)
-    return evolve(reduced, pulses, steps=steps,
-                  include_crosstalk=False, include_intra=include_intra)
+    return evolve(reduced, pulses, include_crosstalk=False, include_intra=include_intra)
 
 
 def avg_gate_fidelity(u, v):
@@ -376,7 +376,7 @@ def avg_gate_fidelity(u, v):
 # ------------------------------------------------- first-order crosstalk
 
 
-def pert_first_order(model, pulses, steps=None):
+def pert_first_order(model, pulses):
     """Interaction-picture first-order crosstalk term at time T.
 
     U1 = -i * integral of U0(t)^dag H_xtalk U0(t) dt with U0 the propagator
@@ -386,14 +386,8 @@ def pert_first_order(model, pulses, steps=None):
     pairs = model.cross_pairs()
     if not any(lam for _, _, lam in pairs):
         return np.zeros((model.dim, model.dim), dtype=complex)
-    T = pulses.duration
-    if steps is None:
-        steps = num_steps(T, pulses.sample_rate)
-    dt = T / steps
-    mids = (np.arange(steps) + 0.5) * dt
-    terms = [(np.asarray(envelope_value(env, mids), dtype=float), mat)
-             for env, mat in control_terms(model, pulses)]
     hx = crosstalk_hamiltonian(model, normalized=True)
+    dt, steps, terms = _drive_terms(model, pulses)
     acc = np.zeros((model.dim, model.dim), dtype=complex)
     # trapezoid over the step nodes, summed as they are produced
     for k, u in enumerate(_step_nodes(intra_hamiltonian(model), terms, dt, steps)):
@@ -402,30 +396,22 @@ def pert_first_order(model, pulses, steps=None):
     return -1j * acc * dt
 
 
-def pert_loss(model, pulses, target, w=1.0, steps=None):
-    first = pert_first_order(model, pulses, steps=steps)
-    uc = control_unitary(model, pulses, steps=steps)
-    return float(np.linalg.norm(first)) - w * avg_gate_fidelity(uc, target)
-
-
-def optctrl_loss(model, pulses, target, w=1.0,
-                 lambda_samples=DEFAULT_LAMBDA_SAMPLES, steps=None):
-    """Mean over coupling strengths of the dressed-target infidelity penalty."""
-    if not lambda_samples:
-        raise ValueError("need at least one coupling-strength sample")
-    uc = control_unitary(model, pulses, steps=steps)
+def optctrl_loss(model, pulses, target):
+    """Mean over DEFAULT_LAMBDA_SAMPLES of the dressed-target infidelity
+    penalty, minus the gate fidelity of the drives alone."""
+    uc = control_unitary(model, pulses)
     fid_gate = avg_gate_fidelity(uc, target)
     if model.kind == "two" and model.intra_lambda:
-        dressed_gate = control_unitary(model, pulses, steps=steps, include_intra=True)
+        dressed_gate = control_unitary(model, pulses, include_intra=True)
     else:
         dressed_gate = target
     m = model.num_qubits - model.num_gate_qubits
     dressed = np.kron(dressed_gate, np.eye(2 ** m, dtype=complex))
     total = 0.0
-    for lam in lambda_samples:
-        u = evolve(with_cross_lambda(model, lam), pulses, steps=steps)
+    for lam in DEFAULT_LAMBDA_SAMPLES:
+        u = evolve(with_cross_lambda(model, lam), pulses)
         total += -avg_gate_fidelity(u, dressed)
-    return total / len(lambda_samples) - w * fid_gate
+    return total / len(DEFAULT_LAMBDA_SAMPLES) - fid_gate
 
 
 # --------------------------------------------------------- fixed shapes
@@ -617,7 +603,6 @@ def optimize(model, target, backend, config=None):
         raise ValueError(f"unknown backend {backend!r}")
     gate = gate_fn()
     T = config.T
-    steps = num_steps(T, DEFAULT_SAMPLE_RATE)
     fast = backend == "pert" and (model.kind == "single" or model.intra_lambda == 0.0)
     coupled = any(lam for _, _, lam in model.cross_pairs())
 
@@ -625,6 +610,8 @@ def optimize(model, target, backend, config=None):
         return _make_spec(model, np.asarray(x) / T, T)
 
     if fast:
+        # _make_spec's pulses carry the default sample rate: the dense grid
+        steps = num_steps(T, DEFAULT_SAMPLE_RATE)
         basis = _fourier_basis(T, steps)
 
         def integrals(xs):
@@ -640,9 +627,9 @@ def optimize(model, target, backend, config=None):
         def point_loss(x):
             spec = build(x)
             if backend == "optctrl":
-                return optctrl_loss(model, spec, gate, steps=steps)
-            first = pert_first_order(model, spec, steps=steps)
-            uc = control_unitary(model, spec, steps=steps)
+                return optctrl_loss(model, spec, gate)
+            first = pert_first_order(model, spec)
+            uc = control_unitary(model, spec)
             return float(np.linalg.norm(first)) / T - avg_gate_fidelity(uc, gate)
 
         def losses(xs):
@@ -683,7 +670,7 @@ def optimize(model, target, backend, config=None):
                 x, fx = cand, fc
 
     spec = build(x)
-    uc = control_unitary(model, spec, steps=steps)
+    uc = control_unitary(model, spec)
     fid = avg_gate_fidelity(uc, gate)
     fid_ok = bool(fid >= 1 - 1e-4)
     converged = fid_ok
@@ -698,9 +685,8 @@ def optimize(model, target, backend, config=None):
                 base = _pert_norm_fid(model, T, angle, *init)[0]
                 resid = _pert_norm_fid(model, T, angle, c, s, phi_t)[0]
         else:
-            base = float(np.linalg.norm(
-                pert_first_order(model, build(x_init), steps=steps)))
-            resid = float(np.linalg.norm(pert_first_order(model, spec, steps=steps)))
+            base = float(np.linalg.norm(pert_first_order(model, build(x_init))))
+            resid = float(np.linalg.norm(pert_first_order(model, spec)))
         converged = fid_ok and resid <= 1e-3 * base
         if not converged:
             warning = (f"first-order residual {resid:.3e} vs baseline {base:.3e}, "

@@ -94,8 +94,6 @@ class SimReport:
     fidelity: float
     per_layer: tuple  # (n_q, n_c, duration) per executed layer
     total_duration: float
-    policy: str
-    pulse_backend: str
     seed: int
 
 
@@ -353,8 +351,7 @@ def _run_plan(devices, plan, pmap, input_state, method):
     return psi, ideal, tuple(per_layer)
 
 
-def simulate_ensemble(devices, plan, pulses, input_state=None, method="split",
-                      policy=None, pulse_backend="custom"):
+def simulate_ensemble(devices, plan, pulses, input_state=None, method="split"):
     """Evolve one plan on every device in one pass; one SimReport each.
 
     devices share one topology and differ in their ZZ strengths; every
@@ -371,23 +368,18 @@ def simulate_ensemble(devices, plan, pulses, input_state=None, method="split",
         raise ValueError(f"unknown method {method!r}")
     psi, ideal, per_layer = _run_plan(devices, plan, _pulse_map(pulses), input_state,
                                       method)
-    if policy is None:
-        policy = "zzx" if any(l.cut is not None for l in plan.layers) else "par"
     reports = []
     for device, row in zip(devices, psi):
         fid = abs(np.vdot(ideal, row)) ** 2
         fid = min(max(float(fid), 0.0), 1.0)
-        reports.append(SimReport(fid, per_layer, plan.total_duration, policy,
-                                 pulse_backend, device.seed))
+        reports.append(SimReport(fid, per_layer, plan.total_duration, device.seed))
     return reports
 
 
-def simulate_plan(device, plan, pulses, input_state=None, method="split",
-                  policy=None, pulse_backend="custom"):
+def simulate_plan(device, plan, pulses, input_state=None, method="split"):
     """Evolve a scheduled plan on one device and score it against the ideal;
     simulate_ensemble with a single device."""
-    return simulate_ensemble((device,), plan, pulses, input_state, method,
-                             policy, pulse_backend)[0]
+    return simulate_ensemble((device,), plan, pulses, input_state, method)[0]
 
 
 # ------------------------------------------------------ pulse libraries

@@ -12,8 +12,9 @@ edge sets into cuts: it contracts the edges to keep inside a side, deletes
 the edges to ignore, and 2-colors the quotient, so the same union-find
 gives each candidate cut its largest same-side region.
 
-Couplings carry ZZ strengths in rad/s internally; files store lambda/2pi
-in Hz and the conversion happens at the I/O boundary.
+A topology is structure only. ZZ strengths belong to a sampled device
+(quantumsim.DeviceInstance); a lambda_hz key in an older topology file is
+ignored on load.
 """
 
 from __future__ import annotations
@@ -22,9 +23,6 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-
-TWO_PI = 2.0 * math.pi
-DEFAULT_LAMBDA_HZ = 200e3
 
 
 # ----------------------------------------------------------------- types
@@ -37,13 +35,11 @@ class TopologyGraph:
     edges: unordered qubit pairs stored as (min, max) tuples.
     faces: each face as a cycle of edge indices, outer face included; a
         bridge appears twice inside its single face.
-    lambda_rad: per-edge ZZ strength, rad/s, aligned with edges.
     """
 
     num_qubits: int
     edges: tuple
     faces: tuple
-    lambda_rad: tuple
 
     def __post_init__(self):
         n = self.num_qubits
@@ -60,10 +56,6 @@ class TopologyGraph:
             if (u, v) in seen:
                 raise ValueError(f"parallel edge ({u},{v})")
             seen.add((u, v))
-        if len(self.lambda_rad) != len(self.edges):
-            raise ValueError("lambda_rad length must match edges")
-        if any(lam < 0 for lam in self.lambda_rad):
-            raise ValueError("ZZ strengths must be nonnegative")
         # connectivity
         adj = adjacency(self)
         dist = bfs_distances(adj, 0)
@@ -206,20 +198,18 @@ def _canonical_edges(edges):
     return tuple(out)
 
 
-def from_positions(positions, edges, lambda_hz=DEFAULT_LAMBDA_HZ):
+def from_positions(positions, edges):
     """Topology from straight-line planar coordinates; faces are traced.
 
     The drawing must be planar (no crossing segments); this is assumed, not
     checked, though a broken embedding fails the Euler check downstream.
-    lambda_hz is a scalar applied to every coupling.
     """
     edges = _canonical_edges(edges)
     faces = _trace_faces(positions, edges)
-    lam = tuple(TWO_PI * lambda_hz for _ in edges)
-    return TopologyGraph(len(positions), edges, faces, lam)
+    return TopologyGraph(len(positions), edges, faces)
 
 
-def grid_topology(rows, cols, lambda_hz=DEFAULT_LAMBDA_HZ):
+def grid_topology(rows, cols):
     """rows x cols grid, vertices numbered row-major."""
     if rows < 1 or cols < 1 or rows * cols < 2:
         raise ValueError("grid needs at least two qubits")
@@ -234,18 +224,18 @@ def grid_topology(rows, cols, lambda_hz=DEFAULT_LAMBDA_HZ):
                 edges.append((v, v + 1))
             if r + 1 < rows:
                 edges.append((v, v + cols))
-    return from_positions(positions, edges, lambda_hz)
+    return from_positions(positions, edges)
 
 
-def line_topology(n, lambda_hz=DEFAULT_LAMBDA_HZ):
-    return grid_topology(1, n, lambda_hz)
+def line_topology(n):
+    return grid_topology(1, n)
 
 
-def ibmq_vigo(lambda_hz=DEFAULT_LAMBDA_HZ):
+def ibmq_vigo():
     """5-qubit T shape: 0-1-2 across, 1-3-4 down."""
     positions = [(0, 0), (1, 0), (2, 0), (1, -1), (1, -2)]
     edges = [(0, 1), (1, 2), (1, 3), (3, 4)]
-    return from_positions(positions, edges, lambda_hz)
+    return from_positions(positions, edges)
 
 
 def grid_snake_order(rows, cols):
@@ -424,41 +414,17 @@ def cut_from_contraction(g, edge_ids):
 
 
 def topology_to_json(g):
-    hz = [lam / TWO_PI for lam in g.lambda_rad]
-    if hz and all(h == hz[0] for h in hz):
-        lam_obj = hz[0]
-    else:
-        lam_obj = {f"{u}-{v}": hz[e] for e, (u, v) in enumerate(g.edges)}
     return {
         "vertices": g.num_qubits,
         "edges": [list(e) for e in g.edges],
         "faces": [list(f) for f in g.faces],
-        "lambda_hz": lam_obj,
     }
 
 
 def topology_from_json(obj):
     edges = _canonical_edges(tuple(tuple(e) for e in obj["edges"]))
     faces = tuple(tuple(f) for f in obj["faces"])
-    lam_obj = obj.get("lambda_hz", DEFAULT_LAMBDA_HZ)
-    if isinstance(lam_obj, dict):
-        default = lam_obj.get("default")
-        hz = []
-        for u, v in edges:
-            key = f"{u}-{v}"
-            alt = f"{v}-{u}"
-            if key in lam_obj:
-                hz.append(lam_obj[key])
-            elif alt in lam_obj:
-                hz.append(lam_obj[alt])
-            elif default is not None:
-                hz.append(default)
-            else:
-                raise KeyError(f"lambda_hz missing coupling {key}")
-    else:
-        hz = [float(lam_obj)] * len(edges)
-    lam = tuple(TWO_PI * h for h in hz)
-    return TopologyGraph(int(obj["vertices"]), edges, faces, lam)
+    return TopologyGraph(int(obj["vertices"]), edges, faces)
 
 
 def save_topology(path, g):

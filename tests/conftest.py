@@ -17,7 +17,7 @@ def six_qubit_planar():
     """
     positions = [(-1, 1), (1, 2), (1, -2), (-1, -1), (2, 0), (0.8, 0)]
     edges = [(1, 5), (2, 5), (2, 4), (1, 4), (2, 3), (0, 3), (0, 1)]
-    return topo.from_positions(positions, edges, 200e3)
+    return topo.from_positions(positions, edges)
 
 
 @pytest.fixture(scope="session")
@@ -34,4 +34,4 @@ def chamfered_grid():
         (0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (0, 3),
         (1, 4), (2, 5), (3, 6), (4, 7), (5, 7), (0, 4),
     ]
-    return topo.from_positions(positions, edges, 200e3)
+    return topo.from_positions(positions, edges)

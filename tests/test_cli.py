@@ -262,15 +262,30 @@ def test_report_json_pinned(tmp_path):
     assert hashlib.sha256(raw).hexdigest() == REPORT_SHA256
 
 
+def test_report_on_degree4_grid(tmp_path):
+    """ising-6 on the 3x3 grid: the centre qubit has four neighbors, so the
+    rzx90 pulse is designed for a 256-dimension region."""
+    save_topology(tmp_path / "g33.json", grid_topology(3, 3))
+    save_circuit(tmp_path / "ising6.zzq",
+                 benchmark("ising", 6, qubit_order=grid_snake_order(3, 3)[:6]))
+    cfg = RunConfig(str(tmp_path / "g33.json"), str(tmp_path / "ising6.zzq"),
+                    seeds=(0, 1), out_dir=str(tmp_path / "out"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        reports = run_pipeline(cfg)
+    mean = {p: np.mean([r.fidelity for r in reps]) for p, reps in reports.items()}
+    assert mean["zzx"] > mean["par"]
+
+
 class TestSimulateCommand:
-    def test_simulate_plan_file(self, workspace, tmp_path):
+    @pytest.mark.parametrize("policy", ["zzx", "par"])
+    def test_simulate_plan_file(self, workspace, tmp_path, policy):
         out = tmp_path / "report.json"
         assert main(["simulate", "--topology", str(workspace / "g23.json"),
-                     "--plan", str(workspace / "runs" / "plan_zzx.json"),
+                     "--plan", str(workspace / "runs" / f"plan_{policy}.json"),
                      "--pulses", str(workspace / "runs" / "pulses"),
                      "--samples", "2", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["policy"] == "zzx"
+        assert doc["policy"] == policy
         assert doc["pulse_backend"] == "pert"
         assert len(doc["runs"]) == 2
         assert 0.0 <= doc["mean_fidelity"] <= 1.0
