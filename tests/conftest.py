@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 from hypothesis import settings
 
+from zzsched import circuit
 from zzsched import topology as topo
 
 # property tests draw the same examples on every run, so a test run repeats exactly
@@ -35,3 +37,31 @@ def chamfered_grid():
         (1, 4), (2, 5), (3, 6), (4, 7), (5, 7), (0, 4),
     ]
     return topo.from_positions(positions, edges)
+
+
+def _brickwork(rows, cols, depth, seed):
+    """Random h/t/s/x on every qubit, then CZ on one of four edge classes
+    (even/odd horizontal, even/odd vertical), rotating each layer.
+
+    Same circuits as perfbench's brickwork tasks, so the tests pin the
+    traffic the schedule benchmark times without importing perfbench.
+    """
+    g = topo.grid_topology(rows, cols)
+    classes = [[], [], [], []]
+    for u, v in g.edges:
+        (ru, cu), (rv, _) = divmod(u, cols), divmod(v, cols)
+        classes[cu % 2 if ru == rv else 2 + ru % 2].append((u, v))
+    rng = np.random.default_rng(seed)
+    singles = ("h", "t", "s", "x")
+    gates = []
+    for layer in range(depth):
+        picks = rng.integers(0, len(singles), size=g.num_qubits)
+        gates += [circuit.Gate(singles[p], (q,)) for q, p in enumerate(picks)]
+        gates += [circuit.Gate("cz", e) for e in classes[layer % 4]]
+    return g, circuit.Circuit(g.num_qubits, tuple(gates))
+
+
+@pytest.fixture(scope="session")
+def brickwork():
+    """brickwork(rows, cols, depth, seed) -> (grid topology, circuit)."""
+    return _brickwork

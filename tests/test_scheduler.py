@@ -464,6 +464,41 @@ def test_plan_json_pinned(name, rows, cols, policy):
     assert hashlib.sha256(blob).hexdigest() == PLAN_SHA256[name, rows, cols, policy]
 
 
+# sha256 of json.dumps(plan_to_json(schedule(g, to_native(c))), sort_keys=True)
+# for the depth-4 brickwork circuits on the 6x6 grid, circuit seeds 0 and 1;
+# recorded before the cut search scored candidates as packed words, with
+#   PYTHONPATH=src:tests python -c "import conftest, hashlib, json; from zzsched import circuit, scheduler; g, c = conftest._brickwork(6, 6, 4, 0); print(hashlib.sha256(json.dumps(scheduler.plan_to_json(scheduler.schedule(g, circuit.to_native(c))), sort_keys=True).encode()).hexdigest())"
+# Their cut searches run the full index scan and the repair step thousands
+# of candidates deep, which the small pinned solver corpus never does.
+BRICKWORK_SHA256 = {
+    0: "34ffdd8929404592d0a860676c2f67153a0cb2e5c8a7e29983bf234049c21f60",
+    1: "cb1f10485e0117c93bb20449a81c67a1d24bf27c78ec12f41e1eac0f1f9db520",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BRICKWORK_SHA256))
+def test_brickwork_6x6_plan_pinned(seed, brickwork, monkeypatch):
+    warnings = []
+
+    def recording(g, gate_qubits, alpha, k):
+        res = alpha_optimal(g, gate_qubits, alpha, k)
+        warnings.append(res.warning or "")
+        return res
+
+    monkeypatch.setattr(scheduler, "alpha_optimal", recording)
+    g, c = brickwork(6, 6, 4, seed)
+    native = to_native(c)
+    plan = schedule(g, native)
+    assert_plan_valid(g, native, plan)
+    layer_warnings = [layer.warning or "" for layer in plan.layers]
+    assert any("full index scan used" in w for w in layer_warnings)
+    # repaired cuts lose the grouping trials here, so they show in the
+    # solver's results rather than in the plan's layers
+    assert any("forced into one side" in w for w in warnings)
+    blob = json.dumps(plan_to_json(plan), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == BRICKWORK_SHA256[seed]
+
+
 def test_schedule_solves_gate_free_cut_once(g3, monkeypatch):
     calls = []
 
