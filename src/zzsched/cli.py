@@ -21,6 +21,7 @@ from .pulse import (
     OptimizeConfig,
     OptimizedPulse,
     RegionModel,
+    _dense,
     load_pulse,
     optimize,
     save_pulse,
@@ -114,8 +115,16 @@ def _wrap(spec, kind, backend):
     return OptimizedPulse(spec, kind, backend, 0.0, 0, True, None)
 
 
-def _build_pulse(kind, backend, m, lambda_hz):
+def _region(kind, m, lambda_hz):
+    """Region model and optimizer config of an optimized kind's design."""
     lam = TWO_PI * lambda_hz
+    if kind == "rzx90":
+        return (RegionModel("two", neighbor_lambdas_a=(lam,) * m,
+                            neighbor_lambdas_b=(lam,) * m), OptimizeConfig(T=80e-9))
+    return RegionModel("single", neighbor_lambdas_a=(lam,) * max(m, 1)), None
+
+
+def _build_pulse(kind, backend, m, lambda_hz):
     if backend == "gaussian":
         return _wrap(gaussian_library()[kind], kind, backend)
     if backend == "dcg":
@@ -123,12 +132,8 @@ def _build_pulse(kind, backend, m, lambda_hz):
             raise ValueError("no composed sequence for rzx90; it keeps the "
                              "plain Gaussian shape")
         return _wrap(dcg_library()[kind], kind, backend)
-    if kind == "rzx90":
-        model = RegionModel("two", neighbor_lambdas_a=(lam,) * m,
-                            neighbor_lambdas_b=(lam,) * m)
-        return optimize(model, kind, backend, OptimizeConfig(T=80e-9))
-    model = RegionModel("single", neighbor_lambdas_a=(lam,) * max(m, 1))
-    return optimize(model, kind, backend)
+    model, config = _region(kind, m, lambda_hz)
+    return optimize(model, kind, backend, config)
 
 
 def provision_pulses(g, backend, lambda_hz, pulses_dir, verbose=False):
@@ -141,13 +146,23 @@ def provision_pulses(g, backend, lambda_hz, pulses_dir, verbose=False):
     times = backend_gate_times(backend)
     slots = {"rx90": times.rx90, "id": times.id, "rzx90": times.rzx90}
     counts = {"rx90": deg_max, "id": deg_max, "rzx90": max(deg_max - 1, 1)}
-    out = {}
+    designs = {}
     for kind in GATE_KINDS:
         m = counts[kind]
         effective = "gaussian" if backend == "dcg" and kind == "rzx90" else backend
         name = _pulse_cache_name(kind, m, effective, slots[kind],
                                  (lambda_hz,) * m)
-        path = pulses_dir / name
+        designs[kind] = (m, effective, pulses_dir / name)
+    # a dense design can take minutes, so every region still to design is
+    # sized (RegionModel.dim raises past the cap) before the first starts
+    for kind, (m, effective, path) in designs.items():
+        if effective in ("pert", "optctrl") and not path.exists():
+            model = _region(kind, m, lambda_hz)[0]
+            if _dense(model, effective):
+                model.dim
+    out = {}
+    for kind, (m, effective, path) in designs.items():
+        name = path.name
         if path.exists():
             out[kind] = load_pulse(path)
             if verbose:

@@ -582,6 +582,12 @@ def _descend(f, grad, x0, max_iter):
     return x, fx, iters
 
 
+def _dense(model, backend):
+    """Whether optimize evaluates the region's dense operators (and so its
+    dim): every backend but the closed-form pert fast path does."""
+    return not (backend == "pert" and (model.kind == "single" or model.intra_lambda == 0.0))
+
+
 def optimize(model, target, backend, config=None):
     """Gradient-descent pulse search on Fourier coefficients.
 
@@ -603,7 +609,7 @@ def optimize(model, target, backend, config=None):
         raise ValueError(f"unknown backend {backend!r}")
     gate = gate_fn()
     T = config.T
-    fast = backend == "pert" and (model.kind == "single" or model.intra_lambda == 0.0)
+    fast = not _dense(model, backend)
     coupled = any(lam for _, _, lam in model.cross_pairs())
 
     def build(x):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 
 from .circuit import NATIVE_NAMES, Circuit, Gate, GateTimes, dependencies, parse
 from .circuit import _expand, _gate_line
@@ -144,12 +144,20 @@ class TwoQGrouping:
     flagged: bool = False
 
 
-def two_q_schedule(g, sg2, r, alpha=0.5, k=3):
+def _solve(cuts, g, qs, alpha, k):
+    """alpha_optimal for gate set qs, solved once per cuts dict."""
+    if qs not in cuts:
+        cuts[qs] = alpha_optimal(g, qs, alpha, k)
+    return cuts[qs]
+
+
+def two_q_schedule(g, sg2, r, alpha=0.5, k=3, _cuts=None):
     """Pick the subset of simultaneous two-qubit gates to run now.
 
     sg2 is an ordered sequence; positions within it act as gate ids for
     deterministic tie-breaking. Returns the group whose qubits the cut
-    pins to partition_s.
+    pins to partition_s. _cuts, when a dict, holds the solver results for
+    this g, alpha and k by gate set and is filled as sets are solved.
     """
     gates = list(sg2)
     if not gates:
@@ -161,13 +169,10 @@ def two_q_schedule(g, sg2, r, alpha=0.5, k=3):
         if tuple(sorted(gate.qubits)) not in edge_set:
             raise ValueError(f"{gate.name} operands {gate.qubits} are not coupled")
 
-    cache = {}
+    cuts = {} if _cuts is None else _cuts
 
     def cut_for(ids):
-        qs = frozenset(q for i in ids for q in gates[i].qubits)
-        if qs not in cache:
-            cache[qs] = alpha_optimal(g, qs, alpha, k)
-        return cache[qs]
+        return _solve(cuts, g, frozenset(q for i in ids for q in gates[i].qubits), alpha, k)
 
     everything = tuple(range(len(gates)))
     full = cut_for(everything)
@@ -286,20 +291,18 @@ def schedule(g, c, r=None, alpha=0.5, k=3, gate_times=None):
     """Suppression-aware layering of a circuit over the device graph."""
     if r is None:
         r = SuppressionRequirement.default(g)
-
-    @cache
-    def gate_free():
-        return alpha_optimal(g, frozenset(), alpha, k)
+    cuts = {}  # each gate set is solved once per call
 
     def place(ready):
         sg2 = [i for i in ready if len(c.gates[i].qubits) == 2]
         flagged = False
         if not sg2:
-            res = gate_free()
+            res = _solve(cuts, g, frozenset(), alpha, k)
             gate_qubits = {c.gates[i].qubits[0] for i in ready}
             cut = _orient_case1(res.cut, gate_qubits)
         else:
-            grouping = two_q_schedule(g, [c.gates[i] for i in sg2], r, alpha, k)
+            grouping = two_q_schedule(
+                g, [c.gates[i] for i in sg2], r, alpha, k, _cuts=cuts)
             res = grouping.result
             cut = res.cut
             flagged = grouping.flagged

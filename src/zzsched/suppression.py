@@ -7,10 +7,23 @@ pair by a shortest dual path, and then greedily swaps single pairs to their
 next-shortest alternatives while a strictly better feasible candidate
 exists. Gate-internal couplings are forced into the remaining-set by
 deleting their duals up front and re-adding them to every candidate, and a
-candidate is feasible only when all gate qubits land on one side. Each
-candidate is scored from the contraction that builds its cut: the cut's
-remaining-set is exactly the contracted edge set, so N_C is that set's size
-and N_Q the largest contracted class.
+candidate is feasible only when all gate qubits land on one side. If the
+first pairing splits the gate set, every path-index vector is scanned (up
+to _FULL_SCAN_CAP of them), and if none is feasible the gate set is forced
+into one side of each scanned cut instead.
+
+Candidates are scored as packed GF(2) words, one Python int per edge set:
+the edge bits of D (the cut's remaining-set), then n side bits and one bit
+per face, both over the crossing set E minus D. Each dual path is a
+precomputed word, so a candidate is a base word XORed with one word per
+matched pair. The crossing set is a cut exactly when it meets every face
+boundary an even number of times (face bits 0): face boundaries span the
+cycle space of a plane graph, so this is the test that the contracted
+quotient is bipartite. The side bits, XORed subtree masks of a BFS tree
+from qubit 0, give partition_t. N_C is the popcount of D; N_Q, the largest
+class joined by D, comes from a bit-parallel flood fill, run only when the
+bound alpha * (2 if D else 1) + N_C can still beat the best candidate kept.
+topology._contract builds the same cuts and is the scorer's test oracle.
 """
 
 from __future__ import annotations
@@ -64,25 +77,60 @@ def _mask(qubits):
     return sum(1 << v for v in qubits)
 
 
+def _mask_cut(g, mask):
+    """Cut whose partition_s is the bit set of mask."""
+    s = frozenset(v for v in range(g.num_qubits) if mask >> v & 1)
+    return topo.Cut(s, frozenset(range(g.num_qubits)) - s)
+
+
 def metrics(g, c):
     """(N_Q, N_C): largest same-side region and count of unsuppressed couplings."""
     topo._check_cut(g, c)
     return _mask_metrics(g, _mask(c.partition_s))
 
 
+def _bits(x):
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def _inside(g, mask):
+    """Edge-id bits of the couplings with both ends on one side of mask."""
+    return sum(1 << e for e, (u, v) in enumerate(g.edges) if not (mask >> u ^ mask >> v) & 1)
+
+
+def _largest_class(g, inside):
+    """Size of the largest qubit class joined by the edge-id bits in inside.
+
+    Bit-parallel flood fill: each class grows by the neighbour masks of
+    its newest members until nothing new is reached.
+    """
+    nbrs = [0] * g.num_qubits
+    for e in _bits(inside):
+        u, v = g.edges[e]
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    left = sum(1 << v for v, a in enumerate(nbrs) if a)
+    best = 1
+    while left.bit_count() > best:
+        comp = front = left & -left
+        while front:
+            reach = 0
+            for v in _bits(front):
+                reach |= nbrs[v]
+            front = reach & ~comp
+            comp |= front
+        left &= ~comp
+        best = max(best, comp.bit_count())
+    return best
+
+
 def _mask_metrics(g, mask):
     """metrics for the cut whose partition_s is the bit set of mask."""
-    uf = topo._UnionFind(g.num_qubits)
-    n_c = 0
-    for u, v in g.edges:
-        if (mask >> u & 1) == (mask >> v & 1):
-            n_c += 1
-            uf.union(u, v)
-    size = {}
-    for v in range(g.num_qubits):
-        r = uf.find(v)
-        size[r] = size.get(r, 0) + 1
-    return max(size.values()), n_c
+    inside = _inside(g, mask)
+    return _largest_class(g, inside), inside.bit_count()
 
 
 def brute_force_optimal(g, q, alpha):
@@ -113,8 +161,7 @@ def brute_force_optimal(g, q, alpha):
         if best is None or obj < best[0] - 1e-12:
             best = (obj, n_q, n_c, mask)
     obj, n_q, n_c, mask = best
-    s = frozenset(v for v in range(n) if mask >> v & 1)
-    cut = topo.Cut(s, frozenset(range(n)) - s)
+    cut = _mask_cut(g, mask)
     return SuppressionResult(cut, n_q, n_c, obj, _result_pairing(g, cut, q))
 
 
@@ -248,7 +295,114 @@ def _max_weight_matching(weights):
     return pairs
 
 
+# ------------------------------------------------------- packed candidates
+
+
+def _subtree_masks(g):
+    """Qubit mask below each edge of a BFS tree rooted at qubit 0.
+
+    Off-tree edges get 0. For a cut's crossing set, the XOR of these masks
+    holds the qubits whose tree path from qubit 0 crosses the cut an odd
+    number of times, which is partition_t. Topologies are connected, so one
+    tree spans every qubit, and qubit 0 lands in partition_s, where
+    _contract anchors the lowest qubit.
+    """
+    adj = [[] for _ in range(g.num_qubits)]
+    for e, (u, v) in enumerate(g.edges):
+        adj[u].append((v, e))
+        adj[v].append((u, e))
+    up = {0: None}  # qubit -> (parent, tree edge)
+    order = [0]
+    for u in order:
+        for v, e in adj[u]:
+            if v not in up:
+                up[v] = (u, e)
+                order.append(v)
+    below = [1 << v for v in range(g.num_qubits)]
+    flip = [0] * len(g.edges)
+    for v in reversed(order[1:]):
+        u, e = up[v]
+        flip[e] = below[v]
+        below[u] |= below[v]
+    return flip
+
+
+def _edge_words(g, d):
+    """One packed GF(2) word per edge: edge bit, side-flip bits, face bits.
+
+    Bits [0, |E|) mark the edge, the next n bits hold its subtree mask and
+    the top bits the two faces it borders (none for a bridge, which borders
+    one face twice). XOR is addition in every field, so the word of an edge
+    set is the XOR of its edges' words.
+    """
+    flip = _subtree_masks(g)
+    shift = len(g.edges) + g.num_qubits
+    return [
+        1 << e | flip[e] << len(g.edges) | (1 << a ^ 1 << b) << shift
+        for e, (a, b) in enumerate(d.edges)
+    ]
+
+
+def _pack(words, ids):
+    w = 0
+    for e in ids:
+        w ^= words[e]
+    return w
+
+
+def _candidate_base(g, words, ids):
+    """Word of the candidate with D = ids.
+
+    The side and face fields start from all edges, so they run over the
+    crossing set; XORing a further edge's word moves it into D.
+    """
+    edge_field = (1 << len(g.edges)) - 1
+    return _pack(words, ids) ^ (_pack(words, range(len(g.edges))) & ~edge_field)
+
+
+def _unpack(g, word):
+    """(D edge bits, partition_t qubit bits, odd face bits) of a candidate."""
+    n_e, n = len(g.edges), g.num_qubits
+    return word & ((1 << n_e) - 1), word >> n_e & ((1 << n) - 1), word >> (n_e + n)
+
+
 # ------------------------------------------------------------ the solver
+
+
+def _pairing_paths(d, e_q, k):
+    """Up to k shortest dual paths for each pair of the first odd-face matching.
+
+    Odd-degree faces are counted once the gate-internal duals e_q are
+    deleted; paths avoid e_q.
+    """
+    odd = sorted(d.odd_vertices(e_q))
+    if not odd:
+        return []
+    adj = [[] for _ in range(d.num_vertices)]
+    for e, (a, b) in enumerate(d.edges):
+        if a != b and e not in e_q:
+            adj[a].append(b)
+            adj[b].append(a)
+    dist = {src: topo.bfs_distances(adj, src) for src in odd}
+    finite = [
+        dist[u][v]
+        for u, v in itertools.combinations(odd, 2)
+        if dist[u][v] >= 0
+    ]
+    big = 1 + max(finite, default=0)
+    weights = [[0.0] * len(odd) for _ in odd]
+    for i, u in enumerate(odd):
+        for j, v in enumerate(odd):
+            if i < j:
+                w = big - dist[u][v] if dist[u][v] >= 0 else _UNREACH
+                weights[i][j] = weights[j][i] = w
+    path_lists = []
+    for i, j in _max_weight_matching(weights):
+        plist = _k_shortest_paths(d, odd[i], odd[j], k, e_q)
+        if not plist:
+            raise ValueError("matched odd faces are not connected in the dual")
+        path_lists.append(plist)
+    return path_lists
 
 
 def alpha_optimal(g, q, alpha, k=3, _trace=None):
@@ -265,64 +419,55 @@ def alpha_optimal(g, q, alpha, k=3, _trace=None):
         raise ValueError("k must be at least 1")
     d = topo.dual_graph(g)
     e_q = _gate_internal_edges(g, q)
-
-    # odd-degree faces of the dual after deleting gate-internal duals
-    odd = sorted(d.odd_vertices(e_q))
-
-    path_lists = []
-    if odd:
-        adj = [[] for _ in range(d.num_vertices)]
-        for e, (a, b) in enumerate(d.edges):
-            if a != b and e not in e_q:
-                adj[a].append(b)
-                adj[b].append(a)
-        dist = {src: topo.bfs_distances(adj, src) for src in odd}
-        finite = [
-            dist[u][v]
-            for u, v in itertools.combinations(odd, 2)
-            if dist[u][v] >= 0
-        ]
-        big = 1 + max(finite, default=0)
-        weights = [[0.0] * len(odd) for _ in odd]
-        for i, u in enumerate(odd):
-            for j, v in enumerate(odd):
-                if i < j:
-                    w = big - dist[u][v] if dist[u][v] >= 0 else _UNREACH
-                    weights[i][j] = weights[j][i] = w
-        for i, j in _max_weight_matching(weights):
-            plist = _k_shortest_paths(d, odd[i], odd[j], k, e_q)
-            if not plist:
-                raise ValueError("matched odd faces are not connected in the dual")
-            path_lists.append(plist)
+    path_lists = _pairing_paths(d, e_q, k)
     m = len(path_lists)
 
-    def build(idx):
-        sel = set()
-        for pi, paths in enumerate(path_lists):
-            sel ^= set(paths[idx[pi]])
-        dset = frozenset(sel) | e_q
-        try:
-            # the cut's remaining-set is exactly dset
-            cut, n_q = topo._contract(g, dset)
-        except ValueError:
+    every = (1 << g.num_qubits) - 1
+    words = _edge_words(g, d)
+    base = _candidate_base(g, words, e_q)
+    path_words = [[_pack(words, p) for p in plist] for plist in path_lists]
+    qmask = _mask(q)
+
+    def score(inside, bound):
+        """(objective, n_q, n_c), or None when it cannot fall below bound.
+
+        n_q is at least 2 when an edge is inside, and rounding is monotone,
+        so the bound test never drops a candidate that could get below it.
+        """
+        n_c = inside.bit_count()
+        if bound is not None and alpha * (2 if inside else 1) + n_c >= bound:
             return None
-        n_c = len(dset)
-        feasible = q <= cut.partition_s or q <= cut.partition_t
-        return (alpha * n_q + n_c, n_q, n_c, cut, feasible)
+        n_q = _largest_class(g, inside)
+        return alpha * n_q + n_c, n_q, n_c
 
-    def orient(cut):
-        if q and not q <= cut.partition_s:
-            return cut.flipped()
-        return cut
+    def feasible(t):
+        return not qmask & t or qmask & t == qmask
 
-    zero = (0,) * m
-    evaluated = []
-    rec = build(zero)
-    evaluated.append(rec)
+    def candidate(word, bound=None):
+        """(objective, n_q, n_c, partition_t) of a feasible cut, else None."""
+        inside, t, odd_faces = _unpack(g, word)
+        if odd_faces or not feasible(t):
+            return None
+        rec = score(inside, bound)
+        return rec and (*rec, t)
 
-    if rec is not None and rec[4]:
-        idx = list(zero)
-        cur = rec
+    def word_of(idx):
+        w = base
+        for pi, j in enumerate(idx):
+            w ^= path_words[pi][j]
+        return w
+
+    def result(rec, warning=None):
+        s, t = every & ~rec[3], rec[3]
+        cut = _mask_cut(g, s if qmask & s == qmask else t)  # q into partition_s
+        return SuppressionResult(
+            cut, rec[1], rec[2], rec[0], _result_pairing(g, cut, q), warning=warning
+        )
+
+    zero = word_of((0,) * m)
+    cur = candidate(zero)
+    if cur is not None:
+        idx = [0] * m
         if _trace is not None:
             _trace.append(cur[0])
         improved = True
@@ -334,9 +479,9 @@ def alpha_optimal(g, q, alpha, k=3, _trace=None):
                 if idx[pi] + 1 >= len(path_lists[pi]):
                     continue
                 trial = idx[:pi] + [idx[pi] + 1] + idx[pi + 1:]
-                trec = build(trial)
-                evaluated.append(trec)
-                if trec is None or not trec[4]:
+                bound = None if best is None else best[0] - 1e-12
+                trec = candidate(word_of(trial), bound)
+                if trec is None:
                     continue
                 if best is None or trec[0] < best[0] - 1e-12:
                     best, best_idx = trec, trial
@@ -345,49 +490,52 @@ def alpha_optimal(g, q, alpha, k=3, _trace=None):
                 improved = True
                 if _trace is not None:
                     _trace.append(cur[0])
-        cut = orient(cur[3])
-        return SuppressionResult(
-            cut, cur[1], cur[2], cur[0], _result_pairing(g, cut, q)
-        )
+        return result(cur)
 
-    # Initial pairing split the gate set. Scan the whole path-index grid for
-    # a feasible candidate before repairing.
-    sizes = [len(pl) for pl in path_lists]
+    # Initial pairing split the gate set. Scan the whole path-index grid, in
+    # lexicographic order, for a feasible candidate before repairing; the
+    # first candidate reaching the least objective wins.
     total = 1
-    for s in sizes:
-        total *= s
-    best = None
+    for pl in path_lists:
+        total *= len(pl)
+    cuts = []  # partition_t of every exact cut scanned, for the repair
     if total <= _FULL_SCAN_CAP:
-        for vec in itertools.product(*(range(s) for s in sizes)):
-            trec = rec if vec == zero else build(vec)
-            if vec != zero:
-                evaluated.append(trec)
-            if trec is not None and trec[4]:
-                if best is None or (trec[0], vec) < best[1]:
-                    best = (trec, (trec[0], vec))
+        best = None
+        for combo in itertools.product(*path_words):
+            w = base
+            for x in combo:
+                w ^= x
+            inside, t, odd_faces = _unpack(g, w)
+            if odd_faces:
+                continue
+            cuts.append(t)
+            if feasible(t):
+                trec = score(inside, None if best is None else best[0])
+                if trec is not None and (best is None or trec[0] < best[0]):
+                    best = (*trec, t)
         if best is not None:
-            trec = best[0]
-            cut = orient(trec[3])
-            return SuppressionResult(
-                cut,
-                trec[1],
-                trec[2],
-                trec[0],
-                _result_pairing(g, cut, q),
-                warning="initial pairing split the gate set; full index scan used",
+            return result(
+                best, "initial pairing split the gate set; full index scan used"
             )
+    else:
+        _, t, odd_faces = _unpack(g, zero)
+        if not odd_faces:
+            cuts.append(t)
 
-    # Repair: push the gate set into one side of the best evaluated cut.
-    repaired = []
-    for trec in evaluated:
-        if trec is None:
-            continue
-        c = trec[3]
-        for side in (c.partition_s | q, c.partition_t | q):
-            n_q2, n_c2 = _mask_metrics(g, _mask(side))
-            repaired.append((alpha * n_q2 + n_c2, n_q2, n_c2, side))
-    obj, n_q2, n_c2, s2 = min(repaired, key=lambda r: r[0])
-    cut2 = topo.Cut(s2, frozenset(range(g.num_qubits)) - s2)
+    # Repair: push the gate set into one side of the best evaluated cut. A
+    # side seen before cannot beat the kept minimum, so it is skipped.
+    best = None
+    seen = set()
+    for t in cuts:
+        for side in ((every & ~t) | qmask, t | qmask):
+            if side in seen:
+                continue
+            seen.add(side)
+            rec = score(_inside(g, side), None if best is None else best[0])
+            if rec is not None and (best is None or rec[0] < best[0]):
+                best = (*rec, side)
+    obj, n_q2, n_c2, side = best
+    cut2 = _mask_cut(g, side)
     return SuppressionResult(
         cut2,
         n_q2,

@@ -9,8 +9,9 @@ odd-vertex pairing (an edge set whose contraction kills all odd-degree
 faces), and conversely any such pairing induces a cut. The suppression
 solver searches pairings instead of cuts. One routine, _contract, turns
 edge sets into cuts: it contracts the edges to keep inside a side, deletes
-the edges to ignore, and 2-colors the quotient, so the same union-find
-gives each candidate cut its largest same-side region.
+the edges to ignore, and 2-colors the quotient, and the same union-find
+gives the cut its largest same-side region. The solver scores its
+candidates with packed bit masks and is tested against _contract.
 
 A topology is structure only. ZZ strengths belong to a sampled device
 (quantumsim.DeviceInstance); a lambda_hz key in an older topology file is

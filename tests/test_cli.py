@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from zzsched import cli
 from zzsched.circuit import Circuit, benchmark, load_circuit, save_circuit
 from zzsched.cli import RunConfig, main, run_pipeline
 from zzsched.pulse import load_pulse
@@ -342,3 +343,15 @@ class TestErrorTagging:
                      "--out", str(tmp_path / "cut.json")])
         assert code == 1
         assert "error [topology]" in capsys.readouterr().err
+
+
+def test_optctrl_region_cap_raises_before_any_design(tmp_path, monkeypatch):
+    # degree 4 asks for an rzx90 region with 3+3 spectators (8 qubits);
+    # the 5-qubit rx90 and id designs come first and take minutes each
+    def no_design(*args, **kwargs):
+        raise AssertionError("optimize ran before the region sizes were checked")
+
+    monkeypatch.setattr(cli, "optimize", no_design)
+    with pytest.raises(ValueError, match="dimension 256"):
+        cli.provision_pulses(grid_topology(3, 3), "optctrl", 1e5, tmp_path)
+    assert not list(tmp_path.glob("*.json"))

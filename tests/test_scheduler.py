@@ -512,6 +512,15 @@ def test_schedule_solves_gate_free_cut_once(g3, monkeypatch):
     assert len(plan.layers) > 1
     assert calls.count(frozenset()) == 1
 
+    # every gate set the layering asks for, across all two-qubit groupings
+    # of one schedule call, reaches the solver once
+    calls.clear()
+    g = grid_topology(3, 4)
+    c = to_native(benchmark("qft", 12, qubit_order=grid_snake_order(3, 4)))
+    plan = schedule(g, c)
+    assert len(set(calls)) > 10
+    assert len(calls) == len(set(calls))
+
 
 # ------------------------------------------------------ property checks
 

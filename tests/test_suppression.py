@@ -277,6 +277,87 @@ def test_solver_never_beats_oracle_and_stays_feasible(dims, q, alpha):
     assert topo.is_odd_vertex_pairing(d, res.pairing.dual_edges | eq)
 
 
+# ------------------------------------------------ packed scorer vs oracle
+
+
+_SCORER_GRAPHS = st.one_of(
+    st.tuples(st.integers(3, 6), st.integers(3, 6)),
+    st.sampled_from(["chamfered", "six", "bridged"]),
+)
+
+
+def _bridged_square():
+    """Square 0-1-2-3 with qubit 4 hanging off qubit 1 by a bridge."""
+    positions = [(0, 0), (1, 0), (1, 1), (0, 1), (2, 0)]
+    return topo.from_positions(positions, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 4)])
+
+
+def _union_find_metrics(g, mask):
+    """(N_Q, N_C) from a union-find over the same-side couplings."""
+    uf = topo._UnionFind(g.num_qubits)
+    n_c = 0
+    for u, v in g.edges:
+        if (mask >> u & 1) == (mask >> v & 1):
+            n_c += 1
+            uf.union(u, v)
+    size = {}
+    for v in range(g.num_qubits):
+        r = uf.find(v)
+        size[r] = size.get(r, 0) + 1
+    return max(size.values()), n_c
+
+
+def _assert_word_matches_contraction(g, word, dset):
+    inside, t, odd_faces = supp._unpack(g, word)
+    assert inside == supp._mask(dset)
+    try:
+        cut, n_q = topo._contract(g, dset)
+    except ValueError:
+        assert odd_faces
+        return False
+    assert not odd_faces
+    every = (1 << g.num_qubits) - 1
+    assert every & ~t == supp._mask(cut.partition_s)
+    assert supp._largest_class(g, inside) == n_q
+    assert inside.bit_count() == len(dset) == len(topo.remaining_set(g, cut))
+    return True
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=_SCORER_GRAPHS, data=st.data())
+def test_packed_scorer_matches_contraction(shape, data, chamfered_grid, six_qubit_planar):
+    g = {"chamfered": chamfered_grid, "six": six_qubit_planar}.get(shape)
+    if shape == "bridged":
+        g = _bridged_square()
+    elif g is None:
+        g = topo.grid_topology(*shape)
+    n, n_e = g.num_qubits, len(g.edges)
+    d = topo.dual_graph(g)
+    words = supp._edge_words(g, d)
+
+    # arbitrary edge sets: most close an odd structure and are no cut
+    for _ in range(4):
+        dset = frozenset(data.draw(st.sets(st.integers(0, n_e - 1))))
+        _assert_word_matches_contraction(g, supp._candidate_base(g, words, dset), dset)
+
+    # the solver's own candidates: a path-index vector over its path lists
+    q = frozenset(data.draw(st.sets(st.integers(0, n - 1), max_size=5)))
+    e_q = supp._gate_internal_edges(g, q)
+    path_lists = supp._pairing_paths(d, e_q, 3)
+    idx = [data.draw(st.integers(0, len(pl) - 1)) for pl in path_lists]
+    word = supp._candidate_base(g, words, e_q)
+    sel = set()
+    for pl, j in zip(path_lists, idx):
+        word ^= supp._pack(words, pl[j])
+        sel ^= set(pl[j])
+    assert _assert_word_matches_contraction(g, word, frozenset(sel) | e_q)
+
+    # side masks, as the repair step and brute_force_optimal score them
+    for _ in range(4):
+        mask = data.draw(st.integers(0, (1 << n) - 1))
+        assert supp._mask_metrics(g, mask) == _union_find_metrics(g, mask)
+
+
 # -------------------------------------------------------------------- I/O
 
 
