@@ -372,20 +372,9 @@ def test_result_json_roundtrip(tmp_path, chamfered_grid):
     assert sorted(obj["pairing_edges"]) == sorted(res.pairing.dual_edges)
 
 
-# sha256 of json.dumps(records, sort_keys=True), where records hold
-# result_to_json (or the error text) for the empty gate set plus 20 seeded
-# random gate sets of 1-4 qubits at alpha 0.5 and 2; recorded before the
-# solver scored candidates from their contraction. Any change to pairing,
-# path choice, candidate scoring, repair or the JSON layout moves them.
-ALPHA_OPTIMAL_SHA256 = {
-    (3, 3): "56bcbf36d09829dc45a1b03b9b181d8f8e173665e7a21cf8d18e8474d52543c9",
-    (4, 4): "f41487e4b586ede47d7ba4699a8efe2724d0f889143492111c862e80d8c1e0eb",
-    (5, 5): "fca9f8357e5b719911ee6f23de14548a1b9d1000bb1b88cdd35e910507c45319",
-}
-
-
-@pytest.mark.parametrize("rows,cols", sorted(ALPHA_OPTIMAL_SHA256))
-def test_alpha_optimal_pinned(rows, cols):
+def _solver_records(rows, cols, k=3):
+    """result_to_json (or the error text) for the empty gate set plus 20
+    seeded random gate sets of 1-4 qubits, each at alpha 0.5 and 2."""
     g = topo.grid_topology(rows, cols)
     rng = random.Random(rows * 100 + cols)
     gate_sets = [frozenset()] + [
@@ -396,10 +385,46 @@ def test_alpha_optimal_pinned(rows, cols):
     for q in gate_sets:
         for alpha in (0.5, 2.0):
             try:
-                rec = supp.result_to_json(supp.alpha_optimal(g, q, alpha))
+                rec = supp.result_to_json(supp.alpha_optimal(g, q, alpha, k))
             except ValueError as exc:
                 rec = {"error": str(exc)}
             records.append({"gates": sorted(q), "alpha": alpha, "result": rec})
     assert any(r["result"]["repaired"] for r in records)
-    blob = json.dumps(records, sort_keys=True).encode()
-    assert hashlib.sha256(blob).hexdigest() == ALPHA_OPTIMAL_SHA256[rows, cols]
+    return records
+
+
+def _records_sha256(records):
+    return hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+
+
+# sha256 of json.dumps(_solver_records(rows, cols), sort_keys=True); recorded
+# before the solver scored candidates from their contraction. Any change to
+# pairing, path choice, candidate scoring, repair or the JSON layout moves them.
+ALPHA_OPTIMAL_SHA256 = {
+    (3, 3): "56bcbf36d09829dc45a1b03b9b181d8f8e173665e7a21cf8d18e8474d52543c9",
+    (4, 4): "f41487e4b586ede47d7ba4699a8efe2724d0f889143492111c862e80d8c1e0eb",
+    (5, 5): "fca9f8357e5b719911ee6f23de14548a1b9d1000bb1b88cdd35e910507c45319",
+}
+
+
+@pytest.mark.parametrize("rows,cols", sorted(ALPHA_OPTIMAL_SHA256))
+def test_alpha_optimal_pinned(rows, cols):
+    assert _records_sha256(_solver_records(rows, cols)) == ALPHA_OPTIMAL_SHA256[rows, cols]
+
+
+# The same corpus at k = 1 (no alternatives) and k = 6 (ranking well past the
+# third path), recorded while the alternatives came from Yen's deviation
+# paths, with
+#   PYTHONPATH=src:tests python -c "import test_suppression as t; print(t._records_sha256(t._solver_records(4, 4, 6)))"
+ALPHA_OPTIMAL_K_SHA256 = {
+    (4, 4, 1): "822819f486f4ffd89949999785bebbab6b7d452111cad729a905400a56021b70",
+    (4, 4, 6): "b1da9d11eae32d3196a7189e85dd88aeec26333791290dd84029f614f046d7c4",
+    (5, 5, 1): "4b27f160fc572207b7d531daa656469a44d4cde89c7dca135a9be7fb50bd7754",
+    (5, 5, 6): "d2dda40c939f3da3e80f320127c08bf60a12d3addb94a8d671f4a1ed25c4deb5",
+}
+
+
+@pytest.mark.parametrize("rows,cols,k", sorted(ALPHA_OPTIMAL_K_SHA256))
+def test_alpha_optimal_pinned_at_k(rows, cols, k):
+    sha = _records_sha256(_solver_records(rows, cols, k))
+    assert sha == ALPHA_OPTIMAL_K_SHA256[rows, cols, k]
