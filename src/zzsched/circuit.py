@@ -116,6 +116,8 @@ def parse(text, num_qubits=None):
                 declared = int(tokens[1])
             except (IndexError, ValueError):
                 raise ValueError(f"line {ln}: malformed qubits directive")
+            if declared < 0:
+                raise ValueError(f"line {ln}: negative qubit count {declared}")
             continue
         name = _ALIASES.get(head, head)
         rest = tokens[1:]

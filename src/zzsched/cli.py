@@ -82,13 +82,13 @@ class RunConfig:
     def __post_init__(self):
         if self.policy not in ("zzx", "par", "both"):
             raise ValueError(f"unknown policy {self.policy!r}")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError("alpha must be finite and positive")
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if self.nq_max is not None and self.nq_max <= 0:
             raise ValueError("n_q threshold must be positive")
-        if self.nc_max is not None and self.nc_max <= 0:
+        if self.nc_max is not None and not self.nc_max > 0:  # NaN fails too
             raise ValueError("n_c threshold must be positive")
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown pulse backend {self.backend!r}")

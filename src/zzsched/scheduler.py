@@ -36,7 +36,7 @@ class SuppressionRequirement:
     max_n_c: float
 
     def __post_init__(self):
-        if self.max_n_q <= 0 or self.max_n_c <= 0:
+        if not (self.max_n_q > 0 and self.max_n_c > 0):  # NaN fails too
             raise ValueError("requirement thresholds must be positive")
 
     @classmethod

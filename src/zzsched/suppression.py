@@ -10,7 +10,9 @@ deleting their duals up front and re-adding them to every candidate, and a
 candidate is feasible only when all gate qubits land on one side. If the
 first pairing splits the gate set, every path-index vector is scanned (up
 to _FULL_SCAN_CAP of them), and if none is feasible the gate set is forced
-into one side of each scanned cut instead.
+into one side of each scanned cut instead. A pair's alternatives are its k
+smallest simple dual paths by (length, edge ids), found by a depth-first
+search bounded by the BFS distances that also weight the matching.
 
 Candidates are scored as packed GF(2) words, one Python int per edge set:
 the edge bits of D (the cut's remaining-set), then n side bits and one bit
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections import deque
+import math
 from dataclasses import dataclass
 
 from . import topology as topo
@@ -168,86 +170,36 @@ def brute_force_optimal(g, q, alpha):
 # -------------------------------------------------- dual path machinery
 
 
-def _dual_vertex_walk(d, src, path):
-    seq = [src]
-    cur = src
-    for e in path:
-        a, b = d.edges[e]
-        cur = b if cur == a else a
-        seq.append(cur)
-    return seq
+def _k_shortest_paths(adj, dist, src, dst, k):
+    """Up to k simple dual paths src->dst ranked by (length, edge-id sequence).
 
-
-def _lex_shortest_path(d, src, dst, banned_edges, banned_vertices):
-    """Shortest simple dual path src->dst as an edge-id tuple, or None.
-
-    Among equal-length paths returns the lexicographically smallest edge-id
-    sequence (layered search from dst, then a greedy forward walk). Self
-    loops never help a path and are skipped.
+    adj[v] lists (edge id, neighbour) in ascending edge id, and dist[v] is
+    the BFS distance from v to dst over adj (-1 when unreachable). The
+    search tries one length L at a time, from dist[src] up to the longest
+    possible simple path, as a depth-first walk that takes edges in
+    ascending id: paths of one length come out in lexicographic order, and
+    every shorter length is exhausted first, so the first k paths found are
+    the k smallest. A neighbour w is entered only when 0 <= dist[w] < steps
+    left. dist ignores the vertices already on the path, so it is a lower
+    bound and never prunes a path that could still finish; from an
+    unreachable src nothing is entered. dst ends a path and is never passed
+    through. Recursion depth is the path length.
     """
-    n = d.num_vertices
-    adj = [[] for _ in range(n)]
-    for e, (a, b) in enumerate(d.edges):
-        if a == b or e in banned_edges:
-            continue
-        if a in banned_vertices or b in banned_vertices:
-            continue
-        adj[a].append((b, e))
-        adj[b].append((a, e))
-    dist = [-1] * n
-    dist[dst] = 0
-    qq = deque([dst])
-    while qq:
-        u = qq.popleft()
-        for w, _ in adj[u]:
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                qq.append(w)
-    if dist[src] < 0:
-        return None
-    path = []
-    cur = src
-    while cur != dst:
-        e, cur = min((e, w) for w, e in adj[cur] if dist[w] == dist[cur] - 1)
-        path.append(e)
-    return tuple(path)
+    on_path = {src}
 
+    def walk(v, left, prefix):
+        """Paths that reach dst from v in exactly left more edges, by edge ids."""
+        for e, w in adj[v]:
+            if w == dst:
+                if left == 1:
+                    yield (*prefix, e)
+            elif 0 <= dist[w] < left and w not in on_path:
+                on_path.add(w)
+                yield from walk(w, left - 1, (*prefix, e))
+                on_path.remove(w)
 
-def _k_shortest_paths(d, src, dst, k, banned_edges):
-    """Up to k shortest simple paths ranked by (length, edge-id sequence).
-
-    Standard deviation-path construction: for each prefix of the last
-    accepted path, ban the next edges of all accepted paths sharing that
-    prefix plus the prefix vertices, and search for a spur. Parallel dual
-    edges yield genuinely distinct paths; self-loops are excluded.
-    """
-    first = _lex_shortest_path(d, src, dst, banned_edges, frozenset())
-    if first is None:
-        return []
-    paths = [first]
-    pool = {}
-    while len(paths) < k:
-        prev = paths[-1]
-        pv = _dual_vertex_walk(d, src, prev)
-        for i in range(len(prev)):
-            root = prev[:i]
-            spur = pv[i]
-            extra = set(banned_edges)
-            for p in paths:
-                if len(p) > i and p[:i] == root:
-                    extra.add(p[i])
-            sp = _lex_shortest_path(d, spur, dst, extra, set(pv[:i]))
-            if sp is None:
-                continue
-            cand = root + sp
-            if cand not in paths:
-                pool[cand] = len(cand)
-        if not pool:
-            break
-        best = min(pool.items(), key=lambda kv: (kv[1], kv[0]))[0]
-        del pool[best]
-        paths.append(best)
-    return paths
+    found = (p for n in range(dist[src], len(adj)) for p in walk(src, n, ()))
+    return list(itertools.islice(found, k))
 
 
 def _max_weight_matching(weights):
@@ -373,7 +325,8 @@ def _pairing_paths(d, e_q, k):
     """Up to k shortest dual paths for each pair of the first odd-face matching.
 
     Odd-degree faces are counted once the gate-internal duals e_q are
-    deleted; paths avoid e_q.
+    deleted; paths avoid e_q. The BFS distances from each odd face weight
+    the matching and bound every pair's path search.
     """
     odd = sorted(d.odd_vertices(e_q))
     if not odd:
@@ -381,9 +334,10 @@ def _pairing_paths(d, e_q, k):
     adj = [[] for _ in range(d.num_vertices)]
     for e, (a, b) in enumerate(d.edges):
         if a != b and e not in e_q:
-            adj[a].append(b)
-            adj[b].append(a)
-    dist = {src: topo.bfs_distances(adj, src) for src in odd}
+            adj[a].append((e, b))
+            adj[b].append((e, a))
+    nbrs = [[w for _, w in arcs] for arcs in adj]
+    dist = {src: topo.bfs_distances(nbrs, src) for src in odd}
     finite = [
         dist[u][v]
         for u, v in itertools.combinations(odd, 2)
@@ -398,7 +352,7 @@ def _pairing_paths(d, e_q, k):
                 weights[i][j] = weights[j][i] = w
     path_lists = []
     for i, j in _max_weight_matching(weights):
-        plist = _k_shortest_paths(d, odd[i], odd[j], k, e_q)
+        plist = _k_shortest_paths(adj, dist[odd[j]], odd[i], odd[j], k)
         if not plist:
             raise ValueError("matched odd faces are not connected in the dual")
         path_lists.append(plist)
@@ -413,8 +367,8 @@ def alpha_optimal(g, q, alpha, k=3, _trace=None):
     """
     q = frozenset(q)
     _check_gate_set(g, q)
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError("alpha must be finite and nonnegative")
     if k < 1:
         raise ValueError("k must be at least 1")
     d = topo.dual_graph(g)

@@ -85,9 +85,6 @@ class TopologyGraph:
                 return e
         raise KeyError(f"no coupling ({u},{v})")
 
-    def neighbors(self, v):
-        return tuple(adjacency(self)[v])
-
 
 @dataclass(frozen=True)
 class DualGraph:
@@ -126,13 +123,6 @@ class Cut:
 
     partition_s: frozenset
     partition_t: frozenset
-
-    def side(self, v):
-        if v in self.partition_s:
-            return 0
-        if v in self.partition_t:
-            return 1
-        raise KeyError(f"qubit {v} not in cut")
 
     def flipped(self):
         return Cut(self.partition_t, self.partition_s)

@@ -74,6 +74,13 @@ def test_parse_errors_carry_line_numbers():
         parse("h 1.5\n")
 
 
+def test_parse_qubits_directive_counts():
+    with pytest.raises(ValueError, match="line 2"):
+        parse("# header\nqubits -2\n")
+    assert parse("qubits 0\n") == Circuit(0, ())
+    assert parse("") == Circuit(0, ())
+
+
 def test_parse_num_qubits_argument_wins():
     c = parse("h 0\n", num_qubits=5)
     assert c.num_qubits == 5

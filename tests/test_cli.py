@@ -44,14 +44,16 @@ class TestRunConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             RunConfig("t", "c", policy="serial")
-        with pytest.raises(ValueError):
-            RunConfig("t", "c", alpha=0.0)
+        for alpha in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                RunConfig("t", "c", alpha=alpha)
         with pytest.raises(ValueError):
             RunConfig("t", "c", k=0)
         with pytest.raises(ValueError):
             RunConfig("t", "c", nq_max=0)
-        with pytest.raises(ValueError):
-            RunConfig("t", "c", nc_max=-1.0)
+        for nc_max in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                RunConfig("t", "c", nc_max=nc_max)
         with pytest.raises(ValueError):
             RunConfig("t", "c", backend="grape")
         with pytest.raises(ValueError):
@@ -110,6 +112,15 @@ class TestSuppress:
         assert code == 1
         assert "[suppression]" in capsys.readouterr().err
 
+    def test_nan_alpha(self, workspace, tmp_path, capsys):
+        # NaN slips past an `alpha < 0` test and would write "objective": NaN
+        out = tmp_path / "cut.json"
+        code = main(["suppress", "--topology", str(workspace / "g23.json"),
+                     "--qubits", "0,1", "--alpha", "nan", "--out", str(out)])
+        assert code == 1
+        assert "error [suppression]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rejects_flags_it_does_not_read(self, workspace, tmp_path, capsys):
         # --seed and --verbose belong to the subcommands that use them;
         # --threads went away with the seed thread pool
@@ -148,6 +159,15 @@ class TestSchedule:
                          "--backend", backend, "--out", str(out)]) == 0
             times[backend] = load_plan(out).total_duration
         assert times["dcg"] > times["gaussian"]
+
+    def test_nan_nc_max(self, workspace, tmp_path, capsys):
+        out = tmp_path / "p.json"
+        code = main(["schedule", "--topology", str(workspace / "g23.json"),
+                     "--circuit", str(workspace / "qft4.zzq"),
+                     "--nc-max", "nan", "--out", str(out)])
+        assert code == 1
+        assert "error [scheduler]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_circuit(self, workspace, tmp_path, capsys):
         code = main(["schedule", "--topology", str(workspace / "g23.json"),

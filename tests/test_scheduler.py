@@ -59,6 +59,8 @@ def test_requirement_positive():
         SuppressionRequirement(0, 5)
     with pytest.raises(ValueError):
         SuppressionRequirement(3, 0)
+    with pytest.raises(ValueError):
+        SuppressionRequirement(3, float("nan"))
 
 
 # ------------------------------------------------------------ distances

@@ -201,8 +201,9 @@ def test_repaired_cut_near_brute_on_3x4_four_gates():
 def test_bad_inputs(chamfered_grid):
     with pytest.raises(ValueError):
         supp.alpha_optimal(chamfered_grid, {99}, 0.5)
-    with pytest.raises(ValueError):
-        supp.alpha_optimal(chamfered_grid, frozenset(), -1.0)
+    for alpha in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            supp.alpha_optimal(chamfered_grid, frozenset(), alpha)
     with pytest.raises(ValueError):
         supp.alpha_optimal(chamfered_grid, frozenset(), 0.5, k=0)
 
@@ -219,13 +220,47 @@ def test_runtime_smoke_5x5():
 # ------------------------------------------------------- path machinery
 
 
+def _dual_adjacency(d, banned):
+    """(adj, neighbour lists) as _pairing_paths builds them."""
+    adj = [[] for _ in range(d.num_vertices)]
+    for e, (a, b) in enumerate(d.edges):
+        if a != b and e not in banned:
+            adj[a].append((e, b))
+            adj[b].append((e, a))
+    return adj, [[w for _, w in arcs] for arcs in adj]
+
+
+def _paths(d, src, dst, k, banned=frozenset()):
+    adj, nbrs = _dual_adjacency(d, banned)
+    return supp._k_shortest_paths(adj, topo.bfs_distances(nbrs, dst), src, dst, k)
+
+
+def _all_simple_paths(d, src, dst, banned):
+    """Every simple src->dst dual path as an edge-id tuple, no pruning."""
+    out = []
+
+    def walk(v, seen, prefix):
+        if v == dst:
+            out.append(tuple(prefix))
+            return
+        for e, (a, b) in enumerate(d.edges):
+            if a == b or e in banned or v not in (a, b):
+                continue
+            w = b if v == a else a
+            if w not in seen:
+                walk(w, seen | {w}, prefix + [e])
+
+    walk(src, {src}, [])
+    return sorted(out, key=lambda p: (len(p), p))
+
+
 def test_k_shortest_paths_on_chamfered_dual(chamfered_grid):
     g = chamfered_grid
     d = topo.dual_graph(g)
     faces = {frozenset(f): i for i, f in enumerate(g.faces)}
     tri = faces[frozenset({g.edge_index(4, 5), g.edge_index(5, 7), g.edge_index(4, 7)})]
     outer = max(range(len(g.faces)), key=lambda f: len(g.faces[f]))
-    paths = supp._k_shortest_paths(d, tri, outer, 3, frozenset())
+    paths = _paths(d, tri, outer, 3)
     assert paths[0] == (g.edge_index(5, 7),)
     assert [len(p) for p in paths] == [1, 2, 2]
     assert paths == sorted(paths, key=lambda p: (len(p), p))
@@ -234,8 +269,38 @@ def test_k_shortest_paths_on_chamfered_dual(chamfered_grid):
 def test_k_shortest_paths_parallel_edges():
     # square dual: two faces joined by four parallel edges, so four paths
     d = topo.dual_graph(topo.grid_topology(2, 2))
-    paths = supp._k_shortest_paths(d, 0, 1, 6, frozenset())
+    paths = _paths(d, 0, 1, 6)
     assert paths == [(0,), (1,), (2,), (3,)]
+
+
+_PATH_GRAPHS = st.sampled_from(
+    [(2, 2), (2, 3), (3, 3), (3, 4), "chamfered", "six", "vigo", "bridged"]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=_PATH_GRAPHS, data=st.data())
+def test_k_shortest_paths_match_exhaustive_enumeration(
+    shape, data, chamfered_grid, six_qubit_planar
+):
+    g = {"chamfered": chamfered_grid, "six": six_qubit_planar}.get(shape)
+    if shape == "vigo":
+        g = topo.ibmq_vigo()
+    elif shape == "bridged":
+        g = _bridged_square()
+    elif g is None:
+        g = topo.grid_topology(*shape)
+    d = topo.dual_graph(g)
+    q = frozenset(data.draw(st.sets(st.integers(0, g.num_qubits - 1), max_size=5)))
+    e_q = supp._gate_internal_edges(g, q)
+    k = data.draw(st.integers(1, 6))
+    faces = sorted(d.odd_vertices(e_q)) or list(range(d.num_vertices))
+    if len(faces) < 2:
+        # a tree (vigo) has one face, and each of its dual edges is a self-loop
+        assert supp._pairing_paths(d, e_q, k) == []
+        return
+    src, dst = data.draw(st.lists(st.sampled_from(faces), min_size=2, max_size=2, unique=True))
+    assert _paths(d, src, dst, k, e_q) == _all_simple_paths(d, src, dst, e_q)[:k]
 
 
 def test_matching_prefers_close_pairs():
