@@ -113,8 +113,8 @@ def parse(text, num_qubits=None):
             if gates or declared is not None:
                 raise ValueError(f"line {ln}: qubits directive must come first")
             try:
-                declared = int(tokens[1])
-            except (IndexError, ValueError):
+                (declared,) = map(int, tokens[1:])
+            except ValueError:
                 raise ValueError(f"line {ln}: malformed qubits directive")
             if declared < 0:
                 raise ValueError(f"line {ln}: negative qubit count {declared}")

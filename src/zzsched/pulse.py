@@ -449,6 +449,12 @@ class OptimizeConfig:
     max_iter: int = 300
     restarts: int = 3
 
+    def __post_init__(self):
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise ValueError(f"duration T must be finite and positive, got {self.T}")
+        if self.max_iter < 0 or self.restarts < 0:
+            raise ValueError("max_iter and restarts must be non-negative")
+
 
 _GRAD_TOL = 1e-9  # descent stops below this gradient norm
 
@@ -497,41 +503,64 @@ def _plane_integrals_batch(basis, coeffs, T, steps):
     form; summing steps gives the discrete dynamics' first-order term with
     no quadrature error. coeffs holds one five-coefficient envelope (rad/s)
     per row; returns the arrays (cos integral, sin integral, phi(T)).
+
+    Work arrays are filled in place; the returned arrays are the call's own.
+    Only a batch with a step where 2 |Omega| dt < 1e-12 takes the np.where
+    form; elsewhere the quotients are the same ufuncs on the same operands,
+    so both forms give the same bits.
     """
     dt = T / steps
+    half = coeffs / 2
     om = np.zeros((len(coeffs), steps))
+    tmp = np.empty_like(om)
     for j in range(5):  # fourier_eval's summation order
-        om = om + (coeffs[:, j, None] / 2) * basis[j]
+        om += np.multiply(half[:, j, None], basis[j], out=tmp)
     phi = np.zeros((len(coeffs), steps + 1))
-    phi[:, 1:] = 2 * np.cumsum(om, axis=1) * dt
+    acc = np.cumsum(om, axis=1, out=phi[:, 1:])
+    acc *= 2
+    acc *= dt
     sin_phi, cos_phi = np.sin(phi), np.cos(phi)
-    two_om = 2 * om
-    small = np.abs(two_om) * dt < 1e-12
-    denom = np.where(small, 1.0, two_om)
-    cos_steps = np.where(small, dt * cos_phi[:, :-1],
-                         (sin_phi[:, 1:] - sin_phi[:, :-1]) / denom)
-    sin_steps = np.where(small, dt * sin_phi[:, :-1],
-                         (cos_phi[:, :-1] - cos_phi[:, 1:]) / denom)
-    return cos_steps.sum(axis=1), sin_steps.sum(axis=1), phi[:, -1]
+    two_om = np.multiply(om, 2, out=om)
+    small = np.multiply(np.abs(two_om, out=tmp), dt, out=tmp) < 1e-12
+    if small.any():
+        denom = np.where(small, 1.0, two_om)
+        cos_steps = np.where(small, dt * cos_phi[:, :-1],
+                             (sin_phi[:, 1:] - sin_phi[:, :-1]) / denom)
+        sin_steps = np.where(small, dt * sin_phi[:, :-1],
+                             (cos_phi[:, :-1] - cos_phi[:, 1:]) / denom)
+        return cos_steps.sum(axis=1), sin_steps.sum(axis=1), phi[:, -1]
+    np.subtract(sin_phi[:, 1:], sin_phi[:, :-1], out=tmp)
+    cos_int = np.divide(tmp, two_om, out=tmp).sum(axis=1)
+    np.subtract(cos_phi[:, :-1], cos_phi[:, 1:], out=tmp)
+    return cos_int, np.divide(tmp, two_om, out=tmp).sum(axis=1), phi[:, -1]
 
 
-def _pert_norm_fid(model, T, angle, cos_i, sin_i, phi_t):
-    """First-order norm and gate fidelity from the plane integrals.
+def _pert_scorer(model, T, angle):
+    """score(cos_i, sin_i, phi_t) -> (first-order norm, gate fidelity).
 
     Valid when the drive is one x channel (single region) or one coupling
     channel with zero intra strength: the toggled z operator rotates in a
     plane, so the first-order term reduces to two scalar integrals.
     """
-    m = model.num_qubits - model.num_gate_qubits
+    spectators = 2 ** (model.num_qubits - model.num_gate_qubits)
     wa, wb = _normalized_weights(model)
-    if model.kind == "single":
-        norm_sq = 2 * (cos_i ** 2 + sin_i ** 2) * wa * 2 ** m
-    else:
-        norm_sq = (4 * T * T * wa + 4 * (cos_i ** 2 + sin_i ** 2) * wb) * 2 ** m
     d = 2 * model.num_gate_qubits
-    tr = d * math.cos((phi_t - angle) / 2)
-    fid = (tr * tr + d) / (d * (d + 1))
-    return math.sqrt(max(norm_sq, 0.0)), fid
+
+    def score(cos_i, sin_i, phi_t):
+        if model.kind == "single":
+            norm_sq = 2 * (cos_i ** 2 + sin_i ** 2) * wa * spectators
+        else:
+            norm_sq = (4 * T * T * wa + 4 * (cos_i ** 2 + sin_i ** 2) * wb) * spectators
+        tr = d * math.cos((phi_t - angle) / 2)
+        fid = (tr * tr + d) / (d * (d + 1))
+        return math.sqrt(max(norm_sq, 0.0)), fid
+
+    return score
+
+
+def _pert_norm_fid(model, T, angle, cos_i, sin_i, phi_t):
+    """One-call form of _pert_scorer."""
+    return _pert_scorer(model, T, angle)(cos_i, sin_i, phi_t)
 
 
 def _normalized_weights(model):
@@ -619,14 +648,15 @@ def optimize(model, target, backend, config=None):
         # _make_spec's pulses carry the default sample rate: the dense grid
         steps = num_steps(T, DEFAULT_SAMPLE_RATE)
         basis = _fourier_basis(T, steps)
+        score = _pert_scorer(model, T, angle)
 
         def integrals(xs):
             return _plane_integrals_batch(basis, xs / T, T, steps)
 
         def losses(xs):
             out = []
-            for parts in zip(*integrals(xs)):
-                norm, fid = _pert_norm_fid(model, T, angle, *map(float, parts))
+            for parts in zip(*(a.tolist() for a in integrals(xs))):
+                norm, fid = score(*parts)
                 out.append(norm / T - fid)
             return out
     else:

@@ -77,6 +77,8 @@ def test_parse_errors_carry_line_numbers():
 def test_parse_qubits_directive_counts():
     with pytest.raises(ValueError, match="line 2"):
         parse("# header\nqubits -2\n")
+    with pytest.raises(ValueError, match="line 1"):
+        parse("qubits 3 junk\nh 0\n")
     assert parse("qubits 0\n") == Circuit(0, ())
     assert parse("") == Circuit(0, ())
 

@@ -519,6 +519,13 @@ class TestOptimizeRzx:
         with pytest.raises(ValueError):
             optimize(single_region(1), "rx90", "annealing")
 
+    @pytest.mark.parametrize("bad", [dict(T=0.0), dict(T=math.nan), dict(T=math.inf),
+                                     dict(T=-80e-9), dict(max_iter=-3),
+                                     dict(restarts=-1)])
+    def test_config_rejected_up_front(self, bad):
+        with pytest.raises(ValueError):
+            OptimizeConfig(**bad)
+
 
 class TestOptimizeOptctrl:
     def test_improves_or_keeps_loss(self):
@@ -735,13 +742,25 @@ def _random_hermitian(rng, dim):
 @pytest.mark.parametrize("steps", [200, 800, 37])
 def test_plane_integrals_batch_bit_identical(steps):
     T = 20e-9
+    basis = _fourier_basis(T, steps)
     rng = np.random.default_rng(steps)
-    coeffs = rng.standard_normal((10, 5)) * 1.5e8
+    exact = rng.standard_normal((10, 5)) * 1.5e8
+    # no step with 2 |Omega| dt < 1e-12: the batch skips the np.where branch
+    assert (np.abs(exact / 2 @ basis) * 2 * (T / steps)).min() > 1e-12
+    coeffs = exact.copy()
     coeffs[[2, 7]] = 0.0
-    got = _plane_integrals_batch(_fourier_basis(T, steps), coeffs, T, steps)
-    for i, row in enumerate(coeffs):
-        ref = _plane_integrals_reference(x_pulse(tuple(row), T), steps)
-        assert tuple(float(col[i]) for col in got) == ref
+    coeffs[4] = -0.0
+    for batch in (coeffs, exact):
+        got = _plane_integrals_batch(basis, batch, T, steps)
+        kept = [col.copy() for col in got]
+        for i, row in enumerate(batch):
+            ref = _plane_integrals_reference(x_pulse(tuple(row), T), steps)
+            assert tuple(float(col[i]) for col in got) == ref
+            # loss_fn and the polish pass one row, the FD stencil ten
+            alone = _plane_integrals_batch(basis, batch[i:i + 1], T, steps)
+            assert tuple(col[0] for col in alone) == tuple(col[i] for col in got)
+        # later calls leave an earlier call's results (phi(T) is a view) alone
+        assert all(np.array_equal(a, b) for a, b in zip(got, kept))
 
 
 # each step count spans more than one stacked chunk and ends in a partial one
