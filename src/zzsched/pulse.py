@@ -1,10 +1,17 @@
-"""Pulse envelopes, basic-region Hamiltonians, and pulse optimization.
+"""Pulse envelopes, the dense propagator, and pulse optimization.
 
 A basic region is one driven gate (one or two qubits) plus the idle
 neighbor qubits it is coupled to. The always-on coupling is a z*z term of
 strength lambda (rad/s) per edge; drives enter as Omega_x sigma_x +
 Omega_y sigma_y on a gate qubit (no 1/2, so the rotation angle is
 2*integral(Omega)) or as Omega * sigma_z x sigma_x on the gate pair.
+
+One dense propagator (_dense_layer) steps a diagonal ZZ term plus the
+drives of timed pulse windows with one eigendecomposition per step. A
+region's evolution is one such layer whose gate qubits carry the pulse as
+one window at t = 0; quantumsim runs the same layer on small device
+registers as its oracle and for Ramsey, so both share one Hamiltonian
+builder, one channel-target check and one size cap.
 
 Three pulse backends: optctrl (penalized fidelity averaged over coupling
 strengths), pert (first-order interaction-picture cancellation), and dcg
@@ -200,11 +207,7 @@ class RegionModel:
     def dim(self):
         """Hilbert-space dimension, read by every dense routine; the pert
         fast path never builds the region, so only dense work is capped."""
-        dim = 2 ** self.num_qubits
-        if dim > 64:
-            raise ValueError(f"region of {self.num_qubits} qubits has dimension "
-                             f"{dim}; dense region routines are capped at 64")
-        return dim
+        return 1 << _dense_qubits(self.num_qubits)
 
     def cross_pairs(self):
         """(gate qubit, neighbor qubit, lambda) for every cross-region coupling."""
@@ -243,60 +246,19 @@ def _embed(ops, positions, n):
     return out
 
 
-def control_terms(model, pulses):
-    """(envelope, constant matrix) per drive channel; validates the match."""
-    n = model.num_qubits
-    terms = []
-    for ch in pulses.channels:
-        if ch.axis in ("x", "y"):
-            q = ch.target
-            if not isinstance(q, int) or not 0 <= q < model.num_gate_qubits:
-                raise ValueError(f"axis {ch.axis} drive must target a gate qubit")
-            op = _X if ch.axis == "x" else _Y
-            terms.append((ch.envelope, _embed([op], [q], n)))
-        elif ch.axis == "coupling":
-            if model.kind != "two" or tuple(ch.target) != (0, 1):
-                raise ValueError("coupling drive needs a two-qubit region on (0, 1)")
-            terms.append((ch.envelope, _embed([_Z, _X], [0, 1], n)))
-        else:
-            raise ValueError(f"unknown channel axis {ch.axis!r}")
-    return terms
-
-
-def crosstalk_hamiltonian(model, normalized=False):
-    """Sum of cross-region z*z terms; normalized divides by the largest |lambda|."""
-    n = model.num_qubits
-    h = np.zeros((model.dim, model.dim), dtype=complex)
-    pairs = model.cross_pairs()
-    scale = 1.0
-    if normalized:
-        top = max((abs(lam) for _, _, lam in pairs), default=0.0)
-        if top == 0:
-            return h
-        scale = 1.0 / top
-    for gq, nq, lam in pairs:
-        h += (lam * scale) * _embed([_Z, _Z], [gq, nq], n)
-    return h
-
-
-def intra_hamiltonian(model):
-    h = np.zeros((model.dim, model.dim), dtype=complex)
-    if model.kind == "two" and model.intra_lambda:
-        h += model.intra_lambda * _embed([_Z, _Z], [0, 1], model.num_qubits)
-    return h
-
-
-def build_hamiltonian(model, pulses, t):
-    h = crosstalk_hamiltonian(model) + intra_hamiltonian(model)
-    for env, mat in control_terms(model, pulses):
-        h = h + envelope_value(env, t) * mat
-    return h
-
-
 # ------------------------------------------------------------- evolution
 
 
+_DENSE_MAX_QUBITS = 6  # the one cap on dense work: regions, device layers, Ramsey
 _STEP_CHUNK = 32  # steps per stacked eigh; a whole-pulse stack costs memory and time
+
+
+def _dense_qubits(n):
+    """n, checked against the cap every dense routine shares."""
+    if n > _DENSE_MAX_QUBITS:
+        raise ValueError(f"{n} qubits (dimension {1 << n}) exceed the dense "
+                         f"propagator's cap of {_DENSE_MAX_QUBITS} qubits")
+    return n
 
 
 def _step_nodes(h_static, terms, dt, steps):
@@ -326,37 +288,118 @@ def _step_product(h_static, terms, dt, steps):
     return u
 
 
-def _drive_terms(model, pulses, amp_scale=1.0):
-    """(dt, steps, terms) on the pulse's own midpoint grid.
+def _zz_diagonal(n, terms):
+    """Diagonal of sum lam Z_q... on n qubits, one (q..., lam) tuple per term.
 
-    terms pairs each drive channel's amplitude per step, times amp_scale,
-    with its constant matrix, as _step_nodes takes them.
+    A coupling is (u, v, lam) and a detuning omega on q is (q, omega / 2).
+    Terms add in the order given; zero strengths are skipped.
     """
-    T = pulses.duration
-    steps = num_steps(T, pulses.sample_rate)
-    dt = T / steps
+    idx = np.arange(1 << n)
+    z = 1.0 - 2.0 * ((idx >> (n - 1 - np.arange(n))[:, None]) & 1)
+    diag = np.zeros(1 << n)
+    for *qubits, lam in terms:
+        if lam != 0.0:
+            diag += math.prod((z[q] for q in qubits), start=lam)
+    return diag
+
+
+def _channel_qubits(ch, qmap):
+    """Register qubits a channel drives; its target indexes its gate's qubits."""
+    if ch.axis in ("x", "y"):
+        if isinstance(ch.target, int) and 0 <= ch.target < len(qmap):
+            return (qmap[ch.target],)
+        raise ValueError(f"axis {ch.axis} drive must target a qubit of its "
+                         f"{len(qmap)}-qubit gate, not {ch.target!r}")
+    if ch.axis == "coupling":
+        if len(qmap) == 2 and ch.target == (0, 1):
+            return tuple(qmap)
+        raise ValueError(f"axis coupling drive must target (0, 1) of a two-qubit "
+                         f"gate, not {ch.target!r} of a {len(qmap)}-qubit gate")
+    raise ValueError(f"unknown channel axis {ch.axis!r}")
+
+
+def _window_amplitudes(windows, mids):
+    """Evaluate each window's channels on the in-window midpoints.
+
+    windows holds (start, spec, the gate's register qubits); every channel
+    target is checked against its gate. Returns [(i0, i1, singles,
+    couplings)] with singles {qubit: (ax, ay)} and couplings {qubit pair:
+    a} as arrays over steps i0..i1.
+    """
+    out = []
+    for start, spec, qmap in windows:
+        targets = [_channel_qubits(ch, qmap) for ch in spec.channels]
+        inside = (mids > start) & (mids < start + spec.duration)
+        if not inside.any():
+            continue
+        i0 = int(np.argmax(inside))
+        i1 = i0 + int(np.sum(inside))
+        local_t = mids[i0:i1] - start
+        singles = {}
+        couplings = {}
+        for ch, qubits in zip(spec.channels, targets):
+            amps = envelope_value(ch.envelope, local_t)
+            if ch.axis == "coupling":
+                couplings[qubits] = couplings.get(qubits, 0.0) + amps
+                continue
+            ax, ay = singles.setdefault(qubits[0], [np.zeros(i1 - i0), np.zeros(i1 - i0)])
+            if ch.axis == "x":
+                ax += amps
+            else:
+                ay += amps
+        out.append((i0, i1, singles, couplings))
+    return out
+
+
+def _window_terms(n, windows, duration, rate, amp_scale=1.0):
+    """(terms, dt, steps) for the windows' drives on an n-qubit register.
+
+    terms pairs each drive's amplitude on every midpoint step, times
+    amp_scale, with its constant matrix, as _step_nodes takes them; an x or
+    y drive that stays zero is left out.
+    """
+    _dense_qubits(n)
+    steps = num_steps(duration, rate)
+    dt = duration / steps
     mids = (np.arange(steps) + 0.5) * dt
-    terms = [(np.asarray(envelope_value(env, mids), dtype=float) * amp_scale, mat)
-             for env, mat in control_terms(model, pulses)]
-    return dt, steps, terms
+    terms = []
+    for i0, i1, singles, couplings in _window_amplitudes(windows, mids):
+        drives = [(amps, [op], [q]) for q, (ax, ay) in sorted(singles.items())
+                  for amps, op in ((ax, _X), (ay, _Y)) if np.any(amps)]
+        drives += [(amps, [_Z, _X], pair) for pair, amps in sorted(couplings.items())]
+        for amps, ops, qubits in drives:
+            full = np.zeros(steps)
+            full[i0:i1] = amps
+            terms.append((amp_scale * full, _embed(ops, qubits, n)))
+    return terms, dt, steps
+
+
+def _dense_layer(n, zz_diag, windows, duration, rate, amp_scale=1.0):
+    """Propagator of timed pulse windows over the diagonal ZZ term zz_diag.
+
+    Serves a basic region (evolve) and a device layer, where it is the
+    split-step simulator's oracle on small registers.
+    """
+    terms, dt, steps = _window_terms(n, windows, duration, rate, amp_scale)
+    return _step_product(np.diag(zz_diag.astype(complex)), terms, dt, steps)
 
 
 def evolve(model, pulses, include_crosstalk=True, include_intra=True,
            amp_scale=1.0, detunings=()):
-    """Midpoint piecewise-constant propagator over the pulse duration.
+    """Midpoint piecewise-constant propagator over the pulse duration: one
+    dense layer whose gate qubits carry the pulse as one window at t = 0.
 
     detunings: iterable of (qubit, omega_rad) adding omega/2 * sigma_z terms;
     amp_scale multiplies every drive envelope (drive-noise evaluation hooks).
     """
-    h_static = np.zeros((model.dim, model.dim), dtype=complex)
-    dt, steps, terms = _drive_terms(model, pulses, amp_scale)
-    if include_crosstalk:
-        h_static += crosstalk_hamiltonian(model)
-    if include_intra:
-        h_static += intra_hamiltonian(model)
-    for q, omega in detunings:
-        h_static += (omega / 2) * _embed([_Z], [q], model.num_qubits)
-    return _step_product(h_static, terms, dt, steps)
+    n = _dense_qubits(model.num_qubits)
+    zz = model.cross_pairs() if include_crosstalk else []
+    if include_intra and model.kind == "two":
+        zz.append((0, 1, model.intra_lambda))
+    zz += [(q, omega / 2) for q, omega in detunings]
+    window = (0.0, pulses, tuple(range(model.num_gate_qubits)))
+    return _dense_layer(n, _zz_diagonal(n, zz), [window], pulses.duration,
+                        pulses.sample_rate, amp_scale)
 
 
 def control_unitary(model, pulses, include_intra=False):
@@ -384,13 +427,19 @@ def pert_first_order(model, pulses):
     largest cross-region strength. All couplings zero -> zero matrix.
     """
     pairs = model.cross_pairs()
-    if not any(lam for _, _, lam in pairs):
+    top = max((abs(lam) for _, _, lam in pairs), default=0.0)
+    if top == 0:
         return np.zeros((model.dim, model.dim), dtype=complex)
-    hx = crosstalk_hamiltonian(model, normalized=True)
-    dt, steps, terms = _drive_terms(model, pulses)
+    n = _dense_qubits(model.num_qubits)
+    scale = 1.0 / top
+    cross = [(g, q, lam * scale) for g, q, lam in pairs]
+    intra = [(0, 1, model.intra_lambda)] if model.kind == "two" else []
+    hx, h_intra = (np.diag(_zz_diagonal(n, zz).astype(complex)) for zz in (cross, intra))
+    window = (0.0, pulses, tuple(range(model.num_gate_qubits)))
+    terms, dt, steps = _window_terms(n, [window], pulses.duration, pulses.sample_rate)
     acc = np.zeros((model.dim, model.dim), dtype=complex)
     # trapezoid over the step nodes, summed as they are produced
-    for k, u in enumerate(_step_nodes(intra_hamiltonian(model), terms, dt, steps)):
+    for k, u in enumerate(_step_nodes(h_intra, terms, dt, steps)):
         weight = 0.5 if k in (0, steps) else 1.0
         acc += weight * (u.conj().T @ hx @ u)
     return -1j * acc * dt
@@ -443,7 +492,7 @@ def dcg_sequence(target):
 # ----------------------------------------------------------- optimization
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizeConfig:
     T: float = 20e-9
     max_iter: int = 300
@@ -556,11 +605,6 @@ def _pert_scorer(model, T, angle):
         return math.sqrt(max(norm_sq, 0.0)), fid
 
     return score
-
-
-def _pert_norm_fid(model, T, angle, cos_i, sin_i, phi_t):
-    """One-call form of _pert_scorer."""
-    return _pert_scorer(model, T, angle)(cos_i, sin_i, phi_t)
 
 
 def _normalized_weights(model):
@@ -718,8 +762,8 @@ def optimize(model, target, backend, config=None):
             if base == 0.0:
                 # nothing a drive can null: score the whole first-order term
                 init = (float(r[0]) for r in integrals(x_init[None]))
-                base = _pert_norm_fid(model, T, angle, *init)[0]
-                resid = _pert_norm_fid(model, T, angle, c, s, phi_t)[0]
+                base = score(*init)[0]
+                resid = score(c, s, phi_t)[0]
         else:
             base = float(np.linalg.norm(pert_first_order(model, build(x_init))))
             resid = float(np.linalg.norm(pert_first_order(model, spec)))

@@ -8,10 +8,11 @@ layers leave tails to free evolution. rz gates are instantaneous frame
 rotations. The ideal reference applies exact gate matrices, so pulse
 calibration error counts against the pulse, not the reference.
 
-Two integrators share the same midpoint sampling grid: a split-step
-statevector propagator (diagonal ZZ half-steps around closed-form local
-drive exponentials) used by default, and a dense eigendecomposition
-propagator kept as a small-system oracle. The split-step layer lists the
+Two integrators share the same midpoint sampling grid and the same pulse
+windows: a split-step statevector propagator (diagonal ZZ half-steps
+around closed-form local drive exponentials) used by default, and the
+dense propagator in pulse (_dense_layer, the one that also evolves basic
+regions), kept as a small-system oracle. The split-step layer lists the
 operators of every step before stepping; each apply is one np.dot on
 exactly the transposed, reshaped operand np.tensordot would build, which
 keeps every amplitude, and so every report, bit-identical to tensordot.
@@ -35,17 +36,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import _X, _Y, _Z, Gate, GateTimes, apply_gate_to_state, gate_matrix
+from .circuit import Gate, GateTimes, apply_gate_to_state, gate_matrix
 from .pulse import (
     DEFAULT_SAMPLE_RATE,
-    _embed,
-    _step_product,
     OptimizedPulse,
     RegionModel,
+    _dense_layer,
+    _window_amplitudes,
+    _zz_diagonal,
     avg_gate_fidelity,
     control_unitary,
     dcg_sequence,
-    envelope_value,
     evolve,
     gaussian_pulse,
     num_steps,
@@ -71,6 +72,11 @@ class DeviceInstance:
             raise ValueError("need one ZZ strength per coupling")
         if any(not math.isfinite(v) or v < 0 for v in self.lambda_sample):
             raise ValueError("ZZ strengths must be finite and nonnegative")
+
+    def couplings(self):
+        """(u, v, lambda) for every coupling, in topology edge order."""
+        edges = self.topology.edges
+        return [(u, v, lam) for (u, v), lam in zip(edges, self.lambda_sample)]
 
 
 def sample_device(topology, mu_hz, sigma_hz, seed):
@@ -113,20 +119,6 @@ def _sample_rate(pmap):
     return max((p.sample_rate for p in pmap.values()), default=DEFAULT_SAMPLE_RATE)
 
 
-def _zz_diagonal(g, lambdas, n):
-    """Diagonal of sum_e lambda_e Z_u Z_v over the full device register."""
-    dim = 1 << n
-    idx = np.arange(dim)
-    z = np.empty((n, dim))
-    for q in range(n):
-        z[q] = 1.0 - 2.0 * ((idx >> (n - 1 - q)) & 1)
-    diag = np.zeros(dim)
-    for (u, v), lam in zip(g.edges, lambdas):
-        if lam != 0.0:
-            diag += lam * z[u] * z[v]
-    return diag
-
-
 def _layer_windows(layer, pmap):
     """Timed pulse windows for one layer: (start, spec, device qubits).
 
@@ -157,40 +149,6 @@ def _layer_windows(layer, pmap):
                     windows.append((t, pmap["id"], (q,)))
                     t += tid
     return windows
-
-
-def _window_amplitudes(windows, mids):
-    """Evaluate each window's channels on the in-window midpoints.
-
-    Returns [(i0, i1, singles, couplings)] with singles {device qubit:
-    (ax, ay)} and couplings {device pair: a} as arrays over steps i0..i1.
-    """
-    out = []
-    for start, spec, qmap in windows:
-        inside = (mids > start) & (mids < start + spec.duration)
-        if not inside.any():
-            continue
-        i0 = int(np.argmax(inside))
-        i1 = i0 + int(np.sum(inside))
-        local_t = mids[i0:i1] - start
-        singles = {}
-        couplings = {}
-        for ch in spec.channels:
-            amps = envelope_value(ch.envelope, local_t)
-            if ch.axis in ("x", "y"):
-                q = qmap[ch.target]
-                ax, ay = singles.setdefault(q, [np.zeros(i1 - i0), np.zeros(i1 - i0)])
-                if ch.axis == "x":
-                    ax += amps
-                else:
-                    ay += amps
-            elif ch.axis == "coupling":
-                pair = (qmap[ch.target[0]], qmap[ch.target[1]])
-                couplings[pair] = couplings.get(pair, 0.0) + amps
-            else:
-                raise ValueError(f"unsupported channel axis {ch.axis!r}")
-        out.append((i0, i1, singles, couplings))
-    return out
 
 
 # ------------------------------------------------------ split evolution
@@ -265,31 +223,6 @@ def _split_layer(psi, n, zz_diag, windows, duration, rate):
     return np.ascontiguousarray(psi_t).reshape(b, -1)
 
 
-# ---------------------------------------------------- dense oracle path
-
-
-def _dense_layer(n, zz_diag, windows, duration, rate):
-    """Per-step eigendecomposition propagator; oracle for small registers."""
-    if n > 6:
-        raise ValueError("dense propagator capped at 6 qubits")
-    steps = num_steps(duration, rate)
-    dt = duration / steps
-    mids = (np.arange(steps) + 0.5) * dt
-    terms = []
-    for i0, i1, singles, couplings in _window_amplitudes(windows, mids):
-        for q, (ax, ay) in sorted(singles.items()):
-            for amps, op in ((ax, _X), (ay, _Y)):
-                full = np.zeros(steps)
-                full[i0:i1] = amps
-                if np.any(full):
-                    terms.append((full, _embed([op], [q], n)))
-        for (a, b), amps in sorted(couplings.items()):
-            full = np.zeros(steps)
-            full[i0:i1] = amps
-            terms.append((full, _embed([_Z, _X], [a, b], n)))
-    return _step_product(np.diag(zz_diag.astype(complex)), terms, dt, steps)
-
-
 # ------------------------------------------------------------ simulate
 
 
@@ -325,7 +258,7 @@ def _run_plan(devices, plan, pmap, input_state, method):
             raise ValueError(f"input state must have dimension {dim}")
     psi = np.tile(ideal, (len(devices), 1))
     rate = _sample_rate(pmap)
-    zz_diag = np.stack([_zz_diagonal(g, d.lambda_sample, n) for d in devices])
+    zz_diag = np.stack([_zz_diagonal(n, d.couplings()) for d in devices])
     # zgemm computes 4-column blocks with one kernel and a narrower tail
     # with another, so a device keeps its one-device bits only when its
     # operand block (2^n / 4 columns for a coupling) is a multiple of 4
@@ -606,7 +539,7 @@ def ramsey_experiment(device, pulses, policy, delays=None, probe=0, control=1,
         raise ValueError("delays must be sorted and nonnegative")
 
     # full-device propagators of one pulse slot, ZZ always on
-    zz = _zz_diagonal(g, device.lambda_sample, n)
+    zz = _zz_diagonal(n, device.couplings())
     rx = pmap["rx90"]
     u_rx = _dense_layer(n, zz, [(0.0, rx, (probe,))], rx.duration, rate)
     if policy == "bare":
@@ -657,10 +590,3 @@ def ramsey_experiment(device, pulses, policy, delays=None, probe=0, control=1,
         r2s.append(r2)
     return RamseyResult(policy, abs(freqs[1] - freqs[0]), tuple(freqs),
                         tuple(r2s), taus, tuple(curves))
-
-
-def ramsey_effective_zz(device, pulses, policy, delays=None, probe=0, control=1,
-                        virtual_detuning_hz=2e6):
-    """Effective ZZ strength in Hz seen by the probe; see ramsey_experiment."""
-    return ramsey_experiment(device, pulses, policy, delays, probe, control,
-                             virtual_detuning_hz).effective_zz_hz

@@ -27,7 +27,7 @@ from zzsched.quantumsim import (
     _pulse_map,
     _zz_diagonal,
     gaussian_library,
-    ramsey_effective_zz,
+    ramsey_experiment,
     sample_device,
     simulate_ensemble,
     suppression_sweep,
@@ -281,7 +281,7 @@ def test_criterion_08_region_assembly(pert_pulses):
     rx90 = gate_matrix(Gate("rx90", (0,)))
     rzx90 = gate_matrix(Gate("rzx90", (0, 1)))
     target = np.kron(np.kron(np.eye(2), rx90), np.kron(rzx90, np.eye(2)))
-    zz = _zz_diagonal(g, device.lambda_sample, 5)
+    zz = _zz_diagonal(5, device.couplings())
     infids = {}
     for name, lib in (("pert", pert_pulses), ("gauss", gaussian_library())):
         windows = _layer_windows(layer, _pulse_map(lib))
@@ -327,9 +327,9 @@ def test_criterion_10_ramsey_suppression(pert_pulses):
     collapses by >= 10x under identity-pulse filling."""
     from zzsched.quantumsim import uniform_device
     dev = uniform_device(line_topology(2), 200e3)
-    bare = ramsey_effective_zz(dev, pert_pulses, "bare")
+    bare = ramsey_experiment(dev, pert_pulses, "bare").effective_zz_hz
     analytic = 4 * 200e3  # fringe pair at (w_v +- 2 lambda) / 2pi
-    held = min(ramsey_effective_zz(dev, pert_pulses, policy)
+    held = min(ramsey_experiment(dev, pert_pulses, policy).effective_zz_hz
                for policy in ("suppressed_B", "suppressed_C"))
     ok = abs(bare - analytic) <= 0.05 * analytic and held * 10 <= bare
     _verdict("criterion 10", ok,

@@ -1,9 +1,10 @@
 """Tests for pulse envelopes, region evolution, and pulse optimization."""
 
+import functools
 import hashlib
 import json
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -20,20 +21,18 @@ from zzsched.pulse import (
     RegionModel,
     SegmentEnvelope,
     _fourier_basis,
-    _pert_norm_fid,
+    _pert_scorer,
     _plane_integrals_batch,
     _step_nodes,
+    _window_terms,
+    _zz_diagonal,
     avg_gate_fidelity,
-    build_hamiltonian,
-    control_terms,
     control_unitary,
-    crosstalk_hamiltonian,
     dcg_sequence,
     envelope_value,
     evolve,
     fourier_eval,
     gaussian_pulse,
-    intra_hamiltonian,
     load_pulse,
     num_steps,
     optctrl_loss,
@@ -49,7 +48,13 @@ LAM = TWO_PI * 200e3
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
+Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
+
+
+def kron_at(n, ops):
+    """Explicit n-qubit operator: ops maps qubit -> 2x2 matrix, identity elsewhere."""
+    return functools.reduce(np.kron, [ops.get(q, I2) for q in range(n)])
 
 
 def rx(theta):
@@ -199,35 +204,60 @@ class TestRegionModel:
             RegionModel("triple")
 
 
+def dense_hamiltonian(n, zz, windows, duration, rate, k):
+    """H at midpoint step k from the shared dense builders: the diagonal ZZ
+    term of the (q..., lambda) tuples zz plus every drive of the windows."""
+    terms, _, _ = _window_terms(n, windows, duration, rate)
+    h = np.diag(_zz_diagonal(n, zz)).astype(complex)
+    for amps, mat in terms:
+        h = h + amps[k] * mat
+    return h
+
+
 class TestBuildHamiltonian:
     def test_single_with_neighbor(self):
         a = 1e8
         model = single_region(1, LAM)
-        spec = x_pulse((a, 0, 0, 0, 0), 20e-9)
-        h = build_hamiltonian(model, spec, 10e-9)
+        spec = x_pulse((a, 0, 0, 0, 0), 20e-9, sample_rate=1)  # one step, at T/2
+        h = dense_hamiltonian(2, model.cross_pairs(), [(0.0, spec, (0,))], 20e-9, 1, 0)
         expected = a * np.kron(X, I2) + LAM * np.kron(Z, Z)
         assert np.allclose(h, expected)
 
     def test_two_region_coupling(self):
         a = 5e7
-        model = RegionModel("two", intra_lambda=LAM)
         env = FourierEnvelope((a, 0, 0, 0, 0), 80e-9)
-        spec = PulseSpec((Channel((0, 1), "coupling", env),))
-        h = build_hamiltonian(model, spec, 40e-9)
-        expected = a * np.kron(Z, X) + LAM * np.kron(Z, Z)
+        spec = PulseSpec((Channel((0, 1), "coupling", env),), sample_rate=1)
+        h = dense_hamiltonian(2, [(0, 1, LAM)], [(0.0, spec, (0, 1))], 80e-9, 1, 1)
+        expected = fourier_eval(env, 30e-9) * np.kron(Z, X) + LAM * np.kron(Z, Z)
+        assert np.allclose(h, expected)
+
+    def test_device_windows_and_detuning(self):
+        # a device register: windows map gate indices onto register qubits,
+        # and a detuning is a one-qubit z term
+        def channel(target, axis, a):
+            return Channel(target, axis, FourierEnvelope((a, 0, 0, 0, 0), 20e-9))
+
+        xy = PulseSpec((channel(0, "x", 1e8), channel(0, "y", 3e7)), sample_rate=1)
+        zx = PulseSpec((channel((0, 1), "coupling", 5e7),), sample_rate=1)
+        zz = [(0, 1, LAM), (1, 2, 2 * LAM), (2, 0.5 * LAM)]
+        h = dense_hamiltonian(3, zz, [(0.0, xy, (2,)), (0.0, zx, (1, 0))], 20e-9, 1, 0)
+        expected = (1e8 * kron_at(3, {2: X}) + 3e7 * kron_at(3, {2: Y})
+                    + 5e7 * kron_at(3, {1: Z, 0: X})
+                    + LAM * kron_at(3, {0: Z, 1: Z}) + 2 * LAM * kron_at(3, {1: Z, 2: Z})
+                    + 0.5 * LAM * kron_at(3, {2: Z}))
         assert np.allclose(h, expected)
 
     def test_coupling_needs_two_region(self):
         env = FourierEnvelope((1e8, 0, 0, 0, 0), 20e-9)
         spec = PulseSpec((Channel((0, 1), "coupling", env),))
-        with pytest.raises(ValueError):
-            build_hamiltonian(single_region(), spec, 0.0)
+        with pytest.raises(ValueError, match="axis coupling"):
+            evolve(single_region(), spec)
 
     def test_drive_must_hit_gate_qubit(self):
         env = FourierEnvelope((1e8, 0, 0, 0, 0), 20e-9)
         spec = PulseSpec((Channel(1, "x", env),))
-        with pytest.raises(ValueError):
-            build_hamiltonian(single_region(), spec, 0.0)
+        with pytest.raises(ValueError, match="axis x"):
+            evolve(single_region(), spec)
 
 
 # ------------------------------------------------------------- evolution
@@ -317,7 +347,7 @@ class TestPertFirstOrder:
     def test_zero_drive_matches_static_integral(self):
         model = single_region(1)
         first = pert_first_order(model, x_pulse((0, 0, 0, 0, 0), 20e-9))
-        hx = crosstalk_hamiltonian(model, normalized=True)
+        hx = np.kron(Z, Z)  # the one coupling, normalized by itself
         assert np.allclose(first, -1j * 20e-9 * hx, atol=1e-20)
 
     def test_no_coupling_gives_zero(self):
@@ -350,7 +380,7 @@ class TestLosses:
 
     def test_pert_loss_idle_pulse(self):
         model = single_region(1)
-        hx = crosstalk_hamiltonian(model, normalized=True)
+        hx = np.kron(Z, Z)
         norm, fid = pert_parts(model, x_pulse((0,) * 5, 20e-9), I2)
         assert norm == pytest.approx(20e-9 * np.linalg.norm(hx), abs=1e-9)
         assert fid == pytest.approx(1.0, abs=1e-9)
@@ -526,6 +556,12 @@ class TestOptimizeRzx:
         with pytest.raises(ValueError):
             OptimizeConfig(**bad)
 
+    def test_config_is_frozen(self):
+        # a field set after the checks would skip them
+        cfg = OptimizeConfig()
+        with pytest.raises(FrozenInstanceError):
+            cfg.T = 0.0
+
 
 class TestOptimizeOptctrl:
     def test_improves_or_keeps_loss(self):
@@ -610,8 +646,8 @@ class TestFastPathConsistency:
         T = 20e-9
         spec = x_pulse(tuple(coeffs), T)
         parts = _plane_integrals_batch(_fourier_basis(T, 200), np.array([coeffs]), T, 200)
-        fast_norm, fast_fid = _pert_norm_fid(model, T, math.pi / 2,
-                                             *(float(r[0]) for r in parts))
+        score = _pert_scorer(model, T, math.pi / 2)
+        fast_norm, fast_fid = score(*(float(r[0]) for r in parts))
         full = np.linalg.norm(pert_first_order(model, spec))
         uc = control_unitary(model, spec)
         fid = avg_gate_fidelity(uc, RX90)
@@ -780,24 +816,64 @@ def test_step_nodes_bit_identical(dim, steps):
         assert np.array_equal(a, b)
 
 
-def test_pert_first_order_bit_identical_rzx90_m2():
-    model = RegionModel("two", neighbor_lambdas_a=(LAM, 0.5 * LAM),
-                        neighbor_lambdas_b=(LAM, 2 * LAM), intra_lambda=0.3 * LAM)
-    spec = gaussian_pulse(math.pi / 2, 80e-9, axis="coupling", target=(0, 1))
+RZX90_M2 = RegionModel("two", neighbor_lambdas_a=(LAM, 0.5 * LAM),
+                       neighbor_lambdas_b=(LAM, 2 * LAM), intra_lambda=0.3 * LAM)
+
+
+def _coupling_drive_reference(model, spec, amp_scale=1.0):
+    """The coupling channel's (envelope, Z_a X_b) term and its amplitudes on
+    the pulse's midpoint grid, built from explicit krons."""
     steps = num_steps(spec.duration, spec.sample_rate)
-    # the former collect-every-node integration, kept as the reference
     dt = spec.duration / steps
     mids = (np.arange(steps) + 0.5) * dt
-    terms = control_terms(model, spec)
-    amps = np.array([np.asarray(envelope_value(env, mids), dtype=float)
-                     for env, _ in terms])
+    env = spec.channels[0].envelope
+    terms = [(env, kron_at(model.num_qubits, {0: Z, 1: X}))]
+    amps = np.array([np.asarray(envelope_value(env, mids), dtype=float) * amp_scale])
+    return terms, amps, dt, steps
+
+
+def test_pert_first_order_bit_identical_rzx90_m2():
+    model = RZX90_M2
+    n = model.num_qubits
+    spec = gaussian_pulse(math.pi / 2, 80e-9, axis="coupling", target=(0, 1))
+    terms, amps, dt, steps = _coupling_drive_reference(model, spec)
+    # the former collect-every-node integration, kept as the reference
+    h_intra = np.zeros((model.dim, model.dim), dtype=complex)
+    h_intra += model.intra_lambda * kron_at(n, {0: Z, 1: Z})
     nodes = []
-    _step_product_reference(intra_hamiltonian(model), terms, amps, dt, model.dim,
-                            steps, collect=nodes)
-    hx = crosstalk_hamiltonian(model, normalized=True)
+    _step_product_reference(h_intra, terms, amps, dt, model.dim, steps, collect=nodes)
+    scale = 1.0 / (2 * LAM)  # the largest cross strength
+    hx = np.zeros((model.dim, model.dim), dtype=complex)
+    for g, q, lam in model.cross_pairs():
+        hx += (lam * scale) * kron_at(n, {g: Z, q: Z})
     acc = np.zeros((model.dim, model.dim), dtype=complex)
     for k, u in enumerate(nodes):
         integrand = u.conj().T @ hx @ u
         weight = 0.5 if k in (0, len(nodes) - 1) else 1.0
         acc += weight * integrand
     assert np.array_equal(pert_first_order(model, spec), -1j * acc * dt)
+
+
+@pytest.mark.parametrize("settings", [
+    {}, {"include_crosstalk": False}, {"include_intra": False},
+    {"include_crosstalk": False, "include_intra": False}, {"amp_scale": 1.02},
+    {"detunings": ((1, TWO_PI * 2e6), (4, -TWO_PI * 1e6))},
+], ids=["all", "no-crosstalk", "no-intra", "drive-only", "amp-scale", "detuned"])
+def test_evolve_bit_identical_rzx90_m2(settings):
+    # the former evolve: explicit kron terms summed in the same order, and
+    # the per-step eigh loop the chunked stepper replaced
+    model = RZX90_M2
+    n = model.num_qubits
+    spec = gaussian_pulse(math.pi / 2, 80e-9, axis="coupling", target=(0, 1))
+    terms, amps, dt, steps = _coupling_drive_reference(
+        model, spec, settings.get("amp_scale", 1.0))
+    h_static = np.zeros((model.dim, model.dim), dtype=complex)
+    if settings.get("include_crosstalk", True):
+        for g, q, lam in model.cross_pairs():
+            h_static += lam * kron_at(n, {g: Z, q: Z})
+    if settings.get("include_intra", True):
+        h_static += model.intra_lambda * kron_at(n, {0: Z, 1: Z})
+    for q, omega in settings.get("detunings", ()):
+        h_static += (omega / 2) * kron_at(n, {q: Z})
+    ref = _step_product_reference(h_static, terms, amps, dt, model.dim, steps)
+    assert np.array_equal(evolve(model, spec, **settings), ref)

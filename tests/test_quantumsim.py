@@ -30,7 +30,6 @@ from zzsched.quantumsim import (
     drive_noise_eval,
     fit_cosine,
     gaussian_library,
-    ramsey_effective_zz,
     ramsey_experiment,
     sample_device,
     simulate_ensemble,
@@ -239,7 +238,7 @@ class TestSimulatePlan:
             assert any(start > 0.0 for w in windows for start, _, _ in w)
             assert any(len(qs) == 2 for w in windows for _, _, qs in w)
         nq = g.num_qubits
-        zz = np.stack([_zz_diagonal(g, sample_device(g, 200e3, 50e3, s).lambda_sample, nq)
+        zz = np.stack([_zz_diagonal(nq, sample_device(g, 200e3, 50e3, s).couplings())
                        for s in range(3)])
         rng = np.random.default_rng(0)
         psi0 = rng.standard_normal((3, 1 << nq)) + 1j * rng.standard_normal((3, 1 << nq))
@@ -332,6 +331,14 @@ class TestSimulatePlan:
         with pytest.raises(ValueError):
             simulate_plan(uniform_device(LINE2, 0.0), plan, gauss_lib,
                           input_state=np.ones(8) / math.sqrt(8))
+
+    def test_channel_target_outside_gate_rejected(self, gauss_lib):
+        # an x drive on index 1 of a one-qubit gate, on both integrators
+        plan = par_sched(LINE2, Circuit(2, (Gate("rx90", (0,)),)))
+        lib = {**gauss_lib, "rx90": gaussian_pulse(math.pi / 2, 20e-9, target=1)}
+        for method in ("split", "dense"):
+            with pytest.raises(ValueError, match="axis x"):
+                simulate_plan(uniform_device(LINE2, 0.0), plan, lib, method=method)
 
     def test_missing_gate_pulse(self, gauss_lib):
         c = to_native(benchmark("qft", 3))
@@ -543,34 +550,35 @@ class TestRamsey:
         # P(1) fringes sit at (w_v +- 2 lambda) / 2pi, so the conditional
         # splitting is 4 lambda / 2pi = 800 kHz at 200 kHz coupling
         dev = uniform_device(LINE2, 200e3)
-        zz = ramsey_effective_zz(dev, gauss_lib, "bare")
+        zz = ramsey_experiment(dev, gauss_lib, "bare").effective_zz_hz
         assert zz == pytest.approx(4 * 200e3, rel=0.05)
 
     def test_zero_coupling_reads_zero(self, gauss_lib):
         dev = uniform_device(LINE2, 0.0)
-        zz = ramsey_effective_zz(dev, gauss_lib, "bare")
+        zz = ramsey_experiment(dev, gauss_lib, "bare").effective_zz_hz
         assert abs(zz) <= 50.0
 
     def test_identity_drive_suppresses_probe(self, gauss_lib, pert_lib):
         dev = uniform_device(LINE2, 200e3)
-        bare = ramsey_effective_zz(dev, gauss_lib, "bare")
+        bare = ramsey_experiment(dev, gauss_lib, "bare").effective_zz_hz
         for policy in ("suppressed_B", "suppressed_C"):
-            held = ramsey_effective_zz(dev, pert_lib, policy)
+            held = ramsey_experiment(dev, pert_lib, policy).effective_zz_hz
             assert held * 10 <= bare
 
     def test_gaussian_identity_is_not_enough(self, gauss_lib):
         # the fill pulse matters: a plain Gaussian 2pi rotation leaves
         # most of the shift in place
         dev = uniform_device(LINE2, 200e3)
-        bare = ramsey_effective_zz(dev, gauss_lib, "bare")
-        held = ramsey_effective_zz(dev, gauss_lib, "suppressed_B")
+        bare = ramsey_experiment(dev, gauss_lib, "bare").effective_zz_hz
+        held = ramsey_experiment(dev, gauss_lib, "suppressed_B").effective_zz_hz
         assert held * 10 > bare
 
     def test_three_qubit_center_probe(self, gauss_lib, pert_lib):
         dev = uniform_device(LINE3, 200e3)
-        bare = ramsey_effective_zz(dev, gauss_lib, "bare", probe=1, control=0)
+        bare = ramsey_experiment(dev, gauss_lib, "bare", probe=1, control=0).effective_zz_hz
         assert bare == pytest.approx(4 * 200e3, rel=0.05)
-        held = ramsey_effective_zz(dev, pert_lib, "suppressed_B", probe=1, control=0)
+        held = ramsey_experiment(dev, pert_lib, "suppressed_B", probe=1,
+                                 control=0).effective_zz_hz
         assert held * 10 <= bare
 
     def test_result_fields(self, gauss_lib):
@@ -587,30 +595,30 @@ class TestRamsey:
     def test_policy_and_device_validation(self, gauss_lib):
         dev = uniform_device(LINE2, 200e3)
         with pytest.raises(ValueError):
-            ramsey_effective_zz(dev, gauss_lib, "echo")
+            ramsey_experiment(dev, gauss_lib, "echo")
         big = uniform_device(grid_topology(2, 2), 200e3)
         with pytest.raises(ValueError):
-            ramsey_effective_zz(big, gauss_lib, "bare")
+            ramsey_experiment(big, gauss_lib, "bare")
         with pytest.raises(ValueError):
-            ramsey_effective_zz(dev, gauss_lib, "bare", probe=0, control=0)
+            ramsey_experiment(dev, gauss_lib, "bare", probe=0, control=0)
 
     def test_pulse_requirements(self, gauss_lib):
         dev = uniform_device(LINE2, 200e3)
         with pytest.raises(KeyError):
-            ramsey_effective_zz(dev, {"id": gauss_lib["id"]}, "bare")
+            ramsey_experiment(dev, {"id": gauss_lib["id"]}, "bare")
         with pytest.raises(KeyError):
-            ramsey_effective_zz(dev, {"rx90": gauss_lib["rx90"]}, "suppressed_B")
+            ramsey_experiment(dev, {"rx90": gauss_lib["rx90"]}, "suppressed_B")
 
     def test_delay_validation(self, gauss_lib):
         dev = uniform_device(LINE2, 200e3)
         with pytest.raises(ValueError):
-            ramsey_effective_zz(dev, gauss_lib, "bare",
+            ramsey_experiment(dev, gauss_lib, "bare",
                                 delays=tuple(-(k * 160e-9) for k in range(10)))
         off_grid = tuple(k * 30e-9 for k in range(16))
         with pytest.raises(ValueError):
-            ramsey_effective_zz(dev, gauss_lib, "suppressed_B", delays=off_grid)
+            ramsey_experiment(dev, gauss_lib, "suppressed_B", delays=off_grid)
 
     def test_flat_signal_fails_the_fit(self, gauss_lib):
         dev = uniform_device(LINE2, 0.0)
         with pytest.raises(ValueError):
-            ramsey_effective_zz(dev, gauss_lib, "bare", virtual_detuning_hz=0.0)
+            ramsey_experiment(dev, gauss_lib, "bare", virtual_detuning_hz=0.0)
