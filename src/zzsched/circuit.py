@@ -320,32 +320,44 @@ def gate_matrix(gate):
     raise ValueError(f"no matrix for gate {name!r}")
 
 
+def _dot_layout(qubits, n, b):
+    """(transpose, inverse, operand shape, product shape) with which one
+    np.dot applies an operator on qubits to a (b, 2, ..., 2) batch. The
+    operand's axes are the targets, the batch, then the other qubits, so
+    each state's columns are the operand np.tensordot builds for it alone.
+    """
+    rest = tuple(1 + q for q in range(n) if q not in qubits)
+    perm = tuple(1 + q for q in qubits) + (0,) + rest
+    inv_perm = tuple(perm.index(a) for a in range(n + 1))
+    d = 1 << len(qubits)
+    return perm, inv_perm, (d, (b << n) // d), (2,) * len(qubits) + (b,) + (2,) * len(rest)
+
+
+def _dot_apply(psi_t, ops):
+    """Apply (matrix, *layout) operators in order to a (b, 2, ..., 2) batch."""
+    for u, perm, inv_perm, in_shape, out_shape in ops:
+        bt = psi_t.transpose(perm).reshape(in_shape)
+        psi_t = np.dot(u, bt).reshape(out_shape).transpose(inv_perm)
+    return psi_t
+
+
 def apply_gate_to_state(state, gate, num_qubits):
-    """Apply a gate to a dense state or a batch with a trailing batch axis."""
-    u = gate_matrix(gate)
-    tail = state.shape[1:] if state.ndim > 1 else ()
-    psi = state.reshape([2] * num_qubits + list(tail))
-    if len(gate.qubits) == 1:
-        q = gate.qubits[0]
-        psi = np.tensordot(u, psi, axes=([1], [q]))
-        psi = np.moveaxis(psi, 0, q)
-    else:
-        a, b = gate.qubits
-        u4 = u.reshape(2, 2, 2, 2)
-        psi = np.tensordot(u4, psi, axes=([2, 3], [a, b]))
-        psi = np.moveaxis(psi, [0, 1], [a, b])
-    return np.ascontiguousarray(psi).reshape(state.shape)
+    """Apply a gate to a (2^n,) state or a (b, 2^n) batch, batch axis leading."""
+    b = len(state) if state.ndim == 2 else 1
+    psi = state.reshape((b,) + (2,) * num_qubits)
+    op = (gate_matrix(gate),) + _dot_layout(gate.qubits, num_qubits, b)
+    return np.ascontiguousarray(_dot_apply(psi, [op])).reshape(state.shape)
 
 
 def ideal_unitary(c):
-    """Full circuit unitary by columns; testing oracle for small circuits."""
+    """Full circuit unitary, a testing oracle for small circuits: basis
+    state j evolves as row j of one batch and ends as column j."""
     if c.num_qubits > 8:
         raise ValueError("dense unitary capped at 8 qubits")
-    dim = 2 ** c.num_qubits
-    cols = np.eye(dim, dtype=complex)
+    rows = np.eye(1 << c.num_qubits, dtype=complex)
     for gate in c.gates:
-        cols = apply_gate_to_state(cols, gate, c.num_qubits)
-    return cols
+        rows = apply_gate_to_state(rows, gate, c.num_qubits)
+    return rows.T
 
 
 # ------------------------------------------------------------ benchmarks

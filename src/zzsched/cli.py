@@ -92,8 +92,9 @@ class RunConfig:
             raise ValueError("n_c threshold must be positive")
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown pulse backend {self.backend!r}")
-        if self.lambda_mu_hz < 0 or self.lambda_sigma_hz < 0:
-            raise ValueError("strength distribution must be nonnegative")
+        if not all(math.isfinite(v) and v >= 0
+                   for v in (self.lambda_mu_hz, self.lambda_sigma_hz)):
+            raise ValueError("strength distribution must be finite and nonnegative")
         if len(self.seeds) == 0:
             raise ValueError("need at least one seed")
 
@@ -117,6 +118,8 @@ def _wrap(spec, kind, backend):
 
 def _region(kind, m, lambda_hz):
     """Region model and optimizer config of an optimized kind's design."""
+    if m < 0:
+        raise ValueError("neighbor count must be nonnegative")
     lam = TWO_PI * lambda_hz
     if kind == "rzx90":
         return (RegionModel("two", neighbor_lambdas_a=(lam,) * m,

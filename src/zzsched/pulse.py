@@ -190,6 +190,9 @@ class RegionModel:
             raise ValueError("region kind must be 'single' or 'two'")
         if self.kind == "single" and (self.neighbor_lambdas_b or self.intra_lambda):
             raise ValueError("single-qubit regions have no second gate qubit")
+        lams = self.neighbor_lambdas_a + self.neighbor_lambdas_b + (self.intra_lambda,)
+        if not all(map(math.isfinite, lams)):
+            raise ValueError("ZZ strengths must be finite")
 
     @property
     def num_gate_qubits(self):
@@ -740,14 +743,12 @@ def optimize(model, target, backend, config=None):
         x, fx, iters = x_init, loss_fn(x_init), 0
 
     if fast and coupled and config.max_iter > 0:
-        # Newton polish of the cancellation system; the calibrated-init
-        # candidate keeps the landing point reproducible when descent
-        # stalls in a basin the polish cannot finish from.
-        for cand in (_pert_polish(integrals, angle, T, x_init.copy()),
-                     _pert_polish(integrals, angle, T, x)):
-            fc = loss_fn(cand)
-            if fc < fx - 1e-12:
-                x, fx = cand, fc
+        # Newton polish of the cancellation system from the calibrated init,
+        # which keeps the landing point independent of where descent stalls
+        cand = _pert_polish(integrals, angle, T, x_init.copy())
+        fc = loss_fn(cand)
+        if fc < fx - 1e-12:
+            x, fx = cand, fc
 
     spec = build(x)
     uc = control_unitary(model, spec)

@@ -12,21 +12,20 @@ Two integrators share the same midpoint sampling grid and the same pulse
 windows: a split-step statevector propagator (diagonal ZZ half-steps
 around closed-form local drive exponentials) used by default, and the
 dense propagator in pulse (_dense_layer, the one that also evolves basic
-regions), kept as a small-system oracle. The split-step layer lists the
-operators of every step before stepping; each apply is one np.dot on
-exactly the transposed, reshaped operand np.tensordot would build, which
-keeps every amplitude, and so every report, bit-identical to tensordot.
+regions), kept as a small-system oracle.
+
+One statevector apply serves the drive steps, the frame rotations and the
+ideal reference: circuit's np.dot apply on a (b, 2, ..., 2) batch, whose
+operand holds, for each state, exactly the columns np.tensordot would
+build for it alone, so every amplitude, and so every report, keeps the
+bits of the tensordot formulation. The split-step layer lists the
+operators of every step, each with its layout, before stepping.
 
 Device samples of one topology differ only in the diagonal ZZ phase, so
-simulate_ensemble evolves all of them in one (devices, 2^n) state. The
-batch axis sits between an operator's target axes and the remaining
-qubit axes: each column of the np.dot operand belongs to one device and
-holds the same numbers a single-device run would. zgemm computes each
-output column from its own operand column, with the same kernel as long
-as every device's block is a whole number of its 4-column tiles (true
-from 4 qubits up; smaller registers step one device at a time), so every
-amplitude keeps the bits of a one-device run. A test checks this against
-the tensordot reference, device by device.
+simulate_ensemble evolves a group of them in one (devices, 2^n) state
+through the whole plan, frame rotations and drive layers alike. _run_plan
+picks the groups and says why each row keeps the bits of a one-device
+run; tests check this against the tensordot reference, device by device.
 """
 
 from __future__ import annotations
@@ -36,7 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Gate, GateTimes, apply_gate_to_state, gate_matrix
+from .circuit import (
+    Gate,
+    GateTimes,
+    _dot_apply,
+    _dot_layout,
+    apply_gate_to_state,
+    gate_matrix,
+)
 from .pulse import (
     DEFAULT_SAMPLE_RATE,
     OptimizedPulse,
@@ -193,50 +199,23 @@ def _split_layer(psi, n, zz_diag, windows, duration, rate):
     mids = (np.arange(steps) + 0.5) * dt
     b = len(psi)
     half = np.exp(-0.5j * dt * zz_diag).reshape((b,) + (2,) * n)
-    ops = []
-    for i0, i1, singles, couplings in _window_amplitudes(windows, mids):
-        for q, (ax, ay) in sorted(singles.items()):
-            ops.append((i0, i1, _batch_su2(ax, ay, dt), (q,)))
-        for pair, amps in sorted(couplings.items()):
-            ops.append((i0, i1, _batch_zx(amps, dt), pair))
-    # active[k]: step k's operators in window order, each with the operand
-    # transpose and shapes np.tensordot would build for one device, plus
-    # the batch axis (0) between the target axes and the rest, so np.dot
-    # multiplies the same columns and every amplitude keeps its bits
+    # active[k]: step k's operators in window order, each with the layout
+    # of its target qubits, computed once per operator
     active = [[] for _ in range(steps)]
-    for i0, i1, us, qubits in ops:
-        rest = tuple(1 + q for q in range(n) if q not in qubits)
-        perm = tuple(1 + q for q in qubits) + (0,) + rest
-        inv_perm = tuple(perm.index(a) for a in range(n + 1))
-        d = len(us[0])
-        in_shape = (d, (b << n) // d)
-        out_shape = (2,) * len(qubits) + (b,) + (2,) * len(rest)
-        for k in range(i0, i1):
-            active[k].append((us[k - i0], perm, inv_perm, in_shape, out_shape))
+    for i0, i1, singles, couplings in _window_amplitudes(windows, mids):
+        ops = [(_batch_su2(ax, ay, dt), (q,)) for q, (ax, ay) in sorted(singles.items())]
+        ops += [(_batch_zx(amps, dt), pair) for pair, amps in sorted(couplings.items())]
+        for us, qubits in ops:
+            layout = _dot_layout(qubits, n, b)
+            for k in range(i0, i1):
+                active[k].append((us[k - i0],) + layout)
     psi_t = psi.reshape((b,) + (2,) * n)
     for step_ops in active:
-        psi_t = psi_t * half
-        for u, perm, inv_perm, in_shape, out_shape in step_ops:
-            bt = psi_t.transpose(perm).reshape(in_shape)
-            psi_t = np.dot(u, bt).reshape(out_shape).transpose(inv_perm)
-        psi_t = psi_t * half
+        psi_t = _dot_apply(psi_t * half, step_ops) * half
     return np.ascontiguousarray(psi_t).reshape(b, -1)
 
 
 # ------------------------------------------------------------ simulate
-
-
-def _apply_rz_like(state, gates, n):
-    for gate in gates:
-        state = apply_gate_to_state(state, gate, n)
-    return state
-
-
-def _apply_rz_rows(psi, gates, n):
-    """Frame rotations on each device's row, one state at a time."""
-    if not gates:
-        return psi
-    return np.stack([_apply_rz_like(row, gates, n) for row in psi])
 
 
 def _run_plan(devices, plan, pmap, input_state, method):
@@ -250,38 +229,41 @@ def _run_plan(devices, plan, pmap, input_state, method):
         raise ValueError("simulation capped at 12 qubits")
     dim = 1 << n
     if input_state is None:
-        ideal = np.zeros(dim, dtype=complex)
-        ideal[0] = 1.0
+        psi0 = np.zeros(dim, dtype=complex)
+        psi0[0] = 1.0
     else:
-        ideal = np.asarray(input_state, dtype=complex)
-        if ideal.shape != (dim,):
+        psi0 = np.asarray(input_state, dtype=complex)
+        if psi0.shape != (dim,):
             raise ValueError(f"input state must have dimension {dim}")
-    psi = np.tile(ideal, (len(devices), 1))
     rate = _sample_rate(pmap)
+    windows = [_layer_windows(layer, pmap) for layer in plan.layers]
+    ideal = psi0
+    gates = [gate for layer in plan.layers for gate in (*layer.rz_gates, *layer.gates)]
+    for gate in (*gates, *plan.trailing_rz):
+        ideal = apply_gate_to_state(ideal, gate, n)
     zz_diag = np.stack([_zz_diagonal(n, d.couplings()) for d in devices])
     # zgemm computes 4-column blocks with one kernel and a narrower tail
     # with another, so a device keeps its one-device bits only when its
     # operand block (2^n / 4 columns for a coupling) is a multiple of 4
-    # wide; smaller registers step one device at a time
-    group = len(devices) if n >= 4 else 1
-    per_layer = []
-    for layer in plan.layers:
-        psi = _apply_rz_rows(psi, layer.rz_gates, n)
-        ideal = _apply_rz_like(ideal, layer.rz_gates, n)
-        ideal = _apply_rz_like(ideal, layer.gates, n)
-        windows = _layer_windows(layer, pmap)
-        if method == "dense":
-            psi = np.stack([_dense_layer(n, zz, windows, layer.duration, rate) @ row
-                            for zz, row in zip(zz_diag, psi)])
-        else:
-            psi = np.concatenate([
-                _split_layer(psi[i:i + group], n, zz_diag[i:i + group], windows,
-                             layer.duration, rate)
-                for i in range(0, len(psi), group)])
-        per_layer.append((layer.n_q, layer.n_c, layer.duration))
-    psi = _apply_rz_rows(psi, plan.trailing_rz, n)
-    ideal = _apply_rz_like(ideal, plan.trailing_rz, n)
-    return psi, ideal, tuple(per_layer)
+    # wide; smaller registers, and the dense oracle, run one device at a
+    # time. Frame rotations and drive layers share the group's batch.
+    group = len(devices) if n >= 4 and method == "split" else 1
+    rows = []
+    for i in range(0, len(devices), group):
+        zz = zz_diag[i:i + group]
+        psi = np.tile(psi0, (len(zz), 1))
+        for layer, w in zip(plan.layers, windows):
+            for gate in layer.rz_gates:
+                psi = apply_gate_to_state(psi, gate, n)
+            if method == "dense":
+                psi = (_dense_layer(n, zz[0], w, layer.duration, rate) @ psi[0])[None]
+            else:
+                psi = _split_layer(psi, n, zz, w, layer.duration, rate)
+        for gate in plan.trailing_rz:
+            psi = apply_gate_to_state(psi, gate, n)
+        rows.append(psi)
+    per_layer = tuple((layer.n_q, layer.n_c, layer.duration) for layer in plan.layers)
+    return np.concatenate(rows), ideal, per_layer
 
 
 def simulate_ensemble(devices, plan, pulses, input_state=None, method="split"):
@@ -291,8 +273,8 @@ def simulate_ensemble(devices, plan, pulses, input_state=None, method="split"):
     device starts from input_state (|0...0> when None), and the ideal
     reference is evolved once. pulses maps native gate kind to a
     PulseSpec (or OptimizedPulse); every kind appearing in the plan must
-    be covered. method "split" runs the split-step statevector engine on
-    all devices at once; "dense" the small-system oracle, device by device.
+    be covered. method "split" runs the split-step engine, batching the
+    devices from 4 qubits up; "dense" the small-system oracle, one by one.
     """
     devices = tuple(devices)
     if not devices:

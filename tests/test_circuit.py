@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -235,6 +236,55 @@ def test_apply_matches_unitary():
     for gate in c.gates:
         direct = apply_gate_to_state(direct, gate, 3)
     assert np.allclose(direct, u @ state)
+
+
+def _tensordot_apply(psi, gate, first=0):
+    """tensordot/moveaxis apply on a tensor whose qubit q is axis first + q;
+    the bit-exact reference for the np.dot apply."""
+    k = len(gate.qubits)
+    axes = [first + q for q in gate.qubits]
+    u = gate_matrix(gate).reshape((2,) * 2 * k)
+    out = np.tensordot(u, psi, axes=(list(range(k, 2 * k)), axes))
+    return np.moveaxis(out, list(range(k)), axes)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_apply_bit_identical_to_tensordot(n):
+    # complex entries in the gates and states, so any rounding change shows
+    gates = [Gate(name, (q,), params) for q in range(n)
+             for name, params in (("h", ()), ("rx", (0.3,)), ("t", ()))]
+    # every ordered pair, reversed ones such as (2, 0) included
+    gates += [Gate(name, pair, params)
+              for pair in itertools.permutations(range(n), 2)
+              for name, params in (("cx", ()), ("rzx90", ()), ("cp", (0.4,)))]
+    rng = np.random.default_rng(n)
+    for gate in gates:
+        batch = rng.standard_normal((3, 1 << n)) + 1j * rng.standard_normal((3, 1 << n))
+        one = apply_gate_to_state(batch[0], gate, n)
+        ref = _tensordot_apply(batch[0].reshape((2,) * n), gate)
+        assert np.array_equal(one, ref.reshape(-1))
+        out = apply_gate_to_state(batch, gate, n)
+        ref = _tensordot_apply(batch.reshape((3,) + (2,) * n), gate, first=1)
+        assert np.array_equal(out, ref.reshape(3, -1))
+        if n >= 4:
+            # the simulator's grouping rule: from 4 qubits up every row of
+            # a batch keeps the bits of that state applied on its own
+            for row, state in zip(out, batch):
+                assert np.array_equal(row, apply_gate_to_state(state, gate, n))
+
+
+@pytest.mark.parametrize("name", ["qft", "hs", "qpe", "qaoa", "ising", "grc"])
+def test_ideal_unitary_bit_identical_to_tensordot(name):
+    for n in range(2, 7):
+        if name == "hs" and n % 2:
+            continue
+        c = to_native(benchmark(name, n, seed=1))
+        dim = 1 << n
+        # the reference evolves the identity's columns with a trailing batch axis
+        cols = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
+        for gate in c.gates:
+            cols = _tensordot_apply(cols, gate)
+        assert np.array_equal(ideal_unitary(c), cols.reshape(dim, dim))
 
 
 def test_ideal_unitary_qubit_cap():

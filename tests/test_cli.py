@@ -58,6 +58,12 @@ class TestRunConfig:
             RunConfig("t", "c", backend="grape")
         with pytest.raises(ValueError):
             RunConfig("t", "c", lambda_mu_hz=-1.0)
+        # NaN and inf slip past a `< 0` test
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                RunConfig("t", "c", lambda_mu_hz=bad)
+            with pytest.raises(ValueError):
+                RunConfig("t", "c", lambda_sigma_hz=bad)
         with pytest.raises(ValueError):
             RunConfig("t", "c", seeds=())
 
@@ -194,6 +200,17 @@ class TestOptimizePulse:
         op = load_pulse(out)
         assert op.spec.duration == pytest.approx(20e-9)
 
+    @pytest.mark.parametrize("flag,value", [("--lambda-hz", "nan"),
+                                            ("--neighbors", "-1")])
+    def test_bad_region_rejected(self, tmp_path, capsys, flag, value):
+        # a NaN strength would write "loss": NaN, which is not JSON
+        out = tmp_path / "p.json"
+        code = main(["optimize-pulse", "--gate", "rx90", "--backend", "pert",
+                     flag, value, "--out", str(out)])
+        assert code == 1
+        assert "error [pulse]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dcg_has_no_coupler_sequence(self, tmp_path, capsys):
         code = main(["optimize-pulse", "--gate", "rzx90", "--backend", "dcg",
                      "--out", str(tmp_path / "p.json")])
@@ -202,6 +219,15 @@ class TestOptimizePulse:
 
 
 class TestReportPipeline:
+    def test_nan_strength_rejected_before_any_pulse(self, workspace, tmp_path, capsys):
+        out = tmp_path / "runs"
+        code = main(["report", "--topology", str(workspace / "g23.json"),
+                     "--circuit", str(workspace / "qft4.zzq"),
+                     "--lambda-mu-hz", "nan", "--out-dir", str(out)])
+        assert code == 1
+        assert "error [cli]" in capsys.readouterr().err
+        assert not list(out.glob("**/*.json"))
+
     def test_summary_table(self, workspace, capsys):
         # rerun on the cached pulses; zzx must beat the baseline
         assert main(["report", "--topology", str(workspace / "g23.json"),
@@ -335,6 +361,17 @@ class TestSweepCommand:
         assert rows[0][0] == pytest.approx(10e3)
         assert rows[-1][0] == pytest.approx(200e3)
         assert all(infid >= 1e-8 for _, infid in rows)
+
+    def test_nan_strength(self, tmp_path, capsys):
+        pulse = tmp_path / "p.json"
+        assert main(["optimize-pulse", "--gate", "rx90", "--backend", "gaussian",
+                     "--out", str(pulse)]) == 0
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--pulse", str(pulse), "--lambda-hz-min", "nan",
+                     "--out", str(out)])
+        assert code == 1
+        assert "ZZ strengths must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRamseyCommand:

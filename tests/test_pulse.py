@@ -189,6 +189,15 @@ class TestRegionModel:
         with pytest.raises(ValueError):
             RegionModel("single", intra_lambda=1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_strength_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            RegionModel("single", neighbor_lambdas_a=(bad,))
+        with pytest.raises(ValueError, match="finite"):
+            RegionModel("two", neighbor_lambdas_b=(1.0, bad))
+        with pytest.raises(ValueError, match="finite"):
+            RegionModel("two", intra_lambda=bad)
+
     def test_dimension_cap(self):
         # the cap binds dense work only; the pert fast path takes any region
         spec = gaussian_pulse(math.pi / 2, 20e-9, axis="coupling", target=(0, 1))

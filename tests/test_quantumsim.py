@@ -359,10 +359,21 @@ class TestSimulatePlan:
 
 
 class TestSimulateEnsemble:
-    @pytest.mark.parametrize("method", ["split", "dense"])
-    def test_matches_single_device_runs(self, gauss_lib, method):
-        plan = schedule(LINE3, to_native(benchmark("qft", 3)))
-        devices = [sample_device(LINE3, 200e3, 50e3, seed=s) for s in range(3)]
+    @pytest.mark.parametrize("method,grid", [
+        pytest.param("split", None, id="split"),
+        pytest.param("dense", None, id="dense"),
+        # n = 6: split devices share one batch, frame rotations included
+        pytest.param("split", (2, 3), id="split-qft4-2x3"),
+    ])
+    def test_matches_single_device_runs(self, gauss_lib, method, grid):
+        if grid is None:
+            g, c = LINE3, benchmark("qft", 3)
+        else:
+            g = grid_topology(*grid)
+            c = benchmark("qft", 4, qubit_order=grid_snake_order(*grid)[:4])
+        plan = schedule(g, to_native(c))
+        assert any(layer.rz_gates for layer in plan.layers)
+        devices = [sample_device(g, 200e3, 50e3, seed=s) for s in range(3)]
         batch = simulate_ensemble(devices, plan, gauss_lib, method=method)
         for dev, r in zip(devices, batch):
             assert r == simulate_plan(dev, plan, gauss_lib, method=method)
