@@ -14,7 +14,9 @@ exp(-i (pi/4) Z x X) with the first operand carrying the Z.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,8 +40,14 @@ class Gate:
     params: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        # operator.index: numpy ints pass, 1.7 raises instead of becoming 1
+        object.__setattr__(self, "qubits", tuple(map(operator.index, self.qubits)))
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        arity = _KNOWN.get(self.name)
+        if arity is not None and arity != (len(self.params), len(self.qubits)):
+            raise ValueError(
+                f"{self.name} takes {arity[0]} parameter(s) and {arity[1]} qubit(s)"
+            )
         if len(self.qubits) not in (1, 2):
             raise ValueError(f"{self.name}: gates act on 1 or 2 qubits")
         if len(set(self.qubits)) != len(self.qubits):
@@ -237,18 +245,30 @@ def _expand(gate):
     raise ValueError(f"cannot lower gate {name!r} to the native set")
 
 
+def _lowered(gate):
+    """The native gates of one gate, in program order.
+
+    Only parameter-free composites are memoized: rz(0.0) and rz(-0.0) are
+    equal and hash alike, so a memo keyed on a gate with parameters would
+    hand back the first-seen sign of a zero angle.
+    """
+    if gate.name in NATIVE_NAMES:
+        return (gate,)
+    if gate.params:
+        return _lower(gate)
+    return _lower_fixed(gate)
+
+
+def _lower(gate):
+    return tuple(native for part in _expand(gate) for native in _lowered(part))
+
+
+_lower_fixed = lru_cache(maxsize=4096)(_lower)
+
+
 def to_native(c):
     """Lower every gate to {rz, rx90, rzx90, id}; unitary preserved up to phase."""
-    out = []
-    stack = list(reversed(c.gates))
-    while stack:
-        gate = stack.pop()
-        expansion = _expand(gate)
-        if expansion is None:
-            out.append(gate)
-        else:
-            stack.extend(reversed(expansion))
-    return Circuit(c.num_qubits, tuple(out))
+    return Circuit(c.num_qubits, tuple(n for gate in c.gates for n in _lowered(gate)))
 
 
 # ------------------------------------------------------ dense semantics

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .circuit import NATIVE_NAMES, Circuit, Gate, GateTimes, dependencies, parse
-from .circuit import _expand, _gate_line
+from .circuit import _gate_line, _lowered
 from .suppression import alpha_optimal
 from .topology import Cut, adjacency, bfs_distances
 
@@ -118,14 +118,8 @@ def gate_duration(gate, times):
     if gate.name in NATIVE_NAMES:
         return times.duration(gate)
     finish = {q: 0.0 for q in gate.qubits}
-    stack = list(reversed(_expand(gate)))
-    while stack:
-        g2 = stack.pop()
-        if g2.name not in NATIVE_NAMES:
-            stack.extend(reversed(_expand(g2)))
-            continue
-        start = max(finish[q] for q in g2.qubits)
-        end = start + times.duration(g2)
+    for g2 in _lowered(gate):
+        end = max(finish[q] for q in g2.qubits) + times.duration(g2)
         for q in g2.qubits:
             finish[q] = end
     return max(finish.values())
@@ -292,6 +286,7 @@ def schedule(g, c, r=None, alpha=0.5, k=3, gate_times=None):
     if r is None:
         r = SuppressionRequirement.default(g)
     cuts = {}  # each gate set is solved once per call
+    idle = [Gate("id", (q,)) for q in range(g.num_qubits)]
 
     def place(ready):
         sg2 = [i for i in ready if len(c.gates[i].qubits) == 2]
@@ -312,7 +307,7 @@ def schedule(g, c, r=None, alpha=0.5, k=3, gate_times=None):
         side = cut.partition_s
         members = [i for i in ready if all(q in side for q in c.gates[i].qubits)]
         used = {q for i in members for q in c.gates[i].qubits}
-        supplements = tuple(Gate("id", (q,)) for q in sorted(side - used))
+        supplements = tuple(idle[q] for q in sorted(side - used))
         return members, supplements, dict(
             cut=cut, n_q=res.n_q, n_c=res.n_c, flagged=flagged, warning=warning)
 

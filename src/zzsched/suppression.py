@@ -22,10 +22,21 @@ matched pair. The crossing set is a cut exactly when it meets every face
 boundary an even number of times (face bits 0): face boundaries span the
 cycle space of a plane graph, so this is the test that the contracted
 quotient is bipartite. The side bits, XORed subtree masks of a BFS tree
-from qubit 0, give partition_t. N_C is the popcount of D; N_Q, the largest
-class joined by D, comes from a bit-parallel flood fill, run only when the
-bound alpha * (2 if D else 1) + N_C can still beat the best candidate kept.
+from qubit 0, give partition_t. N_C is the popcount of D. For an exact cut
+D is the set of couplings that do not cross partition_t, so N_Q, the
+largest class D joins, is the largest same-side component: a bit-parallel
+flood fill over each side's neighbour masks, run only when the bound
+alpha * (2 if D else 1) + N_C can still beat the best candidate kept.
 topology._contract builds the same cuts and is the scorer's test oracle.
+
+Everything that depends on the topology alone (the dual graph, the edge
+words, the side and face fields of the all-edge crossing set, and each
+qubit's neighbour and incident-edge masks) is built once per topology by
+_tables and looked up once per solve. The repair scores a side mask
+without an edge scan: the crossing set of a side is the XOR of its qubits'
+incident-edge masks, and crossing sets add over GF(2), so pushing the gate
+qubits across a scanned cut toggles only their incident edges in that
+cut's D.
 """
 
 from __future__ import annotations
@@ -34,6 +45,8 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 from . import topology as topo
 
@@ -88,51 +101,61 @@ def _mask_cut(g, mask):
 def metrics(g, c):
     """(N_Q, N_C): largest same-side region and count of unsuppressed couplings."""
     topo._check_cut(g, c)
-    return _mask_metrics(g, _mask(c.partition_s))
+    return _mask_metrics(_tables(g), _mask(c.partition_s))
 
 
-def _bits(x):
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
+def _crossing(tab, moved):
+    """Edge-id bits of the couplings with exactly one end in the qubit mask moved."""
+    inc, x = tab.inc, 0
+    while moved:
+        low = moved & -moved
+        x ^= inc[low.bit_length() - 1]
+        moved ^= low
+    return x
 
 
-def _inside(g, mask):
-    """Edge-id bits of the couplings with both ends on one side of mask."""
-    return sum(1 << e for e, (u, v) in enumerate(g.edges) if not (mask >> u ^ mask >> v) & 1)
+def _inside(tab, side):
+    """Edge-id bits of the couplings with both ends on one side of side."""
+    return tab.full & ~_crossing(tab, side)
 
 
-def _largest_class(g, inside):
-    """Size of the largest qubit class joined by the edge-id bits in inside.
+def _largest_class(tab, side):
+    """Size of the largest same-side class of the cut whose partition_s is side.
 
-    Bit-parallel flood fill: each class grows by the neighbour masks of
-    its newest members until nothing new is reached.
+    Bit-parallel flood fill over each side in turn: a class grows by the
+    neighbour masks of its newest members, clipped to its side, until
+    nothing new is reached.
     """
-    nbrs = [0] * g.num_qubits
-    for e in _bits(inside):
-        u, v = g.edges[e]
-        nbrs[u] |= 1 << v
-        nbrs[v] |= 1 << u
-    left = sum(1 << v for v, a in enumerate(nbrs) if a)
-    best = 1
-    while left.bit_count() > best:
-        comp = front = left & -left
-        while front:
-            reach = 0
-            for v in _bits(front):
-                reach |= nbrs[v]
-            front = reach & ~comp
-            comp |= front
-        left &= ~comp
-        best = max(best, comp.bit_count())
+    nbr, best = tab.nbr, 1
+    for part in (side, tab.every & ~side):
+        left = part
+        while left.bit_count() > best:
+            comp = front = left & -left
+            while front:
+                reach = 0
+                while front:
+                    low = front & -front
+                    reach |= nbr[low.bit_length() - 1]
+                    front ^= low
+                front = reach & part & ~comp
+                comp |= front
+            left &= ~comp
+            best = max(best, comp.bit_count())
     return best
 
 
-def _mask_metrics(g, mask):
-    """metrics for the cut whose partition_s is the bit set of mask."""
-    inside = _inside(g, mask)
-    return _largest_class(g, inside), inside.bit_count()
+def _moved_inside(tab, inside, moved):
+    """Remaining-set once the qubits in moved cross the cut with remaining-set inside.
+
+    The cut's crossing set is the complement of inside, and crossing sets
+    add over GF(2), so the move toggles just the incident edges of moved.
+    """
+    return tab.full & ~(~inside ^ _crossing(tab, moved))
+
+
+def _mask_metrics(tab, side):
+    """metrics for the cut whose partition_s is the bit set of side."""
+    return _largest_class(tab, side), _inside(tab, side).bit_count()
 
 
 def brute_force_optimal(g, q, alpha):
@@ -148,6 +171,7 @@ def brute_force_optimal(g, q, alpha):
     else:
         base = 1  # pin qubit 0; complement cuts have identical metrics
         free = list(range(1, n))
+    tab = _tables(g)
     best = None
     for bits in range(1 << len(free)):
         mask = base
@@ -158,7 +182,7 @@ def brute_force_optimal(g, q, alpha):
                 mask |= 1 << free[i]
             b >>= 1
             i += 1
-        n_q, n_c = _mask_metrics(g, mask)
+        n_q, n_c = _mask_metrics(tab, mask)
         obj = alpha * n_q + n_c
         if best is None or obj < best[0] - 1e-12:
             best = (obj, n_q, n_c, mask)
@@ -289,10 +313,10 @@ def _edge_words(g, d):
     """
     flip = _subtree_masks(g)
     shift = len(g.edges) + g.num_qubits
-    return [
+    return tuple(
         1 << e | flip[e] << len(g.edges) | (1 << a ^ 1 << b) << shift
         for e, (a, b) in enumerate(d.edges)
-    ]
+    )
 
 
 def _pack(words, ids):
@@ -302,20 +326,50 @@ def _pack(words, ids):
     return w
 
 
-def _candidate_base(g, words, ids):
+class _Tables(NamedTuple):
+    """What the solver needs of one topology, built once per topology."""
+
+    dual: topo.DualGraph
+    words: tuple  # _edge_words
+    crossing: int  # side and face fields of the all-edge crossing set
+    nbr: tuple  # neighbour qubit mask per qubit
+    inc: tuple  # incident edge-id mask per qubit
+    n_e: int  # edge count
+    full: int  # every edge-id bit
+    every: int  # every qubit bit
+
+
+@lru_cache(maxsize=64)
+def _tables(g):
+    d = topo.dual_graph(g)
+    words = _edge_words(g, d)
+    full = (1 << len(g.edges)) - 1
+    nbr = [0] * g.num_qubits
+    inc = [0] * g.num_qubits
+    for e, (u, v) in enumerate(g.edges):
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+        inc[u] |= 1 << e
+        inc[v] |= 1 << e
+    return _Tables(
+        d, words, _pack(words, range(len(words))) & ~full, tuple(nbr), tuple(inc),
+        len(g.edges), full, (1 << g.num_qubits) - 1,
+    )
+
+
+def _candidate_base(tab, ids):
     """Word of the candidate with D = ids.
 
     The side and face fields start from all edges, so they run over the
     crossing set; XORing a further edge's word moves it into D.
     """
-    edge_field = (1 << len(g.edges)) - 1
-    return _pack(words, ids) ^ (_pack(words, range(len(g.edges))) & ~edge_field)
+    return _pack(tab.words, ids) ^ tab.crossing
 
 
-def _unpack(g, word):
+def _unpack(tab, word):
     """(D edge bits, partition_t qubit bits, odd face bits) of a candidate."""
-    n_e, n = len(g.edges), g.num_qubits
-    return word & ((1 << n_e) - 1), word >> n_e & ((1 << n) - 1), word >> (n_e + n)
+    n_e, every = tab.n_e, tab.every
+    return word & tab.full, word >> n_e & every, word >> (n_e + every.bit_length())
 
 
 # ------------------------------------------------------------ the solver
@@ -371,19 +425,19 @@ def alpha_optimal(g, q, alpha, k=3, _trace=None):
         raise ValueError("alpha must be finite and nonnegative")
     if k < 1:
         raise ValueError("k must be at least 1")
-    d = topo.dual_graph(g)
+    tab = _tables(g)
     e_q = _gate_internal_edges(g, q)
-    path_lists = _pairing_paths(d, e_q, k)
+    path_lists = _pairing_paths(tab.dual, e_q, k)
     m = len(path_lists)
 
-    every = (1 << g.num_qubits) - 1
-    words = _edge_words(g, d)
-    base = _candidate_base(g, words, e_q)
-    path_words = [[_pack(words, p) for p in plist] for plist in path_lists]
+    every = tab.every
+    base = _candidate_base(tab, e_q)
+    path_words = [[_pack(tab.words, p) for p in plist] for plist in path_lists]
     qmask = _mask(q)
 
-    def score(inside, bound):
-        """(objective, n_q, n_c), or None when it cannot fall below bound.
+    def score(inside, side, bound):
+        """(objective, n_q, n_c) of the cut with remaining-set inside and
+        qubit mask side as one side, or None when it cannot fall below bound.
 
         n_q is at least 2 when an edge is inside, and rounding is monotone,
         so the bound test never drops a candidate that could get below it.
@@ -391,7 +445,7 @@ def alpha_optimal(g, q, alpha, k=3, _trace=None):
         n_c = inside.bit_count()
         if bound is not None and alpha * (2 if inside else 1) + n_c >= bound:
             return None
-        n_q = _largest_class(g, inside)
+        n_q = _largest_class(tab, side)
         return alpha * n_q + n_c, n_q, n_c
 
     def feasible(t):
@@ -399,10 +453,10 @@ def alpha_optimal(g, q, alpha, k=3, _trace=None):
 
     def candidate(word, bound=None):
         """(objective, n_q, n_c, partition_t) of a feasible cut, else None."""
-        inside, t, odd_faces = _unpack(g, word)
+        inside, t, odd_faces = _unpack(tab, word)
         if odd_faces or not feasible(t):
             return None
-        rec = score(inside, bound)
+        rec = score(inside, t, bound)
         return rec and (*rec, t)
 
     def word_of(idx):
@@ -452,19 +506,19 @@ def alpha_optimal(g, q, alpha, k=3, _trace=None):
     total = 1
     for pl in path_lists:
         total *= len(pl)
-    cuts = []  # partition_t of every exact cut scanned, for the repair
+    cuts = []  # (partition_t, remaining-set) of every exact cut scanned
     if total <= _FULL_SCAN_CAP:
         best = None
         for combo in itertools.product(*path_words):
             w = base
             for x in combo:
                 w ^= x
-            inside, t, odd_faces = _unpack(g, w)
+            inside, t, odd_faces = _unpack(tab, w)
             if odd_faces:
                 continue
-            cuts.append(t)
+            cuts.append((t, inside))
             if feasible(t):
-                trec = score(inside, None if best is None else best[0])
+                trec = score(inside, t, None if best is None else best[0])
                 if trec is not None and (best is None or trec[0] < best[0]):
                     best = (*trec, t)
         if best is not None:
@@ -472,20 +526,21 @@ def alpha_optimal(g, q, alpha, k=3, _trace=None):
                 best, "initial pairing split the gate set; full index scan used"
             )
     else:
-        _, t, odd_faces = _unpack(g, zero)
+        inside, t, odd_faces = _unpack(tab, zero)
         if not odd_faces:
-            cuts.append(t)
+            cuts.append((t, inside))
 
     # Repair: push the gate set into one side of the best evaluated cut. A
     # side seen before cannot beat the kept minimum, so it is skipped.
     best = None
     seen = set()
-    for t in cuts:
-        for side in ((every & ~t) | qmask, t | qmask):
+    for t, inside in cuts:
+        for side, moved in (((every & ~t) | qmask, qmask & t), (t | qmask, qmask & ~t)):
             if side in seen:
                 continue
             seen.add(side)
-            rec = score(_inside(g, side), None if best is None else best[0])
+            rec = score(_moved_inside(tab, inside, moved), side,
+                        None if best is None else best[0])
             if rec is not None and (best is None or rec[0] < best[0]):
                 best = (*rec, side)
     obj, n_q2, n_c2, side = best

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zzsched import circuit
 from zzsched.circuit import (
     Circuit,
     Gate,
@@ -191,6 +192,63 @@ def test_h_decomposition_literal():
     lowered = to_native(Circuit(1, (Gate("h", (0,)),)))
     assert [g.name for g in lowered.gates] == ["rz", "rx90", "rz"]
     assert lowered.gates[0].params == (math.pi / 2,)
+
+
+def _stack_to_native(c):
+    """to_native as a stack walk over _expand, with no memo."""
+    out = []
+    stack = list(reversed(c.gates))
+    while stack:
+        gate = stack.pop()
+        expansion = circuit._expand(gate)
+        if expansion is None:
+            out.append(gate)
+        else:
+            stack.extend(reversed(expansion))
+    return Circuit(c.num_qubits, tuple(out))
+
+
+def _lines(c):
+    return [circuit._gate_line(g) for g in c.gates]
+
+
+def test_to_native_matches_stack_walk():
+    for name in sorted(circuit._BENCHES):
+        for n in range(2, 13):
+            if name == "hs" and n % 2:
+                continue
+            for seed in (0, 1):
+                c = benchmark(name, n, seed=seed)
+                assert _lines(to_native(c)) == _lines(_stack_to_native(c)), (name, n, seed)
+
+
+@pytest.mark.parametrize("first", [0.0, -0.0])
+def test_to_native_keeps_the_sign_of_a_zero_angle(first):
+    # 0.0 == -0.0 and both hash alike; the sign seen first must not stick
+    for name, qubits in (("cp", (0, 1)), ("rz", (1,)), ("rzz", (1, 0))):
+        for angle in (first, -first):
+            c = Circuit(2, (Gate(name, qubits, (angle,)), Gate("h", (0,))))
+            lines = _lines(to_native(c))
+            assert lines == _lines(_stack_to_native(c))
+            assert any(repr(angle) in line.split() for line in lines)
+
+
+def test_gate_qubits_must_be_integers():
+    assert Gate("h", (np.int64(1),)).qubits == (1,)
+    assert type(Gate("cx", (np.int32(0), 1)).qubits[0]) is int
+    with pytest.raises(TypeError):
+        Gate("h", (1.7,))
+    with pytest.raises(TypeError):
+        Gate("cx", (0, np.float64(1.0)))
+
+
+@pytest.mark.parametrize(
+    "name,qubits,params",
+    [("rz", (0,), ()), ("cx", (0, 1), (0.5,)), ("h", (0, 1), ()), ("cp", (0,), (0.5,))],
+)
+def test_known_gate_arity_checked(name, qubits, params):
+    with pytest.raises(ValueError, match=f"{name} takes"):
+        Gate(name, qubits, params)
 
 
 def test_to_native_three_qubit_program():

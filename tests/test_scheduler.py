@@ -7,7 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zzsched import scheduler
-from zzsched.circuit import Circuit, Gate, GateTimes, benchmark, parse, to_native
+from zzsched.circuit import (
+    _KNOWN,
+    NATIVE_NAMES,
+    Circuit,
+    Gate,
+    GateTimes,
+    _expand,
+    benchmark,
+    parse,
+    to_native,
+)
 from zzsched.scheduler import (
     SuppressionRequirement,
     gate_distance,
@@ -103,6 +113,32 @@ def test_gate_duration_native_and_composite():
     assert gate_duration(Gate("cx", (0, 1)), t) == pytest.approx(160e-9)
     assert gate_duration(Gate("swap", (0, 1)), t) == pytest.approx(440e-9)
     assert gate_duration(Gate("rz", (0,), (1.0,)), t) == 0.0
+
+
+def _stack_gate_duration(gate, times):
+    """gate_duration as a stack walk over _expand."""
+    if gate.name in NATIVE_NAMES:
+        return times.duration(gate)
+    finish = {q: 0.0 for q in gate.qubits}
+    stack = list(reversed(_expand(gate)))
+    while stack:
+        g2 = stack.pop()
+        if g2.name not in NATIVE_NAMES:
+            stack.extend(reversed(_expand(g2)))
+            continue
+        start = max(finish[q] for q in g2.qubits)
+        end = start + times.duration(g2)
+        for q in g2.qubits:
+            finish[q] = end
+    return max(finish.values())
+
+
+@pytest.mark.parametrize("times", [GateTimes(), GateTimes.dcg()], ids=["default", "dcg"])
+def test_gate_duration_matches_stack_walk(times):
+    for name, (n_par, n_q) in sorted(_KNOWN.items()):
+        for qubits in ((0,), (1,)) if n_q == 1 else ((0, 1), (1, 0)):
+            gate = Gate(name, qubits, (0.7,) * n_par)
+            assert gate_duration(gate, times) == _stack_gate_duration(gate, times), gate
 
 
 @pytest.mark.parametrize("name", ["dcg", "duration"])

@@ -357,6 +357,12 @@ def _bridged_square():
     return topo.from_positions(positions, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 4)])
 
 
+def _scorer_graph(shape, chamfered_grid, six_qubit_planar):
+    if isinstance(shape, tuple):
+        return topo.grid_topology(*shape)
+    return {"chamfered": chamfered_grid, "six": six_qubit_planar}.get(shape) or _bridged_square()
+
+
 def _union_find_metrics(g, mask):
     """(N_Q, N_C) from a union-find over the same-side couplings."""
     uf = topo._UnionFind(g.num_qubits)
@@ -373,7 +379,8 @@ def _union_find_metrics(g, mask):
 
 
 def _assert_word_matches_contraction(g, word, dset):
-    inside, t, odd_faces = supp._unpack(g, word)
+    tab = supp._tables(g)
+    inside, t, odd_faces = supp._unpack(tab, word)
     assert inside == supp._mask(dset)
     try:
         cut, n_q = topo._contract(g, dset)
@@ -383,7 +390,7 @@ def _assert_word_matches_contraction(g, word, dset):
     assert not odd_faces
     every = (1 << g.num_qubits) - 1
     assert every & ~t == supp._mask(cut.partition_s)
-    assert supp._largest_class(g, inside) == n_q
+    assert supp._largest_class(tab, every & ~t) == n_q
     assert inside.bit_count() == len(dset) == len(topo.remaining_set(g, cut))
     return True
 
@@ -391,36 +398,57 @@ def _assert_word_matches_contraction(g, word, dset):
 @settings(max_examples=80, deadline=None)
 @given(shape=_SCORER_GRAPHS, data=st.data())
 def test_packed_scorer_matches_contraction(shape, data, chamfered_grid, six_qubit_planar):
-    g = {"chamfered": chamfered_grid, "six": six_qubit_planar}.get(shape)
-    if shape == "bridged":
-        g = _bridged_square()
-    elif g is None:
-        g = topo.grid_topology(*shape)
+    g = _scorer_graph(shape, chamfered_grid, six_qubit_planar)
     n, n_e = g.num_qubits, len(g.edges)
     d = topo.dual_graph(g)
-    words = supp._edge_words(g, d)
+    tab = supp._tables(g)
 
     # arbitrary edge sets: most close an odd structure and are no cut
     for _ in range(4):
         dset = frozenset(data.draw(st.sets(st.integers(0, n_e - 1))))
-        _assert_word_matches_contraction(g, supp._candidate_base(g, words, dset), dset)
+        _assert_word_matches_contraction(g, supp._candidate_base(tab, dset), dset)
 
     # the solver's own candidates: a path-index vector over its path lists
     q = frozenset(data.draw(st.sets(st.integers(0, n - 1), max_size=5)))
     e_q = supp._gate_internal_edges(g, q)
     path_lists = supp._pairing_paths(d, e_q, 3)
     idx = [data.draw(st.integers(0, len(pl) - 1)) for pl in path_lists]
-    word = supp._candidate_base(g, words, e_q)
+    word = supp._candidate_base(tab, e_q)
     sel = set()
     for pl, j in zip(path_lists, idx):
-        word ^= supp._pack(words, pl[j])
+        word ^= supp._pack(tab.words, pl[j])
         sel ^= set(pl[j])
     assert _assert_word_matches_contraction(g, word, frozenset(sel) | e_q)
 
     # side masks, as the repair step and brute_force_optimal score them
     for _ in range(4):
         mask = data.draw(st.integers(0, (1 << n) - 1))
-        assert supp._mask_metrics(g, mask) == _union_find_metrics(g, mask)
+        assert supp._mask_metrics(tab, mask) == _union_find_metrics(g, mask)
+
+
+def _edge_scan_inside(g, mask):
+    """Remaining-set edge bits by a scan over every coupling."""
+    return sum(1 << e for e, (u, v) in enumerate(g.edges) if not (mask >> u ^ mask >> v) & 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=_SCORER_GRAPHS, data=st.data())
+def test_side_mask_scorers_match_edge_scan(shape, data, chamfered_grid, six_qubit_planar):
+    g = _scorer_graph(shape, chamfered_grid, six_qubit_planar)
+    tab = supp._tables(g)
+    every, full = tab.every, tab.full
+    for _ in range(4):
+        side = data.draw(st.integers(0, every))
+        inside = supp._inside(tab, side)
+        assert inside == _edge_scan_inside(g, side)
+        assert supp._crossing(tab, side) == full & ~inside
+        assert supp._largest_class(tab, side) == _union_find_metrics(g, side)[0]
+        # the repair's two sides for a gate set q: each moves part of q across
+        q = data.draw(st.integers(0, every))
+        for new_side, moved in (((every & ~side) | q, q & side), (side | q, q & ~side)):
+            updated = supp._moved_inside(tab, inside, moved)
+            assert updated == full & ~(~inside ^ supp._crossing(tab, moved))
+            assert updated == supp._inside(tab, new_side) == _edge_scan_inside(g, new_side)
 
 
 # -------------------------------------------------------------------- I/O
