@@ -14,12 +14,23 @@ around closed-form local drive exponentials) used by default, and the
 dense propagator in pulse (_dense_layer, the one that also evolves basic
 regions), kept as a small-system oracle.
 
-One statevector apply serves the drive steps, the frame rotations and the
-ideal reference: circuit's np.dot apply on a (b, 2, ..., 2) batch, whose
+One np.dot layout (circuit._dot_layout) serves the drive steps, the
+frame rotations and the ideal reference: on a (b, 2, ..., 2) batch, its
 operand holds, for each state, exactly the columns np.tensordot would
 build for it alone, so every amplitude, and so every report, keeps the
-bits of the tensordot formulation. The split-step layer lists the
-operators of every step, each with its layout, before stepping.
+bits of the tensordot formulation.
+
+The split-step layer cuts its steps at every window start and end, so a
+segment has one operator sequence and builds its views once, over two
+buffers: a holds the state in the layout of the operator that wrote it
+last, o the operand. A step multiplies a by the ZZ half-step straight
+into o in the first operator's layout, each further operator copies a
+into o, np.dot writes every product back into a, and the trailing
+half-step multiplies a in place (both half-steps, when a step has no
+operator). Elementwise products keep their bits at any stride and each
+np.dot keeps its operand's shape and column order, so the bits stay
+those of the tensordot formulation. Step operators are built once per
+_run_plan call.
 
 Device samples of one topology differ only in the diagonal ZZ phase, so
 simulate_ensemble evolves a group of them in one (devices, 2^n) state
@@ -32,13 +43,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .circuit import (
     Gate,
     GateTimes,
-    _dot_apply,
     _dot_layout,
     apply_gate_to_state,
     gate_matrix,
@@ -192,27 +203,93 @@ def _batch_zx(amps, dt):
     return u
 
 
-def _split_layer(psi, n, zz_diag, windows, duration, rate):
-    """One layer for a batch of devices: psi and zz_diag are (B, 2^n)."""
-    steps = num_steps(duration, rate)
+def _window_ops(windows, duration, steps, cache):
+    """[(i0, i1, step operators, qubits)] for a layer's windows, in window
+    order, each window's singles then couplings by register qubit.
+
+    cache maps (duration, steps, start, spec, gate size) to the window's
+    operators on its gate's own qubit indices, so one _run_plan call builds
+    the operators of a pulse at one start on one step grid once, whichever
+    qubits it drives.
+    """
     dt = duration / steps
     mids = (np.arange(steps) + 0.5) * dt
+    ops = []
+    for start, spec, qmap in windows:
+        key = (duration, steps, start, spec, len(qmap))
+        if key not in cache:
+            cache[key] = made = []
+            local = (start, spec, tuple(range(len(qmap))))
+            for i0, i1, singles, couplings in _window_amplitudes([local], mids):
+                made += [(i0, i1, (q,), _batch_su2(ax, ay, dt)) for q, (ax, ay) in singles.items()]
+                made += [(i0, i1, pair, _batch_zx(amps, dt)) for pair, amps in couplings.items()]
+        placed = [(i0, i1, us, tuple(qmap[q] for q in qs)) for i0, i1, qs, us in cache[key]]
+        ops += sorted(placed, key=lambda op: (len(op[3]), op[3]))
+    return ops
+
+
+class _Layout(NamedTuple):
+    """A layer's two buffers in the layout of np.dot on some target qubits
+    (circuit._dot_layout): a holds the state, o the operand."""
+
+    state: np.ndarray  # a with axes (batch, qubit 0, ..., qubit n-1)
+    a: np.ndarray  # a as the contiguous product tensor
+    a_mat: np.ndarray  # a as the (2^targets, columns) product
+    o: np.ndarray  # o as the contiguous operand tensor
+    o_mat: np.ndarray  # o as the (2^targets, columns) operand
+    half: np.ndarray  # the ZZ half-step factors in this layout
+    perm: tuple  # state axes -> layout axes
+
+
+def _split_layer(psi, n, zz_diag, windows, duration, rate, cache=None):
+    """One layer for a batch of devices: psi and zz_diag are (B, 2^n).
+
+    cache shares step operators between the layers of one plan run.
+    """
+    steps = num_steps(duration, rate)
+    dt = duration / steps
     b = len(psi)
+    ops = _window_ops(windows, duration, steps, {} if cache is None else cache)
     half = np.exp(-0.5j * dt * zz_diag).reshape((b,) + (2,) * n)
-    # active[k]: step k's operators in window order, each with the layout
-    # of its target qubits, computed once per operator
-    active = [[] for _ in range(steps)]
-    for i0, i1, singles, couplings in _window_amplitudes(windows, mids):
-        ops = [(_batch_su2(ax, ay, dt), (q,)) for q, (ax, ay) in sorted(singles.items())]
-        ops += [(_batch_zx(amps, dt), pair) for pair, amps in sorted(couplings.items())]
-        for us, qubits in ops:
-            layout = _dot_layout(qubits, n, b)
-            for k in range(i0, i1):
-                active[k].append((us[k - i0],) + layout)
-    psi_t = psi.reshape((b,) + (2,) * n)
-    for step_ops in active:
-        psi_t = _dot_apply(psi_t * half, step_ops) * half
-    return np.ascontiguousarray(psi_t).reshape(b, -1)
+    a = psi.reshape(half.shape).copy()
+    o = np.empty_like(a)
+    layouts = {}
+
+    def layout(qubits):
+        if qubits not in layouts:
+            perm, inv_perm, in_shape, out_shape = _dot_layout(qubits, n, b)
+            a_ten = a.reshape(out_shape)
+            layouts[qubits] = _Layout(
+                a_ten.transpose(inv_perm), a_ten, a.reshape(in_shape),
+                o.reshape(out_shape), o.reshape(in_shape),
+                np.ascontiguousarray(half.transpose(perm)), perm)
+        return layouts[qubits]
+
+    cur = _Layout(a, a, None, None, None, half, None)  # the layout a is in
+    cuts = sorted({0, steps}.union(*((i0, i1) for i0, i1, _, _ in ops)))
+    for s0, s1 in zip(cuts, cuts[1:]):
+        seg = [(us[s0 - i0:s1 - i0], layout(qubits))
+               for i0, i1, us, qubits in ops if i0 <= s0 < i1]
+        if not seg:
+            for _ in range(s1 - s0):
+                np.multiply(cur.a, cur.half, out=cur.a)
+                np.multiply(cur.a, cur.half, out=cur.a)
+            continue
+        (us0, first), last = seg[0], seg[-1][1]
+        # the segment's first step reads a in the previous segment's last
+        # layout, every later step in this segment's own
+        lead = (cur.state.transpose(first.perm), last.state.transpose(first.perm))
+        chain = [(us, prev.state.transpose(lay.perm), lay.o, lay.o_mat, lay.a_mat)
+                 for (_, prev), (us, lay) in zip(seg, seg[1:])]
+        for k in range(s1 - s0):
+            np.multiply(lead[k > 0], first.half, out=first.o)
+            np.dot(us0[k], first.o_mat, out=first.a_mat)
+            for us, src, o_ten, o_mat, a_mat in chain:
+                np.copyto(o_ten, src)
+                np.dot(us[k], o_mat, out=a_mat)
+            np.multiply(last.a, last.half, out=last.a)
+        cur = last
+    return np.ascontiguousarray(cur.state).reshape(b, -1)
 
 
 # ------------------------------------------------------------ simulate
@@ -249,6 +326,7 @@ def _run_plan(devices, plan, pmap, input_state, method):
     # time. Frame rotations and drive layers share the group's batch.
     group = len(devices) if n >= 4 and method == "split" else 1
     rows = []
+    step_ops = {}
     for i in range(0, len(devices), group):
         zz = zz_diag[i:i + group]
         psi = np.tile(psi0, (len(zz), 1))
@@ -258,7 +336,7 @@ def _run_plan(devices, plan, pmap, input_state, method):
             if method == "dense":
                 psi = (_dense_layer(n, zz[0], w, layer.duration, rate) @ psi[0])[None]
             else:
-                psi = _split_layer(psi, n, zz, w, layer.duration, rate)
+                psi = _split_layer(psi, n, zz, w, layer.duration, rate, step_ops)
         for gate in plan.trailing_rz:
             psi = apply_gate_to_state(psi, gate, n)
         rows.append(psi)
@@ -455,7 +533,9 @@ def fit_cosine(taus, values):
     if len(taus) < 8:
         raise ValueError("need at least 8 samples to fit a fringe")
     dt = np.diff(taus)
-    if np.any(np.abs(dt - dt[0]) > 1e-9 * max(abs(dt[0]), 1e-12)):
+    if not np.all(dt > 0):
+        raise ValueError("fit expects strictly increasing delays")
+    if np.any(np.abs(dt - dt[0]) > 1e-9 * dt[0]):
         raise ValueError("fit expects a uniform delay grid")
     step = dt[0]
     centered = y - y.mean()
@@ -517,8 +597,8 @@ def ramsey_experiment(device, pulses, policy, delays=None, probe=0, control=1,
     if delays is None:
         delays = tuple(k * 8 * t_id for k in range(64))
     taus = tuple(float(t) for t in delays)
-    if any(t < 0 for t in taus) or list(taus) != sorted(taus):
-        raise ValueError("delays must be sorted and nonnegative")
+    if any(t < 0 for t in taus) or any(b <= a for a, b in zip(taus, taus[1:])):
+        raise ValueError("delays must be strictly increasing and nonnegative")
 
     # full-device propagators of one pulse slot, ZZ always on
     zz = _zz_diagonal(n, device.couplings())

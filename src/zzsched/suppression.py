@@ -29,10 +29,11 @@ flood fill over each side's neighbour masks, run only when the bound
 alpha * (2 if D else 1) + N_C can still beat the best candidate kept.
 topology._contract builds the same cuts and is the scorer's test oracle.
 
-Everything that depends on the topology alone (the dual graph, the edge
-words, the side and face fields of the all-edge crossing set, and each
-qubit's neighbour and incident-edge masks) is built once per topology by
-_tables and looked up once per solve. The repair scores a side mask
+Everything that depends on the topology alone (the dual graph, its
+arcs and odd-face parity, the edge words, the side and face fields of the
+all-edge crossing set, and each qubit's neighbour and incident-edge
+masks) is built once per topology by _tables and looked up once per
+solve; a solve filters only the faces its gate-internal duals touch. The repair scores a side mask
 without an edge scan: the crossing set of a side is the XOR of its qubits'
 incident-edge masks, and crossing sets add over GF(2), so pushing the gate
 qubits across a scanned cut toggles only their incident edges in that
@@ -337,6 +338,9 @@ class _Tables(NamedTuple):
     n_e: int  # edge count
     full: int  # every edge-id bit
     every: int  # every qubit bit
+    arcs: tuple  # (edge id, neighbour) per face, self-loops left out
+    face_nbrs: tuple  # neighbour faces per face, in the order of arcs
+    odd: int  # odd-degree face bits of the whole dual
 
 
 @lru_cache(maxsize=64)
@@ -351,9 +355,16 @@ def _tables(g):
         nbr[v] |= 1 << u
         inc[u] |= 1 << e
         inc[v] |= 1 << e
+    arcs = [[] for _ in range(d.num_vertices)]
+    for e, (a, b) in enumerate(d.edges):
+        if a != b:
+            arcs[a].append((e, b))
+            arcs[b].append((e, a))
     return _Tables(
         d, words, _pack(words, range(len(words))) & ~full, tuple(nbr), tuple(inc),
         len(g.edges), full, (1 << g.num_qubits) - 1,
+        tuple(map(tuple, arcs)), tuple(tuple(w for _, w in a) for a in arcs),
+        _mask(d.odd_vertices()),
     )
 
 
@@ -375,22 +386,34 @@ def _unpack(tab, word):
 # ------------------------------------------------------------ the solver
 
 
-def _pairing_paths(d, e_q, k):
+def _dual_arcs(tab, e_q):
+    """(arcs, neighbour faces, sorted odd faces) of the dual without e_q.
+
+    Only the faces an e_q dual touches are filtered, and each e_q dual
+    toggles the parity of its two faces (a self-loop toggles nothing).
+    """
+    arcs = list(tab.arcs)
+    nbrs = list(tab.face_nbrs)
+    odd = tab.odd
+    for e in e_q:
+        a, b = tab.dual.edges[e]
+        odd ^= 1 << a ^ 1 << b
+        for v in (a, b):
+            arcs[v] = [(f, w) for f, w in arcs[v] if f not in e_q]
+            nbrs[v] = [w for _, w in arcs[v]]
+    return arcs, nbrs, [v for v in range(len(arcs)) if odd >> v & 1]
+
+
+def _pairing_paths(tab, e_q, k):
     """Up to k shortest dual paths for each pair of the first odd-face matching.
 
     Odd-degree faces are counted once the gate-internal duals e_q are
     deleted; paths avoid e_q. The BFS distances from each odd face weight
     the matching and bound every pair's path search.
     """
-    odd = sorted(d.odd_vertices(e_q))
+    adj, nbrs, odd = _dual_arcs(tab, e_q)
     if not odd:
         return []
-    adj = [[] for _ in range(d.num_vertices)]
-    for e, (a, b) in enumerate(d.edges):
-        if a != b and e not in e_q:
-            adj[a].append((e, b))
-            adj[b].append((e, a))
-    nbrs = [[w for _, w in arcs] for arcs in adj]
     dist = {src: topo.bfs_distances(nbrs, src) for src in odd}
     finite = [
         dist[u][v]
@@ -427,7 +450,7 @@ def alpha_optimal(g, q, alpha, k=3, _trace=None):
         raise ValueError("k must be at least 1")
     tab = _tables(g)
     e_q = _gate_internal_edges(g, q)
-    path_lists = _pairing_paths(tab.dual, e_q, k)
+    path_lists = _pairing_paths(tab, e_q, k)
     m = len(path_lists)
 
     every = tab.every

@@ -184,6 +184,62 @@ class TestLayerWindows:
             _layer_windows(layer, _pulse_map(gauss_lib))
 
 
+def _xy_pulse(T, angle=math.pi / 2):
+    """x and y drives together: every 2x2 step operator is complex throughout."""
+    x = gaussian_pulse(angle, T)
+    return PulseSpec(x.channels + gaussian_pulse(0.5, T, axis="y").channels)
+
+
+def _coupled_pulse(T, singles=()):
+    """A coupling drive on (0, 1) plus x drives on the given gate qubits."""
+    zx = gaussian_pulse(math.pi / 2, T, axis="coupling", target=(0, 1))
+    extra = tuple(ch for q in singles for ch in gaussian_pulse(0.3, T, target=q).channels)
+    return PulseSpec(zx.channels + extra)
+
+
+def _assert_split_matches_reference(n, layers, rate, batches=(1, 2, 3)):
+    """_split_layer on each batch, layer after layer, against each device's
+    own tensordot run, bit for bit; layers holds (windows, duration)."""
+    rng = np.random.default_rng(n)
+    lams = TWO_PI * 200e3 * (1 + 0.25 * rng.standard_normal((max(batches), n - 1)))
+    zz = np.stack([_zz_diagonal(n, [(q, q + 1, lam) for q, lam in enumerate(row)])
+                   for row in lams])
+    psi0 = rng.standard_normal((len(zz), 1 << n)) + 1j * rng.standard_normal((len(zz), 1 << n))
+    psi0 /= np.linalg.norm(psi0, axis=1, keepdims=True)
+    refs = []
+    psi = psi0
+    for windows, duration in layers:
+        psi = np.stack([_reference_split_layer(row, n, z, windows, duration, rate)
+                        for row, z in zip(psi, zz)])
+        refs.append(psi)
+    for batch in batches:
+        psi = psi0[:batch]
+        for (windows, duration), ref in zip(layers, refs):
+            psi = _split_layer(psi, n, zz[:batch], windows, duration, rate)
+            for row, r in zip(psi, ref):
+                assert np.array_equal(row, r)
+
+
+# rate 20 samples a layer once per ns, so window edges at whole ns cut
+# the step grid exactly where the windows say
+_PLAN_CASES = {
+    # a window that starts mid-layer without fill: idle steps on both sides
+    "idle-steps": ([(13e-9, _xy_pulse(20e-9), (1,))], 40e-9),
+    # windows ending and starting mid-layer on different qubits, with
+    # one-step segments at 0, 20, 21, 41 and 44
+    "staggered": ([(0.0, _xy_pulse(20e-9), (0,)), (1e-9, _xy_pulse(20e-9), (3,)),
+                   (21e-9, _xy_pulse(20e-9), (1,)), (20e-9, _xy_pulse(24e-9), (0,)),
+                   (22e-9, _xy_pulse(20e-9), (2,))], 45e-9),
+    # a coupling and single-qubit drives in the same steps, from separate
+    # windows and from one gate's own channels
+    "coupling-and-singles": ([(0.0, _coupled_pulse(30e-9), (1, 2)),
+                              (5e-9, _xy_pulse(20e-9), (0,)),
+                              (3e-9, _xy_pulse(20e-9), (3,))], 30e-9),
+    "coupled-gate-drives": ([(0.0, _coupled_pulse(25e-9, (0, 1)), (2, 1)),
+                             (4e-9, _xy_pulse(20e-9), (0,))], 28e-9),
+}
+
+
 class TestSimulatePlan:
     def test_zero_coupling_recovers_ideal(self, gauss_lib):
         c = to_native(benchmark("qft", 3))
@@ -257,6 +313,37 @@ class TestSimulatePlan:
                 psi = _split_layer(psi, nq, zz[:batch], w, layer.duration, 200)
                 for row, r in zip(psi, ref):
                     assert np.array_equal(row, r)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("case", sorted(_PLAN_CASES))
+    def test_split_layer_segments_match_reference(self, case, n):
+        windows, duration = _PLAN_CASES[case]
+        # a second layer starts from the first one's last operator layout
+        _assert_split_matches_reference(n, [(windows, duration)] * 2, 20)
+
+    def test_split_layer_grc12_bit_identical(self, gauss_lib):
+        g = grid_topology(3, 4)
+        c = to_native(benchmark("grc", 12, qubit_order=grid_snake_order(3, 4)))
+        plan = schedule(g, c)
+        pmap = dict(_pulse_map(gauss_lib))
+        for kind in ("rx90", "id"):
+            pmap[kind] = _xy_pulse(pmap[kind].duration)
+        layers = [(_layer_windows(layer, pmap), layer.duration) for layer in plan.layers[:4]]
+        assert any(len(qs) == 2 for w, _ in layers for _, _, qs in w)
+        _assert_split_matches_reference(12, layers, 200, batches=(1, 2))
+
+    def test_libraries_back_to_back(self, gauss_lib, pert_lib):
+        # equal durations per gate kind, so only the specs tell the two
+        # libraries' step operators apart: none may outlive its call
+        g = grid_topology(2, 3)
+        c = to_native(benchmark("qft", 4, qubit_order=grid_snake_order(2, 3)[:4]))
+        plan = schedule(g, c)
+        dev = sample_device(g, 200e3, 50e3, seed=3)
+        libs = {"gauss": gauss_lib, "pert": pert_lib}
+        first = {name: simulate_plan(dev, plan, lib) for name, lib in libs.items()}
+        assert first["gauss"] != first["pert"]
+        for name in ("pert", "gauss", "pert"):
+            assert simulate_plan(dev, plan, libs[name]) == first[name]
 
     def test_norm_preserved(self, gauss_lib):
         c = to_native(benchmark("qft", 3))
@@ -555,6 +642,17 @@ class TestFitCosine:
         with pytest.raises(ValueError):
             fit_cosine(taus, np.cos(taus * 1e6))
 
+    def test_rejects_repeated_delays(self):
+        taus = np.zeros(10)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            fit_cosine(taus, np.cos(np.arange(10.0)))
+
+    def test_rejects_descending_delays(self):
+        # a negative step once fitted a negative frequency with R^2 near 1
+        taus = np.arange(64)[::-1] * 160e-9
+        with pytest.raises(ValueError, match="strictly increasing"):
+            fit_cosine(taus, np.cos(TWO_PI * 1.3e6 * taus))
+
 
 class TestRamsey:
     def test_bare_frequency_shift_matches_closed_form(self, gauss_lib):
@@ -628,6 +726,12 @@ class TestRamsey:
         off_grid = tuple(k * 30e-9 for k in range(16))
         with pytest.raises(ValueError):
             ramsey_experiment(dev, gauss_lib, "suppressed_B", delays=off_grid)
+
+    def test_rejects_repeated_and_descending_delays(self, gauss_lib):
+        dev = uniform_device(LINE2, 200e3)
+        for delays in ((0.0,) * 10, tuple(k * 160e-9 for k in range(10))[::-1]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                ramsey_experiment(dev, gauss_lib, "bare", delays=delays)
 
     def test_flat_signal_fails_the_fit(self, gauss_lib):
         dev = uniform_device(LINE2, 0.0)

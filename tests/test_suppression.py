@@ -221,7 +221,8 @@ def test_runtime_smoke_5x5():
 
 
 def _dual_adjacency(d, banned):
-    """(adj, neighbour lists) as _pairing_paths builds them."""
+    """(adj, neighbour lists) rebuilt from the dual's edge list without the
+    banned edges: the reference for the solver's per-topology arcs."""
     adj = [[] for _ in range(d.num_vertices)]
     for e, (a, b) in enumerate(d.edges):
         if a != b and e not in banned:
@@ -293,11 +294,15 @@ def test_k_shortest_paths_match_exhaustive_enumeration(
     d = topo.dual_graph(g)
     q = frozenset(data.draw(st.sets(st.integers(0, g.num_qubits - 1), max_size=5)))
     e_q = supp._gate_internal_edges(g, q)
+    # the solver's per-topology arcs, filtered for this gate set
+    adj, nbrs, odd = supp._dual_arcs(supp._tables(g), e_q)
+    assert ([list(a) for a in adj], [list(w) for w in nbrs]) == _dual_adjacency(d, e_q)
+    assert odd == sorted(d.odd_vertices(e_q))
     k = data.draw(st.integers(1, 6))
     faces = sorted(d.odd_vertices(e_q)) or list(range(d.num_vertices))
     if len(faces) < 2:
         # a tree (vigo) has one face, and each of its dual edges is a self-loop
-        assert supp._pairing_paths(d, e_q, k) == []
+        assert supp._pairing_paths(supp._tables(g), e_q, k) == []
         return
     src, dst = data.draw(st.lists(st.sampled_from(faces), min_size=2, max_size=2, unique=True))
     assert _paths(d, src, dst, k, e_q) == _all_simple_paths(d, src, dst, e_q)[:k]
@@ -400,7 +405,6 @@ def _assert_word_matches_contraction(g, word, dset):
 def test_packed_scorer_matches_contraction(shape, data, chamfered_grid, six_qubit_planar):
     g = _scorer_graph(shape, chamfered_grid, six_qubit_planar)
     n, n_e = g.num_qubits, len(g.edges)
-    d = topo.dual_graph(g)
     tab = supp._tables(g)
 
     # arbitrary edge sets: most close an odd structure and are no cut
@@ -411,7 +415,7 @@ def test_packed_scorer_matches_contraction(shape, data, chamfered_grid, six_qubi
     # the solver's own candidates: a path-index vector over its path lists
     q = frozenset(data.draw(st.sets(st.integers(0, n - 1), max_size=5)))
     e_q = supp._gate_internal_edges(g, q)
-    path_lists = supp._pairing_paths(d, e_q, 3)
+    path_lists = supp._pairing_paths(tab, e_q, 3)
     idx = [data.draw(st.integers(0, len(pl) - 1)) for pl in path_lists]
     word = supp._candidate_base(tab, e_q)
     sel = set()
