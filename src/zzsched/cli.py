@@ -329,7 +329,7 @@ def cmd_suppress(args):
     with _stage("suppression"):
         q = _parse_qubits(args.qubits)
         res = alpha_optimal(g, q, args.alpha, k=args.k)
-        save_result(args.out, res)
+        save_result(args.out, g, q, res)
     print(f"n_q={res.n_q} n_c={res.n_c} objective={res.objective:.3f} "
           f"-> {args.out}")
     return 0
@@ -436,6 +436,11 @@ def cmd_sweep(args):
     with _stage("pulse"):
         op = load_pulse(args.pulse)
     with _stage("quantumsim"):
+        for flag, bound in (("--lambda-hz-min", args.lambda_hz_min),
+                            ("--lambda-hz-max", args.lambda_hz_max)):
+            if bound <= 0:  # NaN passes on to the region's finiteness check
+                raise ValueError(f"{flag} must be positive, got {bound:g}: "
+                                 f"the strength grid is log-spaced")
         lams_hz = np.logspace(math.log10(args.lambda_hz_min),
                               math.log10(args.lambda_hz_max), args.points)
         curve = suppression_sweep(args.scenario, op,

@@ -6,20 +6,25 @@ strength lambda (rad/s) per edge; drives enter as Omega_x sigma_x +
 Omega_y sigma_y on a gate qubit (no 1/2, so the rotation angle is
 2*integral(Omega)) or as Omega * sigma_z x sigma_x on the gate pair.
 
-One dense propagator (_dense_layer) steps a diagonal ZZ term plus the
+One dense stepper (_step_nodes) steps a diagonal ZZ term plus the
 drives of timed pulse windows with one eigendecomposition per step. A
-region's evolution is one such layer whose gate qubits carry the pulse as
-one window at t = 0; quantumsim runs the same layer on small device
-registers as its oracle and for Ramsey, so both share one Hamiltonian
-builder, one channel-target check and one size cap.
+region's evolution (_evolve_stack, and evolve as its one-problem case)
+steps the pulse as one window at t = 0 on the gate qubits; quantumsim
+steps device layers (_dense_layer) on small registers as its oracle and
+for Ramsey, so both share one Hamiltonian builder, one channel-target
+check and one size cap.
 
 Three pulse backends: optctrl (penalized fidelity averaged over coupling
 strengths), pert (first-order interaction-picture cancellation), and dcg
 (fixed composed Gaussian sequences). All internal units are rad/s and
-seconds; file formats carry Hz and ns with explicit conversion. The fast
-pert loss evaluates a whole finite-difference stencil in one batched pass,
-and the stepper diagonalizes chunks of steps in stacked eigh calls, with
-the same bits as a per-point, per-step loop.
+seconds; file formats carry Hz and ns with explicit conversion.
+
+Every loss takes a whole finite-difference stencil, or one line-search
+probe per restart, in one call: the fast pert loss as one batched pass
+over the plane integrals, the optctrl and dense pert losses as one stack
+of independent problems for the one stepper, which diagonalizes chunks
+of steps of every problem in stacked eigh calls. The restarts descend in
+lockstep. Pulses keep the bits of a per-point, per-step, per-restart loop.
 """
 
 from __future__ import annotations
@@ -253,7 +258,8 @@ def _embed(ops, positions, n):
 
 
 _DENSE_MAX_QUBITS = 6  # the one cap on dense work: regions, device layers, Ramsey
-_STEP_CHUNK = 32  # steps per stacked eigh; a whole-pulse stack costs memory and time
+_STEP_CHUNK = 32  # matrices per stacked eigh; a whole-pulse stack costs memory and time
+_STACK_MAX = 2 * _STEP_CHUNK  # problems per stepper call; a 10-point stencil on 4 strengths fits
 
 
 def _dense_qubits(n):
@@ -267,21 +273,31 @@ def _dense_qubits(n):
 def _step_nodes(h_static, terms, dt, steps):
     """Yield the propagator at every step boundary, identity first.
 
-    terms holds (amplitude per step, constant matrix) pairs. Each chunk of
-    steps builds its Hamiltonians as one stack, diagonalizes them in one
-    eigh call and forms the step unitaries with one stacked matmul; they
-    are then applied in order, u = su @ u, exactly as a per-step loop would.
+    terms holds (amplitude per step, constant matrix) pairs. Leading axes
+    B of h_static (*B, d, d) and of the amplitudes (*B, steps), broadcast
+    together, stack P independent problems; the nodes are (*B, d, d). Each
+    chunk of max(1, _STEP_CHUNK // P) steps builds its Hamiltonians as one
+    stack, diagonalizes them in one eigh call and forms the step unitaries
+    with one stacked matmul; they are then applied in order, u = su @ u.
+    LAPACK and BLAS treat each matrix of a stack on its own, so every
+    problem gets the bits of a per-step loop over it alone. Callers bound
+    P: _evolve_stack passes at most _STACK_MAX problems per call, the
+    dense pert loss one per stencil point or searching restart.
     """
-    u = np.eye(h_static.shape[0], dtype=complex)
+    shape = np.broadcast_shapes(h_static.shape, *(a.shape[:-1] + (1, 1) for a, _ in terms))
+    chunk = max(1, _STEP_CHUNK // math.prod(shape[:-2]))
+    u = np.broadcast_to(np.eye(shape[-1], dtype=complex), shape).copy()
     yield u
-    for k0 in range(0, steps, _STEP_CHUNK):
-        k1 = min(k0 + _STEP_CHUNK, steps)
-        h = np.repeat(h_static[None], k1 - k0, axis=0)
+    for k0 in range(0, steps, chunk):
+        k1 = min(k0 + chunk, steps)
+        h = np.empty((*shape[:-2], k1 - k0, *shape[-2:]), dtype=complex)
+        h[...] = h_static[..., None, :, :]
         for amps, mat in terms:
-            h += amps[k0:k1, None, None] * mat
+            h += amps[..., k0:k1, None, None] * mat
         w, v = np.linalg.eigh(h)
-        for su in (v * np.exp(-1j * w * dt)[:, None, :]) @ v.conj().swapaxes(1, 2):
-            u = su @ u
+        sus = (v * np.exp(-1j * w * dt)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        for j in range(k1 - k0):
+            u = sus[..., j, :, :] @ u
             yield u
 
 
@@ -354,61 +370,98 @@ def _window_amplitudes(windows, mids):
     return out
 
 
-def _window_terms(n, windows, duration, rate, amp_scale=1.0):
-    """(terms, dt, steps) for the windows' drives on an n-qubit register.
+def _window_terms(n, stack, duration, rate, amp_scale=1.0):
+    """(terms, dt, steps) for a stack of window lists on an n-qubit register.
 
-    terms pairs each drive's amplitude on every midpoint step, times
-    amp_scale, with its constant matrix, as _step_nodes takes them; an x or
-    y drive that stays zero is left out.
+    terms pairs each drive's amplitudes, one row per window list on every
+    midpoint step and times amp_scale, with its constant matrix, as
+    _step_nodes takes them. A list that lacks a drive gets zeros, which
+    leave a Hamiltonian's bits alone; an x or y drive that stays zero is
+    left out.
     """
     _dense_qubits(n)
     steps = num_steps(duration, rate)
     dt = duration / steps
     mids = (np.arange(steps) + 0.5) * dt
-    terms = []
-    for i0, i1, singles, couplings in _window_amplitudes(windows, mids):
-        drives = [(amps, [op], [q]) for q, (ax, ay) in sorted(singles.items())
-                  for amps, op in ((ax, _X), (ay, _Y)) if np.any(amps)]
-        drives += [(amps, [_Z, _X], pair) for pair, amps in sorted(couplings.items())]
-        for amps, ops, qubits in drives:
-            full = np.zeros(steps)
-            full[i0:i1] = amps
-            terms.append((amp_scale * full, _embed(ops, qubits, n)))
+    rows = {}  # (window, drive) -> amplitudes, ops, qubits; keys sort in stepping order
+    for p, windows in enumerate(stack):
+        for w, (i0, i1, singles, couplings) in enumerate(_window_amplitudes(windows, mids)):
+            drives = [((0, q, i), amps, [op], [q]) for q, pair in sorted(singles.items())
+                      for i, (amps, op) in enumerate(zip(pair, (_X, _Y))) if np.any(amps)]
+            drives += [((1, pair), amps, [_Z, _X], pair)
+                       for pair, amps in sorted(couplings.items())]
+            for key, amps, ops, qubits in drives:
+                row = rows.setdefault((w, key), (np.zeros((len(stack), steps)), ops, qubits))
+                row[0][p, i0:i1] = amps
+    terms = [(amp_scale * a, _embed(ops, qubits, n))
+             for _, (a, ops, qubits) in sorted(rows.items())]
     return terms, dt, steps
 
 
-def _dense_layer(n, zz_diag, windows, duration, rate, amp_scale=1.0):
-    """Propagator of timed pulse windows over the diagonal ZZ term zz_diag.
+def _pulse_terms(model, specs, amp_scale=1.0):
+    """_window_terms for pulses sharing one duration and sample rate, each
+    one window at t = 0 on the region's gate qubits."""
+    gate = tuple(range(model.num_gate_qubits))
+    return _window_terms(model.num_qubits, [[(0.0, spec, gate)] for spec in specs],
+                         specs[0].duration, specs[0].sample_rate, amp_scale)
 
-    Serves a basic region (evolve) and a device layer, where it is the
-    split-step simulator's oracle on small registers.
-    """
-    terms, dt, steps = _window_terms(n, windows, duration, rate, amp_scale)
+
+def _dense_layer(n, zz_diag, windows, duration, rate, amp_scale=1.0):
+    """Propagator of timed pulse windows over the diagonal ZZ term zz_diag:
+    a device layer, where it is the split-step simulator's oracle on small
+    registers, or a Ramsey slot."""
+    terms, dt, steps = _window_terms(n, [windows], duration, rate, amp_scale)
+    terms = [(a[0], mat) for a, mat in terms]  # a stack of one window list: B = ()
     return _step_product(np.diag(zz_diag.astype(complex)), terms, dt, steps)
 
 
-def evolve(model, pulses, include_crosstalk=True, include_intra=True,
-           amp_scale=1.0, detunings=()):
-    """Midpoint piecewise-constant propagator over the pulse duration: one
-    dense layer whose gate qubits carry the pulse as one window at t = 0.
-
-    detunings: iterable of (qubit, omega_rad) adding omega/2 * sigma_z terms;
-    amp_scale multiplies every drive envelope (drive-noise evaluation hooks).
-    """
+def _region_diagonal(model, include_crosstalk=True, include_intra=True, detunings=()):
+    """The ZZ diagonal a region's drives are stepped over."""
     n = _dense_qubits(model.num_qubits)
     zz = model.cross_pairs() if include_crosstalk else []
     if include_intra and model.kind == "two":
         zz.append((0, 1, model.intra_lambda))
     zz += [(q, omega / 2) for q, omega in detunings]
-    window = (0.0, pulses, tuple(range(model.num_gate_qubits)))
-    return _dense_layer(n, _zz_diagonal(n, zz), [window], pulses.duration,
-                        pulses.sample_rate, amp_scale)
+    return _zz_diagonal(n, zz)
+
+
+def evolve(model, pulses, include_crosstalk=True, include_intra=True,
+           amp_scale=1.0, detunings=()):
+    """Midpoint piecewise-constant propagator over the pulse duration, the
+    pulse acting as one window at t = 0 on the region's gate qubits.
+
+    detunings: iterable of (qubit, omega_rad) adding omega/2 * sigma_z terms;
+    amp_scale multiplies every drive envelope (drive-noise evaluation hooks).
+    """
+    return _evolve_stack([model], [pulses], amp_scale, include_crosstalk=include_crosstalk,
+                         include_intra=include_intra, detunings=detunings)[0, 0]
+
+
+def _evolve_stack(models, specs, amp_scale=1.0, **settings):
+    """evolve of every pulse on every model, as one (len(specs),
+    len(models), d, d) stack with the same bits. The models share one
+    layout and the pulses one duration and sample rate; settings are
+    evolve's include_crosstalk, include_intra and detunings."""
+    h = np.stack([np.diag(_region_diagonal(m, **settings).astype(complex)) for m in models])
+    terms, dt, steps = _pulse_terms(models[0], specs, amp_scale)
+    out = np.empty((len(specs), *h.shape), dtype=complex)
+    per = max(1, _STACK_MAX // len(models))  # pulses per block
+    for s in range(0, len(specs), per):
+        for m in range(0, len(models), _STACK_MAX):
+            out[s:s + per, m:m + _STACK_MAX] = _step_product(
+                h[m:m + _STACK_MAX], [(a[s:s + per, None], mat) for a, mat in terms], dt, steps)
+    return out
 
 
 def control_unitary(model, pulses, include_intra=False):
     """Propagator of the drives alone, on the gate qubits only."""
-    reduced = gate_space_model(model)
-    return evolve(reduced, pulses, include_crosstalk=False, include_intra=include_intra)
+    return _control_unitaries(model, [pulses], include_intra)[0]
+
+
+def _control_unitaries(model, specs, include_intra=False):
+    """control_unitary of every pulse, as one (len(specs), d, d) stack."""
+    return _evolve_stack([gate_space_model(model)], specs, include_crosstalk=False,
+                         include_intra=include_intra)[:, 0]
 
 
 def avg_gate_fidelity(u, v):
@@ -429,41 +482,55 @@ def pert_first_order(model, pulses):
     of the drives plus the intra-region coupling, H_xtalk normalized by the
     largest cross-region strength. All couplings zero -> zero matrix.
     """
+    return _pert_first_orders(model, [pulses])[0]
+
+
+def _pert_first_orders(model, specs):
+    """pert_first_order of every pulse, as one (len(specs), d, d) stack;
+    the pulses share one duration and sample rate."""
     pairs = model.cross_pairs()
     top = max((abs(lam) for _, _, lam in pairs), default=0.0)
     if top == 0:
-        return np.zeros((model.dim, model.dim), dtype=complex)
+        return np.zeros((len(specs), model.dim, model.dim), dtype=complex)
     n = _dense_qubits(model.num_qubits)
     scale = 1.0 / top
     cross = [(g, q, lam * scale) for g, q, lam in pairs]
     intra = [(0, 1, model.intra_lambda)] if model.kind == "two" else []
     hx, h_intra = (np.diag(_zz_diagonal(n, zz).astype(complex)) for zz in (cross, intra))
-    window = (0.0, pulses, tuple(range(model.num_gate_qubits)))
-    terms, dt, steps = _window_terms(n, [window], pulses.duration, pulses.sample_rate)
-    acc = np.zeros((model.dim, model.dim), dtype=complex)
+    terms, dt, steps = _pulse_terms(model, specs)
+    acc = np.zeros((len(specs), model.dim, model.dim), dtype=complex)
     # trapezoid over the step nodes, summed as they are produced
     for k, u in enumerate(_step_nodes(h_intra, terms, dt, steps)):
         weight = 0.5 if k in (0, steps) else 1.0
-        acc += weight * (u.conj().T @ hx @ u)
+        acc += weight * (u.conj().swapaxes(-1, -2) @ hx @ u)
     return -1j * acc * dt
 
 
 def optctrl_loss(model, pulses, target):
     """Mean over DEFAULT_LAMBDA_SAMPLES of the dressed-target infidelity
     penalty, minus the gate fidelity of the drives alone."""
-    uc = control_unitary(model, pulses)
-    fid_gate = avg_gate_fidelity(uc, target)
+    return _optctrl_losses(model, [pulses], target)[0]
+
+
+def _optctrl_losses(model, specs, target):
+    """optctrl_loss of every pulse, with the same bits: one stack of
+    control unitaries and one of the pulses on every sampled strength; the
+    pulses share one duration and sample rate."""
+    ucs = _control_unitaries(model, specs)
     if model.kind == "two" and model.intra_lambda:
-        dressed_gate = control_unitary(model, pulses, include_intra=True)
+        dressed_gates = _control_unitaries(model, specs, include_intra=True)
     else:
-        dressed_gate = target
-    m = model.num_qubits - model.num_gate_qubits
-    dressed = np.kron(dressed_gate, np.eye(2 ** m, dtype=complex))
-    total = 0.0
-    for lam in DEFAULT_LAMBDA_SAMPLES:
-        u = evolve(with_cross_lambda(model, lam), pulses)
-        total += -avg_gate_fidelity(u, dressed)
-    return total / len(DEFAULT_LAMBDA_SAMPLES) - fid_gate
+        dressed_gates = [target] * len(specs)
+    spectators = np.eye(2 ** (model.num_qubits - model.num_gate_qubits), dtype=complex)
+    samples = [with_cross_lambda(model, lam) for lam in DEFAULT_LAMBDA_SAMPLES]
+    out = []
+    for us, uc, gate in zip(_evolve_stack(samples, specs), ucs, dressed_gates):
+        dressed = np.kron(gate, spectators)
+        total = 0.0
+        for u in us:
+            total += -avg_gate_fidelity(u, dressed)
+        out.append(total / len(DEFAULT_LAMBDA_SAMPLES) - avg_gate_fidelity(uc, target))
+    return out
 
 
 # --------------------------------------------------------- fixed shapes
@@ -631,31 +698,40 @@ def _fd_stencil(x):
     return pts, h
 
 
-def _descend(f, grad, x0, max_iter):
-    x = np.asarray(x0, dtype=float).copy()
-    fx = f(x)
-    iters = 0
-    step = 1.0
+def _descend(losses, grad, starts, max_iter):
+    """Backtracking gradient descent from every start, in lockstep.
+
+    Returns (x, f(x), iterations) per start, each what a descent from that
+    start alone gives: losses scores its rows independently, and every
+    line-search round scores one probe per searching start in one call.
+    """
+    xs = [np.asarray(x0, dtype=float).copy() for x0 in starts]
+    fxs = list(losses(np.array(xs)))
+    iters = [0] * len(xs)
+    steps = [1.0] * len(xs)
+    live = range(len(xs))
     for _ in range(max_iter):
-        g = grad(x)
-        gn = float(np.linalg.norm(g))
-        if gn < _GRAD_TOL:
+        if not live:
             break
-        alpha = step
-        accepted = False
-        while alpha > 1e-14:
-            xn = x - alpha * g
-            fn = f(xn)
-            if fn <= fx - 1e-4 * alpha * gn * gn:
-                accepted = True
-                break
-            alpha /= 2
-        if not accepted:
-            break
-        x, fx = xn, fn
-        step = min(alpha * 2, 1e6)
-        iters += 1
-    return x, fx, iters
+        search = {}  # start -> (gradient, its norm, step length to probe)
+        for i in live:
+            g = grad(xs[i])
+            gn = float(np.linalg.norm(g))
+            if gn >= _GRAD_TOL:
+                search[i] = (g, gn, steps[i])
+        live = []
+        while search:
+            probes = {i: xs[i] - alpha * g for i, (g, _, alpha) in search.items()}
+            for (i, xn), fn in zip(probes.items(), losses(np.array(list(probes.values())))):
+                g, gn, alpha = search.pop(i)
+                if fn <= fxs[i] - 1e-4 * alpha * gn * gn:
+                    xs[i], fxs[i] = xn, fn
+                    steps[i] = min(alpha * 2, 1e6)
+                    iters[i] += 1
+                    live.append(i)
+                elif alpha / 2 > 1e-14:
+                    search[i] = (g, gn, alpha / 2)
+    return list(zip(xs, fxs, iters))
 
 
 def _dense(model, backend):
@@ -707,16 +783,13 @@ def optimize(model, target, backend, config=None):
                 out.append(norm / T - fid)
             return out
     else:
-        def point_loss(x):
-            spec = build(x)
-            if backend == "optctrl":
-                return optctrl_loss(model, spec, gate)
-            first = pert_first_order(model, spec)
-            uc = control_unitary(model, spec)
-            return float(np.linalg.norm(first)) / T - avg_gate_fidelity(uc, gate)
-
         def losses(xs):
-            return [point_loss(x) for x in xs]
+            specs = [build(x) for x in xs]
+            if backend == "optctrl":
+                return _optctrl_losses(model, specs, gate)
+            ucs = _control_unitaries(model, specs)
+            return [float(np.linalg.norm(first)) / T - avg_gate_fidelity(uc, gate)
+                    for first, uc in zip(_pert_first_orders(model, specs), ucs)]
 
     def loss_fn(x):
         return losses(np.asarray(x)[None])[0]
@@ -734,8 +807,7 @@ def optimize(model, target, backend, config=None):
         starts.append(x_init + 0.15 * angle * rng.standard_normal(5))
 
     best = (None, math.inf, 0)
-    for x0 in starts:
-        x, fx, iters = _descend(loss_fn, grad, x0, config.max_iter)
+    for x, fx, iters in _descend(losses, grad, starts, config.max_iter):
         if fx < best[1]:
             best = (x, fx, iters)
     x, fx, iters = best

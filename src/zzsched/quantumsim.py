@@ -11,8 +11,8 @@ calibration error counts against the pulse, not the reference.
 Two integrators share the same midpoint sampling grid and the same pulse
 windows: a split-step statevector propagator (diagonal ZZ half-steps
 around closed-form local drive exponentials) used by default, and the
-dense propagator in pulse (_dense_layer, the one that also evolves basic
-regions), kept as a small-system oracle.
+dense propagator in pulse (_dense_layer, on the stepper that also evolves
+basic regions), kept as a small-system oracle.
 
 One np.dot layout (circuit._dot_layout) serves the drive steps, the
 frame rotations and the ideal reference: on a (b, 2, ..., 2) batch, its
@@ -59,12 +59,12 @@ from .pulse import (
     OptimizedPulse,
     RegionModel,
     _dense_layer,
+    _evolve_stack,
     _window_amplitudes,
     _zz_diagonal,
     avg_gate_fidelity,
-    control_unitary,
     dcg_sequence,
-    evolve,
+    gate_space_model,
     gaussian_pulse,
     num_steps,
 )
@@ -411,9 +411,9 @@ def _pulse_kind(spec):
     return "single"
 
 
-def _sweep_infidelity(spec, kind, lam, detunings=(), amp_scale=1.0,
-                      target_gate=None):
-    """Suppression infidelity at one strength.
+def _curve(spec, kind, lambdas, floor, detunings=(), amp_scale=1.0, target_gate=None):
+    """(strength, suppression infidelity) per strength, clipped from below
+    at floor; the regions at every strength evolve as one stack.
 
     The default reference is the pulse's own coupling-free evolution
     under the same drive settings, so the curve isolates crosstalk:
@@ -423,32 +423,33 @@ def _sweep_infidelity(spec, kind, lam, detunings=(), amp_scale=1.0,
     back in; that comparison has a lower numerical floor and is the
     right one for scaling-exponent fits.
     """
+    lams = [float(lam) for lam in lambdas]
+    if not lams:
+        return []
     if kind == "single":
-        model = RegionModel("single", neighbor_lambdas_a=(lam,))
+        models = [RegionModel("single", neighbor_lambdas_a=(lam,)) for lam in lams]
         if target_gate is not None:
             target = np.kron(gate_matrix(Gate(target_gate, (0,))), np.eye(2))
         else:
-            target = evolve(model, spec, include_crosstalk=False,
-                            detunings=detunings, amp_scale=amp_scale)
+            # no crosstalk, so one evolution serves every strength
+            target = _evolve_stack(models[:1], [spec], amp_scale, include_crosstalk=False,
+                                   detunings=detunings)[0, 0]
+        targets = [target] * len(lams)
     else:
-        model = RegionModel("two", neighbor_lambdas_a=(lam,),
-                            neighbor_lambdas_b=(lam,), intra_lambda=lam)
+        models = [RegionModel("two", neighbor_lambdas_a=(lam,), neighbor_lambdas_b=(lam,),
+                              intra_lambda=lam) for lam in lams]
         # dressed: the gate-space evolution keeps the always-on intra
         # coupling, so only spectator error is scored
-        dressed = control_unitary(model, spec, include_intra=True)
-        target = np.kron(dressed, np.eye(4))
-    u = evolve(model, spec, detunings=detunings, amp_scale=amp_scale)
-    return 1.0 - avg_gate_fidelity(u, target)
-
-
-def _curve(spec, kind, lambdas, floor, **settings):
-    """(strength, infidelity) per strength, clipped from below at floor."""
+        dressed = _evolve_stack([gate_space_model(m) for m in models], [spec],
+                                include_crosstalk=False)[0]
+        targets = [np.kron(d, np.eye(4)) for d in dressed]
+    us = _evolve_stack(models, [spec], amp_scale, detunings=detunings)[0]
     curve = []
-    for lam in lambdas:
-        infid = _sweep_infidelity(spec, kind, float(lam), **settings)
+    for lam, u, target in zip(lams, us, targets):
+        infid = 1.0 - avg_gate_fidelity(u, target)
         if floor is not None:
             infid = max(infid, floor)
-        curve.append((float(lam), infid))
+        curve.append((lam, infid))
     return curve
 
 

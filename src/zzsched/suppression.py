@@ -57,19 +57,15 @@ _FULL_SCAN_CAP = 20000
 
 @dataclass(frozen=True)
 class SuppressionResult:
-    """Cut plus its metrics and the dual certificate that produced it.
-
-    pairing excludes the duals of gate-internal couplings; re-adding them
-    gives a valid odd-vertex pairing of the full dual. repaired marks cuts
-    fixed up by forcing the gate set into one side after every pairing
-    candidate failed the gate check.
+    """Cut plus its metrics. repaired marks cuts fixed up by forcing the
+    gate set into one side after every pairing candidate failed the gate
+    check.
     """
 
     cut: topo.Cut
     n_q: int
     n_c: int
     objective: float
-    pairing: topo.OddVertexPairing
     repaired: bool = False
     warning: str = None
 
@@ -82,11 +78,6 @@ def _check_gate_set(g, q):
 
 def _gate_internal_edges(g, q):
     return frozenset(e for e, (u, v) in enumerate(g.edges) if u in q and v in q)
-
-
-def _result_pairing(g, cut, q):
-    rem = topo.remaining_set(g, cut)
-    return topo.OddVertexPairing(rem - _gate_internal_edges(g, q))
 
 
 def _mask(qubits):
@@ -189,7 +180,7 @@ def brute_force_optimal(g, q, alpha):
             best = (obj, n_q, n_c, mask)
     obj, n_q, n_c, mask = best
     cut = _mask_cut(g, mask)
-    return SuppressionResult(cut, n_q, n_c, obj, _result_pairing(g, cut, q))
+    return SuppressionResult(cut, n_q, n_c, obj)
 
 
 # -------------------------------------------------- dual path machinery
@@ -491,9 +482,7 @@ def alpha_optimal(g, q, alpha, k=3, _trace=None):
     def result(rec, warning=None):
         s, t = every & ~rec[3], rec[3]
         cut = _mask_cut(g, s if qmask & s == qmask else t)  # q into partition_s
-        return SuppressionResult(
-            cut, rec[1], rec[2], rec[0], _result_pairing(g, cut, q), warning=warning
-        )
+        return SuppressionResult(cut, rec[1], rec[2], rec[0], warning=warning)
 
     zero = word_of((0,) * m)
     cur = candidate(zero)
@@ -567,13 +556,11 @@ def alpha_optimal(g, q, alpha, k=3, _trace=None):
             if rec is not None and (best is None or rec[0] < best[0]):
                 best = (*rec, side)
     obj, n_q2, n_c2, side = best
-    cut2 = _mask_cut(g, side)
     return SuppressionResult(
-        cut2,
+        _mask_cut(g, side),
         n_q2,
         n_c2,
         obj,
-        _result_pairing(g, cut2, q),
         repaired=True,
         warning="gate set forced into one side; no pairing candidate was feasible",
     )
@@ -582,22 +569,26 @@ def alpha_optimal(g, q, alpha, k=3, _trace=None):
 # ------------------------------------------------------------------ I/O
 
 
-def result_to_json(res):
+def result_to_json(g, q, res):
+    """The result as JSON, with its dual certificate: the remaining-set
+    without the duals of gate-internal couplings; re-adding them gives a
+    valid odd-vertex pairing of the full dual."""
+    rem = topo.remaining_set(g, res.cut) - _gate_internal_edges(g, q)
     return {
         "partition_s": sorted(res.cut.partition_s),
         "partition_t": sorted(res.cut.partition_t),
         "n_q": res.n_q,
         "n_c": res.n_c,
         "objective": res.objective,
-        "pairing_edges": sorted(res.pairing.dual_edges),
+        "pairing_edges": sorted(rem),
         "repaired": res.repaired,
         "warning": res.warning,
     }
 
 
-def save_result(path, res):
+def save_result(path, g, q, res):
     with open(path, "w") as fh:
-        json.dump(result_to_json(res), fh, indent=1)
+        json.dump(result_to_json(g, q, res), fh, indent=1)
         fh.write("\n")
 
 

@@ -373,6 +373,22 @@ class TestSweepCommand:
         assert "ZZ strengths must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value", [("--lambda-hz-min", "0"),
+                                            ("--lambda-hz-min", "-5e3"),
+                                            ("--lambda-hz-max", "-2e5")])
+    def test_nonpositive_bound(self, tmp_path, capsys, flag, value):
+        # log10 of the bound used to fail with "math domain error"
+        pulse = tmp_path / "p.json"
+        assert main(["optimize-pulse", "--gate", "rx90", "--backend", "gaussian",
+                     "--out", str(pulse)]) == 0
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--pulse", str(pulse), f"{flag}={value}", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error [quantumsim] {flag} must be positive" in err
+        assert "log-spaced" in err
+        assert not out.exists()
+
 
 class TestRamseyCommand:
     def test_bare_and_suppressed(self, workspace, tmp_path, capsys):

@@ -20,7 +20,11 @@ from zzsched.pulse import (
     PulseSpec,
     RegionModel,
     SegmentEnvelope,
+    _descend,
+    _fd_stencil,
     _fourier_basis,
+    _optctrl_losses,
+    _pert_first_orders,
     _pert_scorer,
     _plane_integrals_batch,
     _step_nodes,
@@ -216,10 +220,10 @@ class TestRegionModel:
 def dense_hamiltonian(n, zz, windows, duration, rate, k):
     """H at midpoint step k from the shared dense builders: the diagonal ZZ
     term of the (q..., lambda) tuples zz plus every drive of the windows."""
-    terms, _, _ = _window_terms(n, windows, duration, rate)
+    terms, _, _ = _window_terms(n, [windows], duration, rate)
     h = np.diag(_zz_diagonal(n, zz)).astype(complex)
     for amps, mat in terms:
-        h = h + amps[k] * mat
+        h = h + amps[0, k] * mat
     return h
 
 
@@ -808,21 +812,171 @@ def test_plane_integrals_batch_bit_identical(steps):
         assert all(np.array_equal(a, b) for a, b in zip(got, kept))
 
 
-# each step count spans more than one stacked chunk and ends in a partial one
-@pytest.mark.parametrize("dim,steps", [(4, 600), (16, 70), (64, 45)])
-def test_step_nodes_bit_identical(dim, steps):
+# each step count spans more than one stacked chunk and ends in a partial
+# one; a stack of P problems takes max(1, 32 // P) steps per chunk
+@pytest.mark.parametrize("dim,steps,stack", [
+    (4, 600, None), (16, 70, None), (64, 45, None),
+    (4, 70, 1), (4, 45, 3), (16, 25, 3), (4, 45, 40),
+], ids=["4-600", "16-70", "64-45", "4-70-stack1", "4-45-stack3", "16-25-stack3",
+        "4-45-stack40"])
+def test_step_nodes_bit_identical(dim, steps, stack):
     rng = np.random.default_rng(dim)
-    h_static = _random_hermitian(rng, dim)
+    members = 1 if stack is None else stack
+    hs = [_random_hermitian(rng, dim) for _ in range(members)]
     mats = [_random_hermitian(rng, dim) for _ in range(2)]
-    amps = rng.standard_normal((2, steps))
+    amps = rng.standard_normal((members, 2, steps))
     dt = 0.01
-    ref = []
-    _step_product_reference(h_static, [(None, m) for m in mats], amps, dt, dim,
-                            steps, collect=ref)
-    got = list(_step_nodes(h_static, list(zip(amps, mats)), dt, steps))
+    if stack is None:
+        got = [u[None] for u in _step_nodes(hs[0], list(zip(amps[0], mats)), dt, steps)]
+    else:
+        terms = [(amps[:, j], m) for j, m in enumerate(mats)]
+        got = list(_step_nodes(np.stack(hs), terms, dt, steps))
     assert len(got) == steps + 1
-    for a, b in zip(got, ref):
-        assert np.array_equal(a, b)
+    for p in range(members):
+        ref = []
+        _step_product_reference(hs[p], [(None, m) for m in mats], amps[p], dt, dim,
+                                steps, collect=ref)
+        for a, b in zip(got, ref):
+            assert a.shape == (members, dim, dim)
+            assert np.array_equal(a[p], b)
+
+
+def _optctrl_loss_reference(model, spec, target):
+    """The per-pulse optctrl loss the stacked one replaced: a control
+    unitary and one evolve per sampled strength, each on its own."""
+    uc = control_unitary(model, spec)
+    fid_gate = avg_gate_fidelity(uc, target)
+    if model.kind == "two" and model.intra_lambda:
+        dressed_gate = control_unitary(model, spec, include_intra=True)
+    else:
+        dressed_gate = target
+    m = model.num_qubits - model.num_gate_qubits
+    dressed = np.kron(dressed_gate, np.eye(2 ** m, dtype=complex))
+    total = 0.0
+    for lam in pulse.DEFAULT_LAMBDA_SAMPLES:
+        u = evolve(pulse.with_cross_lambda(model, lam), spec)
+        total += -avg_gate_fidelity(u, dressed)
+    return total / len(pulse.DEFAULT_LAMBDA_SAMPLES) - fid_gate
+
+
+@pytest.mark.parametrize("kind", ["single", "two"])
+def test_stacked_dense_losses_bit_identical(kind):
+    # ten pulses as one stencil: one drives nothing on its main channel
+    # (alone, that drive is left out; in the stack its rows are zeros) and
+    # one carries an extra drive the others lack
+    T = 20e-9
+    rng = np.random.default_rng(7)
+    coeffs = rng.standard_normal((10, 5)) * 5e7
+    coeffs[0] += (math.pi / 2 / T, 0, 0, 0, 0)
+    coeffs[3] = 0.0
+    if kind == "single":
+        model, target = single_region(2), RX90
+        main = [(0, "x")] * 10
+    else:
+        model = RegionModel("two", neighbor_lambdas_a=(LAM,), neighbor_lambdas_b=(LAM,),
+                            intra_lambda=0.3 * LAM)
+        target = rzx(math.pi / 2)
+        main = [((0, 1), "coupling")] * 10
+    specs = [PulseSpec((Channel(tgt, axis, FourierEnvelope(c, T)),))
+             for (tgt, axis), c in zip(main, coeffs)]
+    extra = Channel(0, "y", FourierEnvelope(tuple(rng.standard_normal(5) * 3e7), T))
+    specs[6] = PulseSpec(specs[6].channels + (extra,))
+    got = _optctrl_losses(model, specs, target)
+    assert got == [_optctrl_loss_reference(model, s, target) for s in specs]
+    assert got == [optctrl_loss(model, s, target) for s in specs]
+    firsts = _pert_first_orders(model, specs)
+    assert all(np.array_equal(f, pert_first_order(model, s)) for f, s in zip(firsts, specs))
+
+
+@pytest.mark.parametrize("pulses,strengths", [(2, 70), (3, 30)])
+def test_evolve_stack_blocks_bit_identical(pulses, strengths):
+    # more problems than one stepper call takes: 70 strengths run in blocks
+    # of 64 and 6, one pulse each; 3 pulses on 30 strengths in blocks of
+    # 2 and 1 pulses. Every block member keeps the bits of evolve
+    assert pulses * strengths > pulse._STACK_MAX
+    models = [single_region(1, lam) for lam in LAM * np.linspace(0.1, 2.0, strengths)]
+    specs = [gaussian_pulse(math.pi / 2 * (k + 1), 20e-9, sample_rate=45) for k in range(pulses)]
+    got = pulse._evolve_stack(models, specs)
+    assert got.shape == (pulses, strengths, 4, 4)
+    for s, spec in enumerate(specs):
+        for m, model in enumerate(models):
+            assert np.array_equal(got[s, m], evolve(model, spec))
+
+
+def _descend_reference(f, grad, x0, max_iter):
+    """The one-start descent the lockstep one replaced."""
+    x = np.asarray(x0, dtype=float).copy()
+    fx = f(x)
+    iters = 0
+    step = 1.0
+    for _ in range(max_iter):
+        g = grad(x)
+        gn = float(np.linalg.norm(g))
+        if gn < pulse._GRAD_TOL:
+            break
+        alpha = step
+        accepted = False
+        while alpha > 1e-14:
+            xn = x - alpha * g
+            fn = f(xn)
+            if fn <= fx - 1e-4 * alpha * gn * gn:
+                accepted = True
+                break
+            alpha /= 2
+        if not accepted:
+            break
+        x, fx = xn, fn
+        step = min(alpha * 2, 1e6)
+        iters += 1
+    return x, fx, iters
+
+
+def _rx90_losses(model, backend, T=20e-9):
+    """optimize's loss over rows of normalized coefficients, for rx90."""
+    if backend == "optctrl":
+        def losses(xs):
+            return _optctrl_losses(model, [pulse._make_spec(model, x / T, T) for x in xs], RX90)
+        return losses
+    steps = num_steps(T, 200)
+    basis = _fourier_basis(T, steps)
+    score = _pert_scorer(model, T, math.pi / 2)
+
+    def losses(xs):
+        parts = zip(*(a.tolist() for a in _plane_integrals_batch(basis, xs / T, T, steps)))
+        return [norm / T - fid for norm, fid in (score(*p) for p in parts)]
+    return losses
+
+
+@pytest.mark.parametrize("backend,lam,max_iter,restarts", [
+    # uncoupled, the calibrated start has a zero gradient and stops at
+    # once while the noisy restarts descend
+    ("pert", 0.0, 40, 3),
+    ("pert", LAM, 40, 3),
+    ("pert", LAM, 0, 3),
+    ("pert", LAM, 40, 1),
+    ("optctrl", LAM, 2, 3),
+    ("optctrl", LAM, 0, 2),
+], ids=["pert-uncoupled", "pert", "pert-no-iter", "pert-one-start", "optctrl",
+        "optctrl-no-iter"])
+def test_lockstep_descent_matches_sequential(backend, lam, max_iter, restarts):
+    losses = _rx90_losses(single_region(1, lam), backend)
+
+    def grad(x):
+        pts, h = _fd_stencil(x)
+        vals = np.array(losses(pts))
+        return (vals[0::2] - vals[1::2]) / (2 * h)
+
+    x_init = np.array([math.pi / 2, 0, 0, 0, 0])
+    starts = [x_init] + [x_init + 0.15 * math.pi / 2 * np.random.default_rng(i).standard_normal(5)
+                         for i in range(1, restarts)]
+    got = _descend(losses, grad, starts, max_iter)
+    ref = [_descend_reference(lambda x: losses(x[None])[0], grad, x0, max_iter)
+           for x0 in starts]
+    assert len(got) == len(ref)
+    for (x, fx, iters), (rx, rfx, riters) in zip(got, ref):
+        assert np.array_equal(x, rx) and fx == rfx and iters == riters
+    if lam == 0.0:
+        assert [r[2] for r in ref] == [0, max_iter, max_iter]
 
 
 RZX90_M2 = RegionModel("two", neighbor_lambdas_a=(LAM, 0.5 * LAM),

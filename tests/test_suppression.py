@@ -147,7 +147,8 @@ def test_pairing_certificate_valid(chamfered_grid):
     for q in [frozenset(), frozenset({0, 2, 4}), frozenset({3, 4})]:
         res = supp.alpha_optimal(g, q, 0.5, k=3)
         eq = supp._gate_internal_edges(g, q)
-        assert topo.is_odd_vertex_pairing(d, res.pairing.dual_edges | eq)
+        pairing = topo.remaining_set(g, res.cut) - eq
+        assert topo.is_odd_vertex_pairing(d, pairing | eq)
         assert q <= res.cut.partition_s
 
 
@@ -344,7 +345,8 @@ def test_solver_never_beats_oracle_and_stays_feasible(dims, q, alpha):
     assert res.objective == pytest.approx(alpha * n_q + n_c)
     d = topo.dual_graph(g)
     eq = supp._gate_internal_edges(g, q)
-    assert topo.is_odd_vertex_pairing(d, res.pairing.dual_edges | eq)
+    pairing = topo.remaining_set(g, res.cut) - eq
+    assert topo.is_odd_vertex_pairing(d, pairing | eq)
 
 
 # ------------------------------------------------ packed scorer vs oracle
@@ -459,14 +461,17 @@ def test_side_mask_scorers_match_edge_scan(shape, data, chamfered_grid, six_qubi
 
 
 def test_result_json_roundtrip(tmp_path, chamfered_grid):
-    res = supp.alpha_optimal(chamfered_grid, {0, 2, 4}, 0.5, k=3)
+    g, q = chamfered_grid, frozenset({0, 2, 4})
+    res = supp.alpha_optimal(g, q, 0.5, k=3)
     path = tmp_path / "cut.json"
-    supp.save_result(path, res)
+    supp.save_result(path, g, q, res)
     cut = supp.load_cut(path)
     assert cut == res.cut
-    obj = supp.result_to_json(res)
+    obj = supp.result_to_json(g, q, res)
     assert obj["n_q"] == res.n_q and obj["n_c"] == res.n_c
-    assert sorted(obj["pairing_edges"]) == sorted(res.pairing.dual_edges)
+    eq = supp._gate_internal_edges(g, q)
+    assert obj["pairing_edges"] == sorted(topo.remaining_set(g, res.cut) - eq)
+    assert topo.is_odd_vertex_pairing(topo.dual_graph(g), set(obj["pairing_edges"]) | eq)
 
 
 def _solver_records(rows, cols, k=3):
@@ -482,7 +487,7 @@ def _solver_records(rows, cols, k=3):
     for q in gate_sets:
         for alpha in (0.5, 2.0):
             try:
-                rec = supp.result_to_json(supp.alpha_optimal(g, q, alpha, k))
+                rec = supp.result_to_json(g, q, supp.alpha_optimal(g, q, alpha, k))
             except ValueError as exc:
                 rec = {"error": str(exc)}
             records.append({"gates": sorted(q), "alpha": alpha, "result": rec})
