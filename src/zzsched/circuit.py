@@ -353,20 +353,13 @@ def _dot_layout(qubits, n, b):
     return perm, inv_perm, (d, (b << n) // d), (2,) * len(qubits) + (b,) + (2,) * len(rest)
 
 
-def _dot_apply(psi_t, ops):
-    """Apply (matrix, *layout) operators in order to a (b, 2, ..., 2) batch."""
-    for u, perm, inv_perm, in_shape, out_shape in ops:
-        bt = psi_t.transpose(perm).reshape(in_shape)
-        psi_t = np.dot(u, bt).reshape(out_shape).transpose(inv_perm)
-    return psi_t
-
-
 def apply_gate_to_state(state, gate, num_qubits):
     """Apply a gate to a (2^n,) state or a (b, 2^n) batch, batch axis leading."""
     b = len(state) if state.ndim == 2 else 1
-    psi = state.reshape((b,) + (2,) * num_qubits)
-    op = (gate_matrix(gate),) + _dot_layout(gate.qubits, num_qubits, b)
-    return np.ascontiguousarray(_dot_apply(psi, [op])).reshape(state.shape)
+    perm, inv_perm, in_shape, out_shape = _dot_layout(gate.qubits, num_qubits, b)
+    bt = state.reshape((b,) + (2,) * num_qubits).transpose(perm).reshape(in_shape)
+    psi = np.dot(gate_matrix(gate), bt).reshape(out_shape).transpose(inv_perm)
+    return np.ascontiguousarray(psi).reshape(state.shape)
 
 
 def ideal_unitary(c):

@@ -6,13 +6,13 @@ strength lambda (rad/s) per edge; drives enter as Omega_x sigma_x +
 Omega_y sigma_y on a gate qubit (no 1/2, so the rotation angle is
 2*integral(Omega)) or as Omega * sigma_z x sigma_x on the gate pair.
 
-One dense stepper (_step_nodes) steps a diagonal ZZ term plus the
-drives of timed pulse windows with one eigendecomposition per step. A
-region's evolution (_evolve_stack, and evolve as its one-problem case)
-steps the pulse as one window at t = 0 on the gate qubits; quantumsim
-steps device layers (_dense_layer) on small registers as its oracle and
-for Ramsey, so both share one Hamiltonian builder, one channel-target
-check and one size cap.
+One dense propagator (_propagate) steps stacks of timed pulse windows
+over stacks of diagonal ZZ terms with one eigendecomposition per step.
+A region (_evolve_stack, and evolve as its one-problem case) steps its
+pulse as one window at t = 0 on the gate qubits over the couplings its
+RegionModel holds; quantumsim steps device layers (its oracle on small
+registers) and Ramsey slots as one-problem stacks. All share one
+Hamiltonian builder, one channel-target check and one size cap.
 
 Three pulse backends: optctrl (penalized fidelity averaged over coupling
 strengths), pert (first-order interaction-picture cancellation), and dcg
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -84,6 +85,10 @@ class GaussianSegment:
     start: float
     length: float
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.angle, self.start, self.length))):
+            raise ValueError("non-finite segment parameter")
+
     @property
     def sigma(self):
         return self.length / 6
@@ -106,6 +111,8 @@ class SegmentEnvelope:
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise ValueError("duration must be finite and positive")
         edge = 0.0
         for seg in self.segments:
             if seg.length <= 0:
@@ -153,6 +160,10 @@ class PulseSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "channels", tuple(self.channels))
+        # operator.index: numpy ints pass, 2.5 raises instead of becoming 2
+        object.__setattr__(self, "sample_rate", operator.index(self.sample_rate))
+        if self.sample_rate < 1:
+            raise ValueError(f"sample_rate must be at least 1, got {self.sample_rate}")
         if not self.channels:
             raise ValueError("pulse needs at least one channel")
         durations = {ch.envelope.T for ch in self.channels}
@@ -281,7 +292,7 @@ def _step_nodes(h_static, terms, dt, steps):
     with one stacked matmul; they are then applied in order, u = su @ u.
     LAPACK and BLAS treat each matrix of a stack on its own, so every
     problem gets the bits of a per-step loop over it alone. Callers bound
-    P: _evolve_stack passes at most _STACK_MAX problems per call, the
+    P: _propagate passes at most _STACK_MAX problems per call, the
     dense pert loss one per stencil point or searching restart.
     """
     shape = np.broadcast_shapes(h_static.shape, *(a.shape[:-1] + (1, 1) for a, _ in terms))
@@ -299,12 +310,6 @@ def _step_nodes(h_static, terms, dt, steps):
         for j in range(k1 - k0):
             u = sus[..., j, :, :] @ u
             yield u
-
-
-def _step_product(h_static, terms, dt, steps):
-    for u in _step_nodes(h_static, terms, dt, steps):
-        pass
-    return u
 
 
 def _zz_diagonal(n, terms):
@@ -398,70 +403,57 @@ def _window_terms(n, stack, duration, rate, amp_scale=1.0):
     return terms, dt, steps
 
 
-def _pulse_terms(model, specs, amp_scale=1.0):
-    """_window_terms for pulses sharing one duration and sample rate, each
-    one window at t = 0 on the region's gate qubits."""
+def _pulse_windows(model, specs):
+    """Each pulse as one window list: one window at t = 0 on the gate qubits."""
     gate = tuple(range(model.num_gate_qubits))
-    return _window_terms(model.num_qubits, [[(0.0, spec, gate)] for spec in specs],
-                         specs[0].duration, specs[0].sample_rate, amp_scale)
+    return [[(0.0, spec, gate)] for spec in specs]
 
 
-def _dense_layer(n, zz_diag, windows, duration, rate, amp_scale=1.0):
-    """Propagator of timed pulse windows over the diagonal ZZ term zz_diag:
-    a device layer, where it is the split-step simulator's oracle on small
-    registers, or a Ramsey slot."""
-    terms, dt, steps = _window_terms(n, [windows], duration, rate, amp_scale)
-    terms = [(a[0], mat) for a, mat in terms]  # a stack of one window list: B = ()
-    return _step_product(np.diag(zz_diag.astype(complex)), terms, dt, steps)
+def _propagate(zz_diags, stack, duration, rate, amp_scale=1.0):
+    """Propagator of every window list in stack over every ZZ diagonal in
+    zz_diags, as a (len(stack), len(zz_diags), d, d) array. The register
+    size, read off the diagonals, is checked before any d x d array is
+    built; each stepper call takes at most _STACK_MAX problems."""
+    n = len(zz_diags[0]).bit_length() - 1
+    terms, dt, steps = _window_terms(n, stack, duration, rate, amp_scale)
+    h = np.stack([np.diag(z.astype(complex)) for z in zz_diags])
+    out = np.empty((len(stack), *h.shape), dtype=complex)
+    per = max(1, _STACK_MAX // len(zz_diags))  # window lists per block
+    for s in range(0, len(stack), per):
+        for m in range(0, len(zz_diags), _STACK_MAX):
+            for u in _step_nodes(h[m:m + _STACK_MAX],
+                                 [(a[s:s + per, None], mat) for a, mat in terms], dt, steps):
+                pass
+            out[s:s + per, m:m + _STACK_MAX] = u
+    return out
 
 
-def _region_diagonal(model, include_crosstalk=True, include_intra=True, detunings=()):
-    """The ZZ diagonal a region's drives are stepped over."""
-    n = _dense_qubits(model.num_qubits)
-    zz = model.cross_pairs() if include_crosstalk else []
-    if include_intra and model.kind == "two":
-        zz.append((0, 1, model.intra_lambda))
-    zz += [(q, omega / 2) for q, omega in detunings]
-    return _zz_diagonal(n, zz)
-
-
-def evolve(model, pulses, include_crosstalk=True, include_intra=True,
-           amp_scale=1.0, detunings=()):
+def evolve(model, pulses, amp_scale=1.0, detunings=()):
     """Midpoint piecewise-constant propagator over the pulse duration, the
-    pulse acting as one window at t = 0 on the region's gate qubits.
+    pulse acting as one window at t = 0 on the gate qubits of a model that
+    holds every coupling to step (see gate_space_model, with_cross_lambda).
 
     detunings: iterable of (qubit, omega_rad) adding omega/2 * sigma_z terms;
     amp_scale multiplies every drive envelope (drive-noise evaluation hooks).
     """
-    return _evolve_stack([model], [pulses], amp_scale, include_crosstalk=include_crosstalk,
-                         include_intra=include_intra, detunings=detunings)[0, 0]
+    return _evolve_stack([model], [pulses], amp_scale, detunings)[0, 0]
 
 
-def _evolve_stack(models, specs, amp_scale=1.0, **settings):
+def _evolve_stack(models, specs, amp_scale=1.0, detunings=()):
     """evolve of every pulse on every model, as one (len(specs),
     len(models), d, d) stack with the same bits. The models share one
-    layout and the pulses one duration and sample rate; settings are
-    evolve's include_crosstalk, include_intra and detunings."""
-    h = np.stack([np.diag(_region_diagonal(m, **settings).astype(complex)) for m in models])
-    terms, dt, steps = _pulse_terms(models[0], specs, amp_scale)
-    out = np.empty((len(specs), *h.shape), dtype=complex)
-    per = max(1, _STACK_MAX // len(models))  # pulses per block
-    for s in range(0, len(specs), per):
-        for m in range(0, len(models), _STACK_MAX):
-            out[s:s + per, m:m + _STACK_MAX] = _step_product(
-                h[m:m + _STACK_MAX], [(a[s:s + per, None], mat) for a, mat in terms], dt, steps)
-    return out
+    layout and the pulses one duration and sample rate."""
+    n = _dense_qubits(models[0].num_qubits)
+    detuned = [(q, omega / 2) for q, omega in detunings]
+    zz = [_zz_diagonal(n, m.cross_pairs() + ([(0, 1, m.intra_lambda)] if m.kind == "two"
+                                             else []) + detuned) for m in models]
+    return _propagate(zz, _pulse_windows(models[0], specs), specs[0].duration,
+                      specs[0].sample_rate, amp_scale)
 
 
-def control_unitary(model, pulses, include_intra=False):
+def control_unitary(model, pulses):
     """Propagator of the drives alone, on the gate qubits only."""
-    return _control_unitaries(model, [pulses], include_intra)[0]
-
-
-def _control_unitaries(model, specs, include_intra=False):
-    """control_unitary of every pulse, as one (len(specs), d, d) stack."""
-    return _evolve_stack([gate_space_model(model)], specs, include_crosstalk=False,
-                         include_intra=include_intra)[:, 0]
+    return _evolve_stack([RegionModel(model.kind)], [pulses])[0, 0]
 
 
 def avg_gate_fidelity(u, v):
@@ -497,7 +489,8 @@ def _pert_first_orders(model, specs):
     cross = [(g, q, lam * scale) for g, q, lam in pairs]
     intra = [(0, 1, model.intra_lambda)] if model.kind == "two" else []
     hx, h_intra = (np.diag(_zz_diagonal(n, zz).astype(complex)) for zz in (cross, intra))
-    terms, dt, steps = _pulse_terms(model, specs)
+    terms, dt, steps = _window_terms(n, _pulse_windows(model, specs),
+                                     specs[0].duration, specs[0].sample_rate)
     acc = np.zeros((len(specs), model.dim, model.dim), dtype=complex)
     # trapezoid over the step nodes, summed as they are produced
     for k, u in enumerate(_step_nodes(h_intra, terms, dt, steps)):
@@ -516,9 +509,9 @@ def _optctrl_losses(model, specs, target):
     """optctrl_loss of every pulse, with the same bits: one stack of
     control unitaries and one of the pulses on every sampled strength; the
     pulses share one duration and sample rate."""
-    ucs = _control_unitaries(model, specs)
+    ucs = _evolve_stack([RegionModel(model.kind)], specs)[:, 0]
     if model.kind == "two" and model.intra_lambda:
-        dressed_gates = _control_unitaries(model, specs, include_intra=True)
+        dressed_gates = _evolve_stack([gate_space_model(model)], specs)[:, 0]
     else:
         dressed_gates = [target] * len(specs)
     spectators = np.eye(2 ** (model.num_qubits - model.num_gate_qubits), dtype=complex)
@@ -787,7 +780,7 @@ def optimize(model, target, backend, config=None):
             specs = [build(x) for x in xs]
             if backend == "optctrl":
                 return _optctrl_losses(model, specs, gate)
-            ucs = _control_unitaries(model, specs)
+            ucs = _evolve_stack([RegionModel(model.kind)], specs)[:, 0]
             return [float(np.linalg.norm(first)) / T - avg_gate_fidelity(uc, gate)
                     for first, uc in zip(_pert_first_orders(model, specs), ucs)]
 

@@ -11,8 +11,8 @@ calibration error counts against the pulse, not the reference.
 Two integrators share the same midpoint sampling grid and the same pulse
 windows: a split-step statevector propagator (diagonal ZZ half-steps
 around closed-form local drive exponentials) used by default, and the
-dense propagator in pulse (_dense_layer, on the stepper that also evolves
-basic regions), kept as a small-system oracle.
+dense propagator in pulse (_propagate as a one-problem stack, the one
+that also evolves basic regions), kept as a small-system oracle.
 
 One np.dot layout (circuit._dot_layout) serves the drive steps, the
 frame rotations and the ideal reference: on a (b, 2, ..., 2) batch, its
@@ -58,8 +58,8 @@ from .pulse import (
     DEFAULT_SAMPLE_RATE,
     OptimizedPulse,
     RegionModel,
-    _dense_layer,
     _evolve_stack,
+    _propagate,
     _window_amplitudes,
     _zz_diagonal,
     avg_gate_fidelity,
@@ -67,6 +67,7 @@ from .pulse import (
     gate_space_model,
     gaussian_pulse,
     num_steps,
+    with_cross_lambda,
 )
 
 TWO_PI = 2 * math.pi
@@ -334,7 +335,7 @@ def _run_plan(devices, plan, pmap, input_state, method):
             for gate in layer.rz_gates:
                 psi = apply_gate_to_state(psi, gate, n)
             if method == "dense":
-                psi = (_dense_layer(n, zz[0], w, layer.duration, rate) @ psi[0])[None]
+                psi = (_propagate(zz, [w], layer.duration, rate)[0, 0] @ psi[0])[None]
             else:
                 psi = _split_layer(psi, n, zz, w, layer.duration, rate, step_ops)
         for gate in plan.trailing_rz:
@@ -432,7 +433,7 @@ def _curve(spec, kind, lambdas, floor, detunings=(), amp_scale=1.0, target_gate=
             target = np.kron(gate_matrix(Gate(target_gate, (0,))), np.eye(2))
         else:
             # no crosstalk, so one evolution serves every strength
-            target = _evolve_stack(models[:1], [spec], amp_scale, include_crosstalk=False,
+            target = _evolve_stack([with_cross_lambda(models[0], 0.0)], [spec], amp_scale,
                                    detunings=detunings)[0, 0]
         targets = [target] * len(lams)
     else:
@@ -440,8 +441,7 @@ def _curve(spec, kind, lambdas, floor, detunings=(), amp_scale=1.0, target_gate=
                               intra_lambda=lam) for lam in lams]
         # dressed: the gate-space evolution keeps the always-on intra
         # coupling, so only spectator error is scored
-        dressed = _evolve_stack([gate_space_model(m) for m in models], [spec],
-                                include_crosstalk=False)[0]
+        dressed = _evolve_stack([gate_space_model(m) for m in models], [spec])[0]
         targets = [np.kron(d, np.eye(4)) for d in dressed]
     us = _evolve_stack(models, [spec], amp_scale, detunings=detunings)[0]
     curve = []
@@ -604,7 +604,7 @@ def ramsey_experiment(device, pulses, policy, delays=None, probe=0, control=1,
     # full-device propagators of one pulse slot, ZZ always on
     zz = _zz_diagonal(n, device.couplings())
     rx = pmap["rx90"]
-    u_rx = _dense_layer(n, zz, [(0.0, rx, (probe,))], rx.duration, rate)
+    u_rx = _propagate([zz], [[(0.0, rx, (probe,))]], rx.duration, rate)[0, 0]
     if policy == "bare":
         u_slot = None
         slot = taus[1] - taus[0] if len(taus) > 1 else t_id
@@ -612,7 +612,7 @@ def ramsey_experiment(device, pulses, policy, delays=None, probe=0, control=1,
         driven = (probe,) if policy == "suppressed_B" else tuple(
             q for q in range(n) if q != probe)
         windows = [(0.0, pmap["id"], (q,)) for q in driven]
-        u_slot = _dense_layer(n, zz, windows, t_id, rate)
+        u_slot = _propagate([zz], [windows], t_id, rate)[0, 0]
         slot = t_id
     dim = 1 << n
 

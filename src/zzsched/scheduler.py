@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -68,6 +69,9 @@ class Layer:
         if self.cut is not None:
             if not set(used) <= self.cut.partition_s:
                 raise ValueError("layer gate outside its own partition")
+        if not (math.isfinite(self.duration) and self.duration >= 0):
+            raise ValueError(f"layer duration must be finite and nonnegative, "
+                             f"got {self.duration}")
 
 
 @dataclass(frozen=True)
@@ -388,10 +392,13 @@ def plan_from_json(obj):
             flagged=entry.get("flagged", False),
             warning=entry.get("warning"),
         ))
+    total = obj["total_duration"]
+    if not math.isclose(total, sum(layer.duration for layer in layers), rel_tol=1e-9):
+        raise ValueError(f"total_duration {total} is not the sum of the layer durations")
     return SchedulePlan(
         num_qubits=n,
         layers=tuple(layers),
-        total_duration=obj["total_duration"],
+        total_duration=total,
         source_gate_map={int(k): v for k, v in obj.get("source_gate_map", {}).items()},
         trailing_rz=tuple(_gate_from_str(s, n) for s in obj.get("trailing_rz", [])),
     )

@@ -22,7 +22,7 @@ from zzsched.pulse import (
 )
 from zzsched.quantumsim import (
     DeviceInstance,
-    _dense_layer,
+    _propagate,
     _layer_windows,
     _pulse_map,
     _zz_diagonal,
@@ -285,7 +285,7 @@ def test_criterion_08_region_assembly(pert_pulses):
     infids = {}
     for name, lib in (("pert", pert_pulses), ("gauss", gaussian_library())):
         windows = _layer_windows(layer, _pulse_map(lib))
-        u = _dense_layer(5, zz, windows, 80e-9, 200)
+        u = _propagate([zz], [windows], 80e-9, 200)[0, 0]
         infids[name] = 1 - avg_gate_fidelity(u, target)
     ok = infids["pert"] * 10 <= infids["gauss"]
     _verdict("criterion 08", ok,

@@ -27,6 +27,7 @@ from zzsched.pulse import (
     _pert_first_orders,
     _pert_scorer,
     _plane_integrals_batch,
+    _propagate,
     _step_nodes,
     _window_terms,
     _zz_diagonal,
@@ -36,6 +37,7 @@ from zzsched.pulse import (
     envelope_value,
     evolve,
     fourier_eval,
+    gate_space_model,
     gaussian_pulse,
     load_pulse,
     num_steps,
@@ -45,6 +47,7 @@ from zzsched.pulse import (
     pulse_from_json,
     pulse_to_json,
     save_pulse,
+    with_cross_lambda,
 )
 
 TWO_PI = 2 * math.pi
@@ -211,6 +214,9 @@ class TestRegionModel:
         assert big.num_qubits == 7
         with pytest.raises(ValueError, match="7 qubits"):
             evolve(big, spec)
+        # a device layer is checked before its 4096 x 4096 Hamiltonian is built
+        with pytest.raises(ValueError, match="12 qubits"):
+            _propagate([np.zeros(1 << 12)], [[(0.0, spec, (0, 1))]], 20e-9, 200)
 
     def test_bad_kind_and_form(self):
         with pytest.raises(ValueError):
@@ -647,6 +653,24 @@ class TestPulseJson:
         assert obj["T_ns"] == pytest.approx(20.0)
         assert obj["channels"][0]["axis"] == "x"
 
+    @pytest.mark.parametrize("field,value,error", [
+        ("angle", math.nan, ValueError), ("start_ns", math.nan, ValueError),
+        ("length_ns", math.inf, ValueError), ("T_ns", math.nan, ValueError),
+        ("T_ns", -20.0, ValueError), ("sample_rate", 0, ValueError),
+        ("sample_rate", -5, ValueError), ("sample_rate", math.nan, TypeError),
+        ("sample_rate", 2.5, TypeError),
+    ])
+    def test_impossible_values_rejected(self, field, value, error):
+        obj = pulse_to_json(OptimizedPulse(gaussian_pulse(math.pi / 2, 20e-9), "rx90", "dcg",
+                                           0.0, 0, True))
+        pulse_from_json(obj)
+        if field in obj:
+            obj[field] = value
+        else:
+            obj["channels"][0]["segments"][0][field] = value
+        with pytest.raises(error):
+            pulse_from_json(obj)
+
 
 # ------------------------------------------------- consistency invariants
 
@@ -847,7 +871,7 @@ def _optctrl_loss_reference(model, spec, target):
     uc = control_unitary(model, spec)
     fid_gate = avg_gate_fidelity(uc, target)
     if model.kind == "two" and model.intra_lambda:
-        dressed_gate = control_unitary(model, spec, include_intra=True)
+        dressed_gate = evolve(gate_space_model(model), spec)
     else:
         dressed_gate = target
     m = model.num_qubits - model.num_gate_qubits
@@ -901,6 +925,52 @@ def test_evolve_stack_blocks_bit_identical(pulses, strengths):
     for s, spec in enumerate(specs):
         for m, model in enumerate(models):
             assert np.array_equal(got[s, m], evolve(model, spec))
+
+
+def _dense_layer_reference(n, zz_diag, windows, duration, rate):
+    """The device-layer propagator _propagate replaced."""
+    terms, dt, steps = _window_terms(n, [windows], duration, rate)
+    terms = [(a[0], mat) for a, mat in terms]  # a stack of one window list: B = ()
+    for u in _step_nodes(np.diag(zz_diag.astype(complex)), terms, dt, steps):
+        pass
+    return u
+
+
+def _device_layer(n, seed):
+    """(ZZ diagonal, windows) of a layer on an n-qubit line: a coupling
+    drive on (0, 1) and two id-fill windows on every other qubit."""
+    rng = np.random.default_rng(seed)
+    lams = LAM * rng.uniform(0.5, 2, n - 1)
+    zz = _zz_diagonal(n, [(q, q + 1, lam) for q, lam in enumerate(lams)])
+    windows = [(0.0, gaussian_pulse(math.pi / 2, 40e-9, axis="coupling", target=(0, 1),
+                                    sample_rate=50), (0, 1))]
+    fill = gaussian_pulse(TWO_PI, 20e-9, sample_rate=50)
+    windows += [(start, fill, (q,)) for q in range(2, n) for start in (0.0, 20e-9)]
+    return zz, windows
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_propagate_one_problem_bit_identical(n):
+    # d = 64 at n = 6: a one-problem stack replaces the B = () path
+    zz, windows = _device_layer(n, n)
+    got = _propagate([zz], [windows], 40e-9, 50)
+    assert got.shape == (1, 1, 1 << n, 1 << n)
+    assert np.array_equal(got[0, 0], _dense_layer_reference(n, zz, windows, 40e-9, 50))
+
+
+def test_propagate_stack_blocks_bit_identical():
+    # 3 window lists on 30 diagonals: more problems than one stepper call
+    # takes. One list lacks the coupling drive and one drives y as well
+    zz = [_device_layer(3, seed)[0] for seed in range(30)]
+    windows = _device_layer(3, 0)[1]
+    extra = (0.0, gaussian_pulse(math.pi / 2, 40e-9, axis="y", target=0, sample_rate=50), (2,))
+    stack = [windows, windows[1:], windows + [extra]]
+    assert len(stack) * len(zz) > pulse._STACK_MAX
+    got = _propagate(zz, stack, 40e-9, 50)
+    assert got.shape == (3, 30, 8, 8)
+    for s, w in enumerate(stack):
+        for m, diag in enumerate(zz):
+            assert np.array_equal(got[s, m], _propagate([diag], [w], 40e-9, 50)[0, 0])
 
 
 def _descend_reference(f, grad, x0, max_iter):
@@ -1017,24 +1087,31 @@ def test_pert_first_order_bit_identical_rzx90_m2():
     assert np.array_equal(pert_first_order(model, spec), -1j * acc * dt)
 
 
-@pytest.mark.parametrize("settings", [
-    {}, {"include_crosstalk": False}, {"include_intra": False},
-    {"include_crosstalk": False, "include_intra": False}, {"amp_scale": 1.02},
-    {"detunings": ((1, TWO_PI * 2e6), (4, -TWO_PI * 1e6))},
-], ids=["all", "no-crosstalk", "no-intra", "drive-only", "amp-scale", "detuned"])
-def test_evolve_bit_identical_rzx90_m2(settings):
+# the couplings left out are expressed as model transforms
+RZX90_M2_CASES = {
+    "all": (RZX90_M2, {}),
+    "no-crosstalk": (with_cross_lambda(RZX90_M2, 0.0), {}),
+    "no-intra": (replace(RZX90_M2, intra_lambda=0.0), {}),
+    "drive-only": (replace(with_cross_lambda(RZX90_M2, 0.0), intra_lambda=0.0), {}),
+    "amp-scale": (RZX90_M2, {"amp_scale": 1.02}),
+    "detuned": (RZX90_M2, {"detunings": ((1, TWO_PI * 2e6), (4, -TWO_PI * 1e6))}),
+}
+
+
+@pytest.mark.parametrize("case", list(RZX90_M2_CASES))
+def test_evolve_bit_identical_rzx90_m2(case):
     # the former evolve: explicit kron terms summed in the same order, and
     # the per-step eigh loop the chunked stepper replaced
-    model = RZX90_M2
+    model, settings = RZX90_M2_CASES[case]
     n = model.num_qubits
     spec = gaussian_pulse(math.pi / 2, 80e-9, axis="coupling", target=(0, 1))
     terms, amps, dt, steps = _coupling_drive_reference(
         model, spec, settings.get("amp_scale", 1.0))
     h_static = np.zeros((model.dim, model.dim), dtype=complex)
-    if settings.get("include_crosstalk", True):
-        for g, q, lam in model.cross_pairs():
+    for g, q, lam in model.cross_pairs():
+        if lam:
             h_static += lam * kron_at(n, {g: Z, q: Z})
-    if settings.get("include_intra", True):
+    if model.intra_lambda:
         h_static += model.intra_lambda * kron_at(n, {0: Z, 1: Z})
     for q, omega in settings.get("detunings", ()):
         h_static += (omega / 2) * kron_at(n, {q: Z})

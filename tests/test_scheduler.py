@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -460,6 +461,25 @@ def test_plan_json_round_trip_with_rz(g3):
     plan = schedule(g3, parse("rz 0.25 0\nrx90 0\nrz 0.5 0\n", num_qubits=9))
     again = plan_from_json(plan_to_json(plan))
     assert again == plan
+
+
+@pytest.mark.parametrize("duration", [-20e-9, math.nan, math.inf])
+def test_plan_json_rejects_impossible_layer_duration(g3, duration):
+    obj = plan_to_json(schedule(g3, parse(EIGHT_QUBIT_PROGRAM)))
+    obj["layers"][1]["duration"] = duration
+    with pytest.raises(ValueError, match="layer duration"):
+        plan_from_json(obj)
+
+
+@pytest.mark.parametrize("scale,ok", [(1 + 1e-12, True), (1 + 1e-6, False), (-1, False)])
+def test_plan_json_total_duration_matches_layers(g3, scale, ok):
+    obj = plan_to_json(schedule(g3, parse(EIGHT_QUBIT_PROGRAM)))
+    obj["total_duration"] *= scale
+    if ok:
+        assert plan_from_json(obj).total_duration == obj["total_duration"]
+    else:
+        with pytest.raises(ValueError, match="total_duration"):
+            plan_from_json(obj)
 
 # sha256 of json.dumps(plan_to_json(plan), sort_keys=True) for six-qubit
 # lowered benchmarks on a grid snake; any change to layering, cut choice or
