@@ -10,6 +10,7 @@ import contextlib
 import hashlib
 import json
 import math
+import operator
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -84,6 +85,10 @@ class RunConfig:
             raise ValueError(f"unknown policy {self.policy!r}")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError("alpha must be finite and positive")
+        # operator.index: k = 2.5 or a seed of 1.5 fails here, not after the
+        # schedule, and numpy ints become the Python ints report.json writes
+        object.__setattr__(self, "k", operator.index(self.k))
+        object.__setattr__(self, "seeds", tuple(map(operator.index, self.seeds)))
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if self.nq_max is not None and self.nq_max <= 0:
@@ -97,6 +102,8 @@ class RunConfig:
             raise ValueError("strength distribution must be finite and nonnegative")
         if len(self.seeds) == 0:
             raise ValueError("need at least one seed")
+        if min(self.seeds) < 0:
+            raise ValueError("seeds must be nonnegative")
 
     def to_json(self):
         return {**asdict(self), "seeds": list(self.seeds)}

@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuit import _I2, _X, _Y, _Z, _rx_mat
+from .circuit import _I2, _X, _Y, _Z, Gate, gate_matrix
 
 TWO_PI = 2 * math.pi
 DEFAULT_SAMPLE_RATE = 200  # integrator steps per 20 ns of pulse
@@ -582,15 +582,10 @@ class OptimizedPulse:
     warning: str | None = None
 
 
-def _rzx(theta):
-    zx = np.kron(_Z, _X)
-    return math.cos(theta / 2) * np.eye(4) - 1j * math.sin(theta / 2) * zx
-
-
-_TARGETS = {
-    "rx90": ("single", lambda: _rx_mat(math.pi / 2), math.pi / 2),
-    "id": ("single", lambda: _I2.copy(), TWO_PI),
-    "rzx90": ("two", lambda: _rzx(math.pi / 2), math.pi / 2),
+_TARGETS = {  # (region kind, rotation angle)
+    "rx90": ("single", math.pi / 2),
+    "id": ("single", TWO_PI),
+    "rzx90": ("two", math.pi / 2),
 }
 
 
@@ -747,12 +742,12 @@ def optimize(model, target, backend, config=None):
         config = OptimizeConfig()
     if target not in _TARGETS:
         raise ValueError(f"unknown pulse target {target!r}")
-    kind, gate_fn, angle = _TARGETS[target]
+    kind, angle = _TARGETS[target]
     if model.kind != kind:
         raise ValueError(f"target {target} needs a {kind} region")
     if backend not in ("pert", "optctrl"):
         raise ValueError(f"unknown backend {backend!r}")
-    gate = gate_fn()
+    gate = gate_matrix(Gate(target, (0,) if kind == "single" else (0, 1)))
     T = config.T
     fast = not _dense(model, backend)
     coupled = any(lam for _, _, lam in model.cross_pairs())

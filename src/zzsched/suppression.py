@@ -14,23 +14,22 @@ into one side of each scanned cut instead. A pair's alternatives are its k
 smallest simple dual paths by (length, edge ids), found by a depth-first
 search bounded by the BFS distances that also weight the matching.
 
-Candidates are scored as packed GF(2) words, one Python int per edge set:
-the edge bits of D (the cut's remaining-set), then n side bits and one bit
-per face, both over the crossing set E minus D. Each dual path is a
-precomputed word, so a candidate is a base word XORed with one word per
-matched pair. The crossing set is a cut exactly when it meets every face
-boundary an even number of times (face bits 0): face boundaries span the
-cycle space of a plane graph, so this is the test that the contracted
-quotient is bipartite. The side bits, XORed subtree masks of a BFS tree
-from qubit 0, give partition_t. N_C is the popcount of D. For an exact cut
-D is the set of couplings that do not cross partition_t, so N_Q, the
-largest class D joins, is the largest same-side component: a bit-parallel
-flood fill over each side's neighbour masks, run only when the bound
+Every candidate is an exact cut: its remaining-set D is the gate-internal
+set plus a T-join of the faces left odd once their duals are deleted, so
+each face boundary meets D as often as it has edges, modulo 2, and meets
+the crossing set E minus D an even number of times. Face boundaries span
+the cycle space of a plane graph, so that crossing set is a cut. A
+candidate is a packed GF(2) word, one Python int: the edge bits of D, then
+n side bits over E minus D, a base word XORed with one precomputed word
+per matched pair. The side bits, XORed subtree masks of a BFS tree from
+qubit 0, give partition_t. N_C is the popcount of D, and N_Q, the largest
+class D joins, is the largest same-side component: a bit-parallel flood
+fill over each side's neighbour masks, run only when the bound
 alpha * (2 if D else 1) + N_C can still beat the best candidate kept.
 topology._contract builds the same cuts and is the scorer's test oracle.
 
 Everything that depends on the topology alone (the dual graph, its
-arcs and odd-face parity, the edge words, the side and face fields of the
+arcs and odd-face parity, the edge words, the side field of the
 all-edge crossing set, and each qubit's neighbour and incident-edge
 masks) is built once per topology by _tables and looked up once per
 solve; a solve filters only the faces its gate-internal duals touch. The repair scores a side mask
@@ -46,7 +45,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 from . import topology as topo
@@ -222,44 +221,38 @@ def _max_weight_matching(weights):
     """Exact maximum-weight perfect matching by bitmask DP.
 
     Fine for the handful of odd-degree faces a desk-scale planar device
-    produces. Ties resolve toward the lexicographically smallest pair list.
+    produces. best(mask) is (weight, partner of the lowest free face) of
+    the best matching of the faces not in mask; the first partner reaching
+    the maximum is kept, so ties resolve toward the lexicographically
+    smallest pair list, and one walk from the empty mask reads it off.
     """
     n = len(weights)
-    if n == 0:
-        return []
     if n % 2:
         raise ValueError("odd face count cannot be perfectly matched")
     if n > 16:
         raise ValueError(f"matching guard: {n} odd faces exceeds the DP cap")
     full = (1 << n) - 1
-    memo = {}
 
+    @cache
     def best(mask):
         if mask == full:
-            return 0.0
-        if mask in memo:
-            return memo[mask]
+            return 0.0, None
         i = next(v for v in range(n) if not mask >> v & 1)
-        val = 2 * _UNREACH
+        val, partner = 2 * _UNREACH, None
         for j in range(i + 1, n):
             if not mask >> j & 1:
-                cand = weights[i][j] + best(mask | 1 << i | 1 << j)
+                cand = weights[i][j] + best(mask | 1 << i | 1 << j)[0]
                 if cand > val + 1e-12:
-                    val = cand
-        memo[mask] = val
-        return val
+                    val, partner = cand, j
+        return val, partner
 
     pairs = []
     mask = 0
     while mask != full:
         i = next(v for v in range(n) if not mask >> v & 1)
-        target = best(mask)
-        for j in range(i + 1, n):
-            if not mask >> j & 1:
-                if abs(weights[i][j] + best(mask | 1 << i | 1 << j) - target) < 1e-9:
-                    pairs.append((i, j))
-                    mask |= 1 << i | 1 << j
-                    break
+        j = best(mask)[1]
+        pairs.append((i, j))
+        mask |= 1 << i | 1 << j
     return pairs
 
 
@@ -295,20 +288,14 @@ def _subtree_masks(g):
     return flip
 
 
-def _edge_words(g, d):
-    """One packed GF(2) word per edge: edge bit, side-flip bits, face bits.
+def _edge_words(g):
+    """One packed GF(2) word per edge: edge bit, then side-flip bits.
 
-    Bits [0, |E|) mark the edge, the next n bits hold its subtree mask and
-    the top bits the two faces it borders (none for a bridge, which borders
-    one face twice). XOR is addition in every field, so the word of an edge
-    set is the XOR of its edges' words.
+    Bits [0, |E|) mark the edge and the next n bits hold its subtree mask.
+    XOR is addition in both fields, so the word of an edge set is the XOR
+    of its edges' words.
     """
-    flip = _subtree_masks(g)
-    shift = len(g.edges) + g.num_qubits
-    return tuple(
-        1 << e | flip[e] << len(g.edges) | (1 << a ^ 1 << b) << shift
-        for e, (a, b) in enumerate(d.edges)
-    )
+    return tuple(1 << e | f << len(g.edges) for e, f in enumerate(_subtree_masks(g)))
 
 
 def _pack(words, ids):
@@ -323,7 +310,7 @@ class _Tables(NamedTuple):
 
     dual: topo.DualGraph
     words: tuple  # _edge_words
-    crossing: int  # side and face fields of the all-edge crossing set
+    crossing: int  # side field of the all-edge crossing set
     nbr: tuple  # neighbour qubit mask per qubit
     inc: tuple  # incident edge-id mask per qubit
     n_e: int  # edge count
@@ -337,7 +324,7 @@ class _Tables(NamedTuple):
 @lru_cache(maxsize=64)
 def _tables(g):
     d = topo.dual_graph(g)
-    words = _edge_words(g, d)
+    words = _edge_words(g)
     full = (1 << len(g.edges)) - 1
     nbr = [0] * g.num_qubits
     inc = [0] * g.num_qubits
@@ -362,16 +349,15 @@ def _tables(g):
 def _candidate_base(tab, ids):
     """Word of the candidate with D = ids.
 
-    The side and face fields start from all edges, so they run over the
-    crossing set; XORing a further edge's word moves it into D.
+    The side field starts from all edges, so it runs over the crossing
+    set; XORing a further edge's word moves it into D.
     """
     return _pack(tab.words, ids) ^ tab.crossing
 
 
 def _unpack(tab, word):
-    """(D edge bits, partition_t qubit bits, odd face bits) of a candidate."""
-    n_e, every = tab.n_e, tab.every
-    return word & tab.full, word >> n_e & every, word >> (n_e + every.bit_length())
+    """(D edge bits, partition_t qubit bits) of a candidate."""
+    return word & tab.full, word >> tab.n_e
 
 
 # ------------------------------------------------------------ the solver
@@ -440,130 +426,86 @@ def alpha_optimal(g, q, alpha, k=3, _trace=None):
     if k < 1:
         raise ValueError("k must be at least 1")
     tab = _tables(g)
+    every, qmask = tab.every, _mask(q)
     e_q = _gate_internal_edges(g, q)
-    path_lists = _pairing_paths(tab, e_q, k)
-    m = len(path_lists)
-
-    every = tab.every
     base = _candidate_base(tab, e_q)
-    path_words = [[_pack(tab.words, p) for p in plist] for plist in path_lists]
-    qmask = _mask(q)
+    path_words = [[_pack(tab.words, p) for p in plist]
+                  for plist in _pairing_paths(tab, e_q, k)]
 
-    def score(inside, side, bound):
-        """(objective, n_q, n_c) of the cut with remaining-set inside and
-        qubit mask side as one side, or None when it cannot fall below bound.
+    def cut_of(words):
+        """(remaining-set, partition_t) of the candidate taking these path words."""
+        w = base
+        for x in words:
+            w ^= x
+        return _unpack(tab, w)
+
+    def feasible(t):
+        return not qmask & t or qmask & t == qmask
+
+    def score(inside, side, best, tol=0.0):
+        """(objective, n_q, n_c, side) of the cut with remaining-set inside
+        and qubit mask side as one side, or None unless its objective is
+        below best's by more than tol (best None takes any cut).
 
         n_q is at least 2 when an edge is inside, and rounding is monotone,
         so the bound test never drops a candidate that could get below it.
         """
         n_c = inside.bit_count()
-        if bound is not None and alpha * (2 if inside else 1) + n_c >= bound:
+        bound = math.inf if best is None else best[0] - tol
+        if alpha * (2 if inside else 1) + n_c >= bound:
             return None
         n_q = _largest_class(tab, side)
-        return alpha * n_q + n_c, n_q, n_c
+        obj = alpha * n_q + n_c
+        return (obj, n_q, n_c, side) if obj < bound else None
 
-    def feasible(t):
-        return not qmask & t or qmask & t == qmask
-
-    def candidate(word, bound=None):
-        """(objective, n_q, n_c, partition_t) of a feasible cut, else None."""
-        inside, t, odd_faces = _unpack(tab, word)
-        if odd_faces or not feasible(t):
-            return None
-        rec = score(inside, t, bound)
-        return rec and (*rec, t)
-
-    def word_of(idx):
-        w = base
-        for pi, j in enumerate(idx):
-            w ^= path_words[pi][j]
-        return w
-
-    def result(rec, warning=None):
+    def result(rec, **flags):
         s, t = every & ~rec[3], rec[3]
         cut = _mask_cut(g, s if qmask & s == qmask else t)  # q into partition_s
-        return SuppressionResult(cut, rec[1], rec[2], rec[0], warning=warning)
+        return SuppressionResult(cut, rec[1], rec[2], rec[0], **flags)
 
-    zero = word_of((0,) * m)
-    cur = candidate(zero)
-    if cur is not None:
-        idx = [0] * m
-        if _trace is not None:
-            _trace.append(cur[0])
-        improved = True
-        while improved:
-            improved = False
+    inside, t = cut_of(pw[0] for pw in path_words)
+    if feasible(t):
+        idx = [0] * len(path_words)
+        cur = score(inside, t, None)
+        while True:
+            if _trace is not None:
+                _trace.append(cur[0])
             best = None
-            best_idx = None
-            for pi in range(m):
-                if idx[pi] + 1 >= len(path_lists[pi]):
-                    continue
-                trial = idx[:pi] + [idx[pi] + 1] + idx[pi + 1:]
-                bound = None if best is None else best[0] - 1e-12
-                trec = candidate(word_of(trial), bound)
-                if trec is None:
-                    continue
-                if best is None or trec[0] < best[0] - 1e-12:
-                    best, best_idx = trec, trial
-            if best is not None and best[0] < cur[0] - 1e-12:
-                cur, idx = best, best_idx
-                improved = True
-                if _trace is not None:
-                    _trace.append(cur[0])
-        return result(cur)
+            for pi, pw in enumerate(path_words):
+                if idx[pi] + 1 < len(pw):
+                    trial = idx[:pi] + [idx[pi] + 1] + idx[pi + 1:]
+                    inside, t = cut_of(w[j] for w, j in zip(path_words, trial))
+                    rec = feasible(t) and score(inside, t, best, 1e-12)
+                    if rec:
+                        best, best_idx = rec, trial
+            if best is None or best[0] >= cur[0] - 1e-12:
+                return result(cur)
+            cur, idx = best, best_idx
 
-    # Initial pairing split the gate set. Scan the whole path-index grid, in
+    # Initial pairing split the gate set. Scan the path-index grid, in
     # lexicographic order, for a feasible candidate before repairing; the
-    # first candidate reaching the least objective wins.
-    total = 1
-    for pl in path_lists:
-        total *= len(pl)
-    cuts = []  # (partition_t, remaining-set) of every exact cut scanned
-    if total <= _FULL_SCAN_CAP:
-        best = None
-        for combo in itertools.product(*path_words):
-            w = base
-            for x in combo:
-                w ^= x
-            inside, t, odd_faces = _unpack(tab, w)
-            if odd_faces:
-                continue
-            cuts.append((t, inside))
-            if feasible(t):
-                trec = score(inside, t, None if best is None else best[0])
-                if trec is not None and (best is None or trec[0] < best[0]):
-                    best = (*trec, t)
-        if best is not None:
-            return result(
-                best, "initial pairing split the gate set; full index scan used"
-            )
-    else:
-        inside, t, odd_faces = _unpack(tab, zero)
-        if not odd_faces:
-            cuts.append((t, inside))
+    # first candidate reaching the least objective wins. Past the cap only
+    # the initial pairing, known infeasible, is kept for the repair.
+    if math.prod(map(len, path_words)) > _FULL_SCAN_CAP:
+        path_words = [pw[:1] for pw in path_words]
+    cuts = [cut_of(words) for words in itertools.product(*path_words)]
+    best = None
+    for inside, t in cuts:
+        if feasible(t):
+            best = score(inside, t, best) or best
+    if best is not None:
+        return result(best, warning="initial pairing split the gate set; full index scan used")
 
     # Repair: push the gate set into one side of the best evaluated cut. A
     # side seen before cannot beat the kept minimum, so it is skipped.
-    best = None
     seen = set()
-    for t, inside in cuts:
+    for inside, t in cuts:
         for side, moved in (((every & ~t) | qmask, qmask & t), (t | qmask, qmask & ~t)):
-            if side in seen:
-                continue
-            seen.add(side)
-            rec = score(_moved_inside(tab, inside, moved), side,
-                        None if best is None else best[0])
-            if rec is not None and (best is None or rec[0] < best[0]):
-                best = (*rec, side)
-    obj, n_q2, n_c2, side = best
-    return SuppressionResult(
-        _mask_cut(g, side),
-        n_q2,
-        n_c2,
-        obj,
-        repaired=True,
-        warning="gate set forced into one side; no pairing candidate was feasible",
-    )
+            if side not in seen:
+                seen.add(side)
+                best = score(_moved_inside(tab, inside, moved), side, best) or best
+    return result(best, repaired=True,
+                  warning="gate set forced into one side; no pairing candidate was feasible")
 
 
 # ------------------------------------------------------------------ I/O

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 
@@ -413,9 +414,10 @@ def topology_to_json(g):
 
 
 def topology_from_json(obj):
-    edges = _canonical_edges(tuple(tuple(e) for e in obj["edges"]))
-    faces = tuple(tuple(f) for f in obj["faces"])
-    return TopologyGraph(int(obj["vertices"]), edges, faces)
+    # operator.index: 3.7 or "3" raises instead of becoming 3
+    edges = _canonical_edges(tuple(tuple(map(operator.index, e)) for e in obj["edges"]))
+    faces = tuple(tuple(map(operator.index, f)) for f in obj["faces"])
+    return TopologyGraph(operator.index(obj["vertices"]), edges, faces)
 
 
 def save_topology(path, g):

@@ -67,6 +67,18 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig("t", "c", seeds=())
 
+    def test_integer_k_and_seeds(self):
+        for kwargs in ({"k": 2.5}, {"seeds": (1.5,)}, {"seeds": (0, "1")}):
+            with pytest.raises(TypeError):
+                RunConfig("t", "c", **kwargs)
+        for seeds in ((-1,), (3, -2)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                RunConfig("t", "c", seeds=seeds)
+        cfg = RunConfig("t", "c", k=np.int64(2), seeds=(np.int64(4), 5))
+        assert (type(cfg.k), cfg.seeds) == (int, (4, 5))
+        assert all(type(s) is int for s in cfg.seeds)
+        json.dumps(cfg.to_json())
+
 
 class TestBench:
     def test_deterministic_output(self, tmp_path):
@@ -227,6 +239,15 @@ class TestReportPipeline:
         assert code == 1
         assert "error [cli]" in capsys.readouterr().err
         assert not list(out.glob("**/*.json"))
+
+    def test_negative_seed_rejected_before_any_work(self, workspace, tmp_path, capsys):
+        out = tmp_path / "runs"
+        code = main(["report", "--topology", str(workspace / "g23.json"),
+                     "--circuit", str(workspace / "qft4.zzq"),
+                     "--seed", "-1", "--out-dir", str(out)])
+        assert code == 1
+        assert "error [cli] seeds must be nonnegative" in capsys.readouterr().err
+        assert not list(out.glob("**/plan_*.json"))
 
     def test_summary_table(self, workspace, capsys):
         # rerun on the cached pulses; zzx must beat the baseline

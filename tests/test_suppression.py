@@ -325,6 +325,72 @@ def test_matching_tie_lexicographic():
     assert supp._max_weight_matching(w) == [(0, 1), (2, 3)]
 
 
+def test_matching_guards():
+    assert supp._max_weight_matching([]) == []
+    with pytest.raises(ValueError, match="odd face count"):
+        supp._max_weight_matching([[0] * 3] * 3)
+    with pytest.raises(ValueError, match="matching guard: 18 odd faces exceeds the DP cap"):
+        supp._max_weight_matching([[0] * 18] * 18)
+
+
+def _two_pass_matching(weights):
+    """The bitmask DP followed by a second search for the pairs, as the
+    solver matched before it kept each state's partner: the reference."""
+    n = len(weights)
+    full = (1 << n) - 1
+    memo = {}
+
+    def best(mask):
+        if mask == full:
+            return 0.0
+        if mask in memo:
+            return memo[mask]
+        i = next(v for v in range(n) if not mask >> v & 1)
+        val = 2 * supp._UNREACH
+        for j in range(i + 1, n):
+            if not mask >> j & 1:
+                cand = weights[i][j] + best(mask | 1 << i | 1 << j)
+                if cand > val + 1e-12:
+                    val = cand
+        memo[mask] = val
+        return val
+
+    pairs = []
+    mask = 0
+    while mask != full:
+        i = next(v for v in range(n) if not mask >> v & 1)
+        target = best(mask)
+        for j in range(i + 1, n):
+            if not mask >> j & 1:
+                if abs(weights[i][j] + best(mask | 1 << i | 1 << j) - target) < 1e-9:
+                    pairs.append((i, j))
+                    mask |= 1 << i | 1 << j
+                    break
+    return pairs
+
+
+def _random_matching_problem(rng, n):
+    """Symmetric integer weights in 1..4 (many ties) with about a third of
+    the entries unreachable, around one planted reachable perfect matching,
+    as the solver's odd faces always have one."""
+    order = rng.sample(range(n), n)
+    planted = {frozenset(order[i:i + 2]) for i in range(0, n, 2)}
+    w = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            far = frozenset((i, j)) not in planted and rng.random() < 0.35
+            w[i][j] = w[j][i] = supp._UNREACH if far else float(rng.randint(1, 4))
+    return w
+
+
+def test_matching_walk_matches_two_pass_reference():
+    rng = random.Random(18)
+    for n in range(0, 15, 2):
+        for _ in range(100 if n < 12 else 25):
+            w = _random_matching_problem(rng, n)
+            assert supp._max_weight_matching(w) == _two_pass_matching(w)
+
+
 # ------------------------------------------------------------ properties
 
 
@@ -386,15 +452,14 @@ def _union_find_metrics(g, mask):
 
 
 def _assert_word_matches_contraction(g, word, dset):
+    """Whether dset is an exact cut; if so, the word must decode to it."""
     tab = supp._tables(g)
-    inside, t, odd_faces = supp._unpack(tab, word)
+    inside, t = supp._unpack(tab, word)
     assert inside == supp._mask(dset)
     try:
         cut, n_q = topo._contract(g, dset)
     except ValueError:
-        assert odd_faces
         return False
-    assert not odd_faces
     every = (1 << g.num_qubits) - 1
     assert every & ~t == supp._mask(cut.partition_s)
     assert supp._largest_class(tab, every & ~t) == n_q
@@ -414,7 +479,8 @@ def test_packed_scorer_matches_contraction(shape, data, chamfered_grid, six_qubi
         dset = frozenset(data.draw(st.sets(st.integers(0, n_e - 1))))
         _assert_word_matches_contraction(g, supp._candidate_base(tab, dset), dset)
 
-    # the solver's own candidates: a path-index vector over its path lists
+    # the solver's own candidates: a path-index vector over its path lists;
+    # each one is an exact cut, which is why the word carries no face parity
     q = frozenset(data.draw(st.sets(st.integers(0, n - 1), max_size=5)))
     e_q = supp._gate_internal_edges(g, q)
     path_lists = supp._pairing_paths(tab, e_q, 3)
@@ -530,3 +596,22 @@ ALPHA_OPTIMAL_K_SHA256 = {
 def test_alpha_optimal_pinned_at_k(rows, cols, k):
     sha = _records_sha256(_solver_records(rows, cols, k))
     assert sha == ALPHA_OPTIMAL_K_SHA256[rows, cols, k]
+
+
+# The same corpus with _FULL_SCAN_CAP = 1, so every gate set the initial
+# pairing splits skips the scan and goes straight to the repair: the path
+# past the cap, which no perfbench circuit reaches. (sha256, repaired
+# records), recorded while each packed word still carried face parity.
+ALPHA_OPTIMAL_OVER_CAP_SHA256 = {
+    (3, 3): ("85d2b6b0bdcf49751b11c80f82f7f0c0e87efbd5301b487eafa65f82c4d68213", 10),
+    (4, 4): ("e449cc987a5e209da6d7e97fb89a25362768a1bb07210d28cbf2c07b2e913f21", 12),
+    (5, 5): ("bd18d511874210b641cff311b4a53b8762b4617767fdf2da220de77126efd63c", 18),
+}
+
+
+@pytest.mark.parametrize("rows,cols", sorted(ALPHA_OPTIMAL_OVER_CAP_SHA256))
+def test_alpha_optimal_pinned_over_scan_cap(rows, cols, monkeypatch):
+    monkeypatch.setattr(supp, "_FULL_SCAN_CAP", 1)
+    records = _solver_records(rows, cols)
+    repaired = sum(r["result"]["repaired"] for r in records)
+    assert (_records_sha256(records), repaired) == ALPHA_OPTIMAL_OVER_CAP_SHA256[rows, cols]

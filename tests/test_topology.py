@@ -265,13 +265,26 @@ def _load_with_lambda_hz(g, lam_obj):
     return topo.topology_from_json({**topo.topology_to_json(g), "lambda_hz": lam_obj})
 
 
-def test_json_roundtrip_scalar(tmp_path):
-    g = topo.grid_topology(3, 3)
+def test_json_roundtrip_scalar(tmp_path, chamfered_grid, six_qubit_planar):
     path = tmp_path / "t.json"
-    topo.save_topology(path, g)
-    assert topo.load_topology(path) == g
+    for g in (topo.line_topology(2), topo.ibmq_vigo(), topo.grid_topology(4, 5),
+              chamfered_grid, six_qubit_planar, topo.grid_topology(3, 3)):
+        topo.save_topology(path, g)
+        assert topo.load_topology(path) == g
     assert sorted(topo.topology_to_json(g)) == ["edges", "faces", "vertices"]
     assert _load_with_lambda_hz(g, 150e3) == g
+
+
+@pytest.mark.parametrize("field,value", [
+    ("vertices", 3.7), ("vertices", "3"), ("vertices", 3.0),
+    ("edges", [[0, 1.0], [1, 2]]), ("edges", [[0, 1], ["1", 2]]),
+    ("faces", [[0, 1.0, 0, 1]]),
+])
+def test_json_rejects_non_integral_ids(field, value):
+    obj = topo.topology_to_json(topo.line_topology(3))
+    assert topo.topology_from_json(obj) == topo.line_topology(3)
+    with pytest.raises(TypeError):
+        topo.topology_from_json({**obj, field: value})
 
 
 def test_json_roundtrip_per_edge():
