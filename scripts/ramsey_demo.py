@@ -7,19 +7,10 @@ Also writes the bare fringe pair to CSV for plotting.
 """
 
 import csv
-import math
 
-from zzsched.pulse import RegionModel, optimize
+from zzsched.pulse import native_pulse
 from zzsched.quantumsim import ramsey_experiment, uniform_device
 from zzsched.topology import line_topology
-
-TWO_PI = 2 * math.pi
-
-
-def pulse_set(lambda_hz):
-    single = RegionModel("single", neighbor_lambdas_a=(TWO_PI * lambda_hz,))
-    return {"rx90": optimize(single, "rx90", "pert"),
-            "id": optimize(single, "id", "pert")}
 
 
 def write_fringes(path, result):
@@ -33,7 +24,7 @@ def write_fringes(path, result):
 def main(lambda_hz, csv_path):
     g = line_topology(2)
     device = uniform_device(g, lambda_hz)
-    pulses = pulse_set(lambda_hz)
+    pulses = {kind: native_pulse(kind, "pert", lambda_hz=lambda_hz) for kind in ("rx90", "id")}
     print(f"device coupling {lambda_hz / 1e3:.0f} kHz"
           f" (bare effective ZZ = 4*lambda = {4 * lambda_hz / 1e3:.0f} kHz)")
     print(f"{'policy':<14} {'effective ZZ':>14}")

@@ -5,29 +5,15 @@ sampled devices; the table reports mean fidelities, the improvement of the
 co-optimized pipeline over the baseline, and the duration cost.
 """
 
-import math
 import time
 
 import numpy as np
 
 from zzsched.circuit import benchmark, to_native
-from zzsched.pulse import OptimizeConfig, RegionModel, optimize
-from zzsched.quantumsim import gaussian_library, sample_device, simulate_ensemble
+from zzsched.pulse import native_library
+from zzsched.quantumsim import sample_device, simulate_ensemble
 from zzsched.scheduler import par_sched, schedule
 from zzsched.topology import grid_snake_order, grid_topology
-
-TWO_PI = 2 * math.pi
-
-
-def pert_library(lambda_hz):
-    lam = TWO_PI * lambda_hz
-    single = RegionModel("single", neighbor_lambdas_a=(lam,))
-    two = RegionModel("two", neighbor_lambdas_a=(lam,), neighbor_lambdas_b=(lam,))
-    return {
-        "rx90": optimize(single, "rx90", "pert"),
-        "id": optimize(single, "id", "pert"),
-        "rzx90": optimize(two, "rzx90", "pert", OptimizeConfig(T=80e-9)),
-    }
 
 
 def run_benchmark(name, n, rows, cols, libraries, samples=10,
@@ -47,7 +33,7 @@ def run_benchmark(name, n, rows, cols, libraries, samples=10,
 
 
 def main(cases, samples):
-    libraries = {"pert": pert_library(200e3), "gauss": gaussian_library()}
+    libraries = {"pert": native_library("pert"), "gauss": native_library("gaussian")}
     print(f"{'bench':<10} {'pert+zzx':>9} {'pert+par':>9} {'gauss+zzx':>10} "
           f"{'gauss+par':>10} {'improve':>8} {'dur':>5}")
     for name, n, rows, cols in cases:

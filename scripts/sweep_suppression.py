@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from zzsched.pulse import RegionModel, optimize
-from zzsched.quantumsim import gaussian_library, suppression_sweep
+from zzsched.pulse import native_pulse
+from zzsched.quantumsim import suppression_sweep
 
 TWO_PI = 2 * math.pi
 
@@ -34,13 +34,10 @@ def write_csv(path, lambdas_hz, infids):
 def main(lambda_min_hz, lambda_max_hz, points, calibration_lambda_hz):
     lambdas_hz = np.logspace(math.log10(lambda_min_hz),
                              math.log10(lambda_max_hz), points)
-    lam = TWO_PI * calibration_lambda_hz
-    single = RegionModel("single", neighbor_lambdas_a=(lam,))
-    gauss = gaussian_library()
     print(f"{'pulse':<6} {'gate':<6} {'slope':>6}   csv")
     for kind in ("rx90", "id"):
-        pert = optimize(single, kind, "pert")
-        for label, spec in (("pert", pert), ("gauss", gauss[kind])):
+        pert = native_pulse(kind, "pert", lambda_hz=calibration_lambda_hz)
+        for label, spec in (("pert", pert), ("gauss", native_pulse(kind, "gaussian"))):
             curve = suppression_sweep("single_gate_pair", spec,
                                       TWO_PI * lambdas_hz,
                                       floor=None, target_gate=kind)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -80,9 +80,12 @@ class GateTimes:
     rz: float = 0.0
 
     @classmethod
-    def dcg(cls):
-        # composed-sequence backend: longer 1q slots, same 2q slot
-        return cls(rx90=120e-9, id=40e-9, rzx90=80e-9)
+    def for_backend(cls, backend):
+        """The slots a pulse backend's native pulses fill: dcg's composed
+        sequences take longer 1q slots, every other backend the defaults."""
+        if backend == "dcg":
+            return cls(rx90=120e-9, id=40e-9, rzx90=80e-9)
+        return cls()
 
     def duration(self, gate):
         if gate.name not in NATIVE_NAMES:

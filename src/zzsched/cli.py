@@ -18,19 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import GateTimes, benchmark, load_circuit, save_circuit, to_native
-from .pulse import (
-    OptimizeConfig,
-    OptimizedPulse,
-    RegionModel,
-    _dense,
-    load_pulse,
-    optimize,
-    save_pulse,
-)
+from .pulse import GATE_KINDS, load_pulse, native_pulse, native_region, save_pulse
 from .quantumsim import (
-    backend_gate_times,
-    dcg_library,
-    gaussian_library,
     ramsey_experiment,
     sample_device,
     simulate_ensemble,
@@ -45,7 +34,6 @@ from .topology import adjacency, grid_snake_order, load_topology
 TWO_PI = 2 * math.pi
 
 BACKENDS = ("gaussian", "pert", "optctrl", "dcg")
-GATE_KINDS = ("rx90", "id", "rzx90")
 
 
 class PipelineError(RuntimeError):
@@ -119,69 +107,37 @@ def _pulse_cache_name(kind, m, backend, T, lams_hz):
     return f"{kind}_{backend}_{m}n_{round(T * 1e9)}ns_{tag}.json"
 
 
-def _wrap(spec, kind, backend):
-    return OptimizedPulse(spec, kind, backend, 0.0, 0, True, None)
-
-
-def _region(kind, m, lambda_hz):
-    """Region model and optimizer config of an optimized kind's design."""
-    if m < 0:
-        raise ValueError("neighbor count must be nonnegative")
-    lam = TWO_PI * lambda_hz
-    if kind == "rzx90":
-        return (RegionModel("two", neighbor_lambdas_a=(lam,) * m,
-                            neighbor_lambdas_b=(lam,) * m), OptimizeConfig(T=80e-9))
-    return RegionModel("single", neighbor_lambdas_a=(lam,) * max(m, 1)), None
-
-
-def _build_pulse(kind, backend, m, lambda_hz):
-    if backend == "gaussian":
-        return _wrap(gaussian_library()[kind], kind, backend)
-    if backend == "dcg":
-        if kind == "rzx90":
-            raise ValueError("no composed sequence for rzx90; it keeps the "
-                             "plain Gaussian shape")
-        return _wrap(dcg_library()[kind], kind, backend)
-    model, config = _region(kind, m, lambda_hz)
-    return optimize(model, kind, backend, config)
-
-
 def provision_pulses(g, backend, lambda_hz, pulses_dir, verbose=False):
-    """One pulse per native kind, optimized for the device's worst-case
+    """One pulse per native kind, designed for the device's worst-case
     neighbor counts and cached on disk by shape-defining parameters."""
     pulses_dir = Path(pulses_dir)
     pulses_dir.mkdir(parents=True, exist_ok=True)
-    adj = adjacency(g)
-    deg_max = max((len(a) for a in adj), default=1)
-    times = backend_gate_times(backend)
-    slots = {"rx90": times.rx90, "id": times.id, "rzx90": times.rzx90}
-    counts = {"rx90": deg_max, "id": deg_max, "rzx90": max(deg_max - 1, 1)}
+    deg_max = max((len(a) for a in adjacency(g)), default=1)
+    times = GateTimes.for_backend(backend)
     designs = {}
     for kind in GATE_KINDS:
-        m = counts[kind]
-        effective = "gaussian" if backend == "dcg" and kind == "rzx90" else backend
-        name = _pulse_cache_name(kind, m, effective, slots[kind],
+        m = max(deg_max - 1, 1) if kind == "rzx90" else deg_max
+        name = _pulse_cache_name(kind, m, backend, getattr(times, kind),
                                  (lambda_hz,) * m)
-        designs[kind] = (m, effective, pulses_dir / name)
-    # a dense design can take minutes, so every region still to design is
-    # sized (RegionModel.dim raises past the cap) before the first starts
-    for kind, (m, effective, path) in designs.items():
-        if effective in ("pert", "optctrl") and not path.exists():
-            model = _region(kind, m, lambda_hz)[0]
-            if _dense(model, effective):
-                model.dim
+        designs[kind] = (m, pulses_dir / name)
+    # a dense optctrl design can take minutes, so every region still to
+    # design is sized (RegionModel.dim raises past the cap) before the first
+    # starts; pert's native regions take the closed form at any size
+    if backend == "optctrl":
+        for kind, (m, path) in designs.items():
+            if not path.exists():
+                native_region(kind, m, lambda_hz).dim
     out = {}
-    for kind, (m, effective, path) in designs.items():
-        name = path.name
+    for kind, (m, path) in designs.items():
         if path.exists():
             out[kind] = load_pulse(path)
             if verbose:
-                print(f"  pulse {kind}: cached {name}", file=sys.stderr)
+                print(f"  pulse {kind}: cached {path.name}", file=sys.stderr)
             continue
-        out[kind] = _build_pulse(kind, effective, m, lambda_hz)
+        out[kind] = native_pulse(kind, backend, m, lambda_hz)
         save_pulse(path, out[kind])
         if verbose:
-            print(f"  pulse {kind}: optimized -> {name}", file=sys.stderr)
+            print(f"  pulse {kind}: optimized -> {path.name}", file=sys.stderr)
     return out
 
 
@@ -226,7 +182,7 @@ def run_pipeline(cfg, threads=1, verbose=False):
         g = load_topology(cfg.topology)
     with _stage("circuit"):
         circ = to_native(load_circuit(cfg.circuit))
-    gate_times = backend_gate_times(cfg.backend)
+    gate_times = GateTimes.for_backend(cfg.backend)
     policies = ("zzx", "par") if cfg.policy == "both" else (cfg.policy,)
 
     out_dir = Path(cfg.out_dir)
@@ -287,7 +243,7 @@ def _report_json(cfg, plans, reports):
         if plans["par"].total_duration > 0:
             summary["duration_ratio_zzx_over_par"] = (
                 plans["zzx"].total_duration / plans["par"].total_duration)
-    times = backend_gate_times(cfg.backend)
+    times = GateTimes.for_backend(cfg.backend)
     return {
         "config": cfg.to_json(),
         "meta": {
@@ -364,7 +320,7 @@ def cmd_schedule(args):
                         alpha=args.alpha, k=args.k, nq_max=args.nq_max,
                         nc_max=args.nc_max, backend=args.backend)
         plan = _schedule_policy(g, circ, args.policy, cfg,
-                                backend_gate_times(args.backend))
+                                GateTimes.for_backend(args.backend))
         save_plan(args.out, plan)
     print(f"{args.policy}: {len(plan.layers)} layers, "
           f"{plan.total_duration * 1e9:.0f} ns -> {args.out}")
@@ -373,8 +329,7 @@ def cmd_schedule(args):
 
 def cmd_optimize_pulse(args):
     with _stage("pulse"):
-        op = _build_pulse(args.gate, args.backend, args.neighbors,
-                          args.lambda_hz)
+        op = native_pulse(args.gate, args.backend, args.neighbors, args.lambda_hz)
         save_pulse(args.out, op)
     print(f"{args.gate} [{args.backend}] converged={op.converged} "
           f"-> {args.out}")

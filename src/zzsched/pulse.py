@@ -16,8 +16,10 @@ Hamiltonian builder, one channel-target check and one size cap.
 
 Three pulse backends: optctrl (penalized fidelity averaged over coupling
 strengths), pert (first-order interaction-picture cancellation), and dcg
-(fixed composed Gaussian sequences). All internal units are rad/s and
-seconds; file formats carry Hz and ns with explicit conversion.
+(fixed composed Gaussian sequences). native_pulse is the one place that
+says which pulse a backend, gaussian included, runs for each native kind.
+All internal units are rad/s and seconds; file formats carry Hz and ns
+with explicit conversion.
 
 Every loss takes a whole finite-difference stencil, or one line-search
 probe per restart, in one call: the fast pert loss as one batched pass
@@ -36,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuit import _I2, _X, _Y, _Z, Gate, gate_matrix
+from .circuit import _I2, _X, _Y, _Z, Gate, GateTimes, gate_matrix
 
 TWO_PI = 2 * math.pi
 DEFAULT_SAMPLE_RATE = 200  # integrator steps per 20 ns of pulse
@@ -564,6 +566,9 @@ class OptimizeConfig:
     def __post_init__(self):
         if not (math.isfinite(self.T) and self.T > 0):
             raise ValueError(f"duration T must be finite and positive, got {self.T}")
+        # operator.index: 2.5 raises here, not in the descent after a first loss
+        object.__setattr__(self, "max_iter", operator.index(self.max_iter))
+        object.__setattr__(self, "restarts", operator.index(self.restarts))
         if self.max_iter < 0 or self.restarts < 0:
             raise ValueError("max_iter and restarts must be non-negative")
 
@@ -587,6 +592,7 @@ _TARGETS = {  # (region kind, rotation angle)
     "id": ("single", TWO_PI),
     "rzx90": ("two", math.pi / 2),
 }
+GATE_KINDS = tuple(_TARGETS)  # the native kinds that take a pulse; rz is a frame change
 
 
 def _make_spec(model, coeffs, T):
@@ -722,12 +728,6 @@ def _descend(losses, grad, starts, max_iter):
     return list(zip(xs, fxs, iters))
 
 
-def _dense(model, backend):
-    """Whether optimize evaluates the region's dense operators (and so its
-    dim): every backend but the closed-form pert fast path does."""
-    return not (backend == "pert" and (model.kind == "single" or model.intra_lambda == 0.0))
-
-
 def optimize(model, target, backend, config=None):
     """Gradient-descent pulse search on Fourier coefficients.
 
@@ -749,7 +749,8 @@ def optimize(model, target, backend, config=None):
         raise ValueError(f"unknown backend {backend!r}")
     gate = gate_matrix(Gate(target, (0,) if kind == "single" else (0, 1)))
     T = config.T
-    fast = not _dense(model, backend)
+    # only this closed form skips the dense operators, and so the size cap
+    fast = backend == "pert" and (model.kind == "single" or model.intra_lambda == 0.0)
     coupled = any(lam for _, _, lam in model.cross_pairs())
 
     def build(x):
@@ -884,6 +885,54 @@ def _pert_polish(integrals, angle, T, x):
         if not improved:
             break
     return x
+
+
+# --------------------------------------------------------- native pulses
+
+
+def native_region(kind, neighbors=1, lambda_hz=200e3):
+    """The region a native kind is designed on: neighbors spectators at
+    lambda_hz on each gate qubit, and at least one on a single-qubit gate."""
+    if kind not in _TARGETS:
+        raise ValueError(f"unknown pulse target {kind!r}")
+    if neighbors < 0:
+        raise ValueError("neighbor count must be nonnegative")
+    lam = TWO_PI * lambda_hz
+    if _TARGETS[kind][0] == "two":
+        return RegionModel("two", neighbor_lambdas_a=(lam,) * neighbors,
+                           neighbor_lambdas_b=(lam,) * neighbors)
+    return RegionModel("single", neighbor_lambdas_a=(lam,) * max(neighbors, 1))
+
+
+def native_pulse(kind, backend, neighbors=1, lambda_hz=200e3):
+    """The pulse a backend runs for a native kind, in the slot
+    GateTimes.for_backend(backend) gives, tagged with that backend.
+
+    gaussian is one truncated Gaussian; dcg a composed sequence, and for
+    rzx90, which has no coupler sequence, that same Gaussian; pert and
+    optctrl optimize on native_region(kind, neighbors, lambda_hz).
+    """
+    if kind not in _TARGETS:
+        raise ValueError(f"unknown pulse target {kind!r}")
+    T = getattr(GateTimes.for_backend(backend), kind)
+    if backend in ("pert", "optctrl"):
+        return optimize(native_region(kind, neighbors, lambda_hz), kind, backend,
+                        OptimizeConfig(T=T))
+    if backend not in ("gaussian", "dcg"):
+        raise ValueError(f"unknown backend {backend!r}")
+    region, angle = _TARGETS[kind]
+    if backend == "dcg" and region == "single":
+        spec = dcg_sequence("rx_half_pi" if kind == "rx90" else "identity")
+    elif region == "single":
+        spec = gaussian_pulse(angle, T)
+    else:
+        spec = gaussian_pulse(angle, T, axis="coupling", target=(0, 1))
+    return OptimizedPulse(spec, kind, backend, 0.0, 0, True)
+
+
+def native_library(backend, neighbors=1, lambda_hz=200e3):
+    """native_pulse of every native kind, keyed by kind."""
+    return {kind: native_pulse(kind, backend, neighbors, lambda_hz) for kind in GATE_KINDS}
 
 
 # ------------------------------------------------------------------ JSON

@@ -6,7 +6,9 @@ windows. Layers from the suppression-aware scheduler keep their active
 side driven by filling slot tails with repeated identity pulses; baseline
 layers leave tails to free evolution. rz gates are instantaneous frame
 rotations. The ideal reference applies exact gate matrices, so pulse
-calibration error counts against the pulse, not the reference.
+calibration error counts against the pulse, not the reference. Pulses come
+in as a map from native kind to pulse; pulse.native_library builds the one
+a backend runs.
 
 Two integrators share the same midpoint sampling grid and the same pulse
 windows: a split-step statevector propagator (diagonal ZZ half-steps
@@ -49,7 +51,6 @@ import numpy as np
 
 from .circuit import (
     Gate,
-    GateTimes,
     _dot_layout,
     apply_gate_to_state,
     gate_matrix,
@@ -63,9 +64,7 @@ from .pulse import (
     _window_amplitudes,
     _zz_diagonal,
     avg_gate_fidelity,
-    dcg_sequence,
     gate_space_model,
-    gaussian_pulse,
     num_steps,
     with_cross_lambda,
 )
@@ -313,6 +312,8 @@ def _run_plan(devices, plan, pmap, input_state, method):
         psi0 = np.asarray(input_state, dtype=complex)
         if psi0.shape != (dim,):
             raise ValueError(f"input state must have dimension {dim}")
+        if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
+            raise ValueError("input state must have unit norm")
     rate = _sample_rate(pmap)
     windows = [_layer_windows(layer, pmap) for layer in plan.layers]
     ideal = psi0
@@ -374,33 +375,6 @@ def simulate_plan(device, plan, pulses, input_state=None, method="split"):
     """Evolve a scheduled plan on one device and score it against the ideal;
     simulate_ensemble with a single device."""
     return simulate_ensemble((device,), plan, pulses, input_state, method)[0]
-
-
-# ------------------------------------------------------ pulse libraries
-
-
-def gaussian_library():
-    """Truncated-Gaussian pulses for the native set at the default slots."""
-    return {
-        "rx90": gaussian_pulse(math.pi / 2, 20e-9),
-        "id": gaussian_pulse(TWO_PI, 20e-9),
-        "rzx90": gaussian_pulse(math.pi / 2, 80e-9, axis="coupling", target=(0, 1)),
-    }
-
-
-def dcg_library():
-    """Composed echo sequences for 1q gates; Gaussian fallback for rzx90."""
-    return {
-        "rx90": dcg_sequence("rx_half_pi"),
-        "id": dcg_sequence("identity"),
-        "rzx90": gaussian_pulse(math.pi / 2, 80e-9, axis="coupling", target=(0, 1)),
-    }
-
-
-def backend_gate_times(backend):
-    if backend == "dcg":
-        return GateTimes.dcg()
-    return GateTimes()
 
 
 # ---------------------------------------------------- suppression sweep
@@ -531,6 +505,8 @@ def fit_cosine(taus, values):
     """
     taus = np.asarray(taus, dtype=float)
     y = np.asarray(values, dtype=float)
+    if len(y) != len(taus):
+        raise ValueError("need one value per delay")
     if len(taus) < 8:
         raise ValueError("need at least 8 samples to fit a fringe")
     dt = np.diff(taus)

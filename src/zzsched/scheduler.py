@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .circuit import NATIVE_NAMES, Circuit, Gate, GateTimes, dependencies, parse
+from .circuit import NATIVE_NAMES, Gate, GateTimes, dependencies, parse
 from .circuit import _gate_line, _lowered
 from .suppression import alpha_optimal
 from .topology import Cut, adjacency, bfs_distances

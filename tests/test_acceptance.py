@@ -9,14 +9,14 @@ import time
 import numpy as np
 import pytest
 
-from zzsched.circuit import Circuit, Gate, GateTimes, benchmark, gate_matrix, to_native
+from zzsched.circuit import Gate, benchmark, gate_matrix, to_native
 from zzsched.pulse import (
-    OptimizeConfig,
     RegionModel,
     avg_gate_fidelity,
     dcg_sequence,
     evolve,
     gaussian_pulse,
+    native_library,
     optimize,
     pert_first_order,
 )
@@ -26,7 +26,6 @@ from zzsched.quantumsim import (
     _layer_windows,
     _pulse_map,
     _zz_diagonal,
-    gaussian_library,
     ramsey_experiment,
     sample_device,
     simulate_ensemble,
@@ -65,13 +64,7 @@ def _verdict(name, ok, detail=""):
 @pytest.fixture(scope="session")
 def pert_pulses():
     """Cancellation-optimized pulse library at the 200 kHz design point."""
-    single = RegionModel("single", neighbor_lambdas_a=(LAM,))
-    two = RegionModel("two", neighbor_lambdas_a=(LAM,), neighbor_lambdas_b=(LAM,))
-    return {
-        "rx90": optimize(single, "rx90", "pert"),
-        "id": optimize(single, "id", "pert"),
-        "rzx90": optimize(two, "rzx90", "pert", OptimizeConfig(T=80e-9)),
-    }
+    return native_library("pert")
 
 
 def test_criterion_01_cut_pairing_duality():
@@ -283,7 +276,7 @@ def test_criterion_08_region_assembly(pert_pulses):
     target = np.kron(np.kron(np.eye(2), rx90), np.kron(rzx90, np.eye(2)))
     zz = _zz_diagonal(5, device.couplings())
     infids = {}
-    for name, lib in (("pert", pert_pulses), ("gauss", gaussian_library())):
+    for name, lib in (("pert", pert_pulses), ("gauss", native_library("gaussian"))):
         windows = _layer_windows(layer, _pulse_map(lib))
         u = _propagate([zz], [windows], 80e-9, 200)[0, 0]
         infids[name] = 1 - avg_gate_fidelity(u, target)
@@ -297,7 +290,7 @@ def test_criterion_09_end_to_end_ordering(pert_pulses):
     """Pulse and schedule co-optimization beats the baseline by >= 2x in
     mean fidelity and beats both single-leg variants."""
     t0 = time.time()
-    gauss = gaussian_library()
+    gauss = native_library("gaussian")
     details = []
     ok = True
     for name, n, (rows, cols) in (("qft", 4, (2, 3)), ("ising", 6, (3, 3))):

@@ -144,7 +144,7 @@ def test_gate_times_defaults():
 
 
 def test_gate_times_dcg_backend():
-    gt = GateTimes.dcg()
+    gt = GateTimes.for_backend("dcg")
     assert gt.rx90 == pytest.approx(120e-9)
     assert gt.id == pytest.approx(40e-9)
     assert gt.rzx90 == pytest.approx(80e-9)

@@ -9,10 +9,10 @@ import math
 import numpy as np
 import pytest
 
-from zzsched import cli
+from zzsched import cli, pulse
 from zzsched.circuit import Circuit, benchmark, load_circuit, save_circuit
 from zzsched.cli import RunConfig, main, run_pipeline
-from zzsched.pulse import load_pulse
+from zzsched.pulse import load_pulse, native_pulse
 from zzsched.scheduler import load_plan
 from zzsched.topology import grid_snake_order, grid_topology, line_topology, save_topology
 
@@ -223,11 +223,14 @@ class TestOptimizePulse:
         assert "error [pulse]" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_dcg_has_no_coupler_sequence(self, tmp_path, capsys):
-        code = main(["optimize-pulse", "--gate", "rzx90", "--backend", "dcg",
-                     "--out", str(tmp_path / "p.json")])
-        assert code == 1
-        assert "[pulse]" in capsys.readouterr().err
+    def test_dcg_has_no_coupler_sequence(self, tmp_path):
+        # dcg runs the Gaussian rzx90, tagged with the backend asked for
+        out = tmp_path / "p.json"
+        assert main(["optimize-pulse", "--gate", "rzx90", "--backend", "dcg",
+                     "--out", str(out)]) == 0
+        op = load_pulse(out)
+        assert op.backend == "dcg"
+        assert op.spec == native_pulse("rzx90", "gaussian").spec
 
 
 class TestReportPipeline:
@@ -358,6 +361,22 @@ class TestSimulateCommand:
         assert len(doc["runs"]) == 2
         assert 0.0 <= doc["mean_fidelity"] <= 1.0
 
+    def test_dcg_pulse_dir_is_labelled_dcg(self, workspace, tmp_path):
+        # dcg's Gaussian rzx90 is cached under the dcg name, not "mixed"
+        plan = tmp_path / "plan.json"
+        assert main(["schedule", "--topology", str(workspace / "g23.json"),
+                     "--circuit", str(workspace / "qft4.zzq"), "--backend", "dcg",
+                     "--out", str(plan)]) == 0
+        pulses = tmp_path / "pulses"
+        cli.provision_pulses(grid_topology(2, 3), "dcg", 200e3, pulses)
+        assert sorted(f.name.split("_")[:2] for f in pulses.glob("*.json")) == [
+            ["id", "dcg"], ["rx90", "dcg"], ["rzx90", "dcg"]]
+        out = tmp_path / "report.json"
+        assert main(["simulate", "--topology", str(workspace / "g23.json"),
+                     "--plan", str(plan), "--pulses", str(pulses),
+                     "--samples", "1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["pulse_backend"] == "dcg"
+
     def test_empty_pulse_dir(self, workspace, tmp_path, capsys):
         empty = tmp_path / "pulses"
         empty.mkdir()
@@ -445,7 +464,41 @@ def test_optctrl_region_cap_raises_before_any_design(tmp_path, monkeypatch):
     def no_design(*args, **kwargs):
         raise AssertionError("optimize ran before the region sizes were checked")
 
-    monkeypatch.setattr(cli, "optimize", no_design)
+    monkeypatch.setattr(pulse, "optimize", no_design)
     with pytest.raises(ValueError, match="dimension 256"):
         cli.provision_pulses(grid_topology(3, 3), "optctrl", 1e5, tmp_path)
     assert not list(tmp_path.glob("*.json"))
+
+
+# sha256 of every file provision_pulses writes, recorded before one builder
+# (pulse.native_pulse) replaced the CLI's own region and library rules
+PROVISIONED_SHA256 = {
+    ("gaussian", 2, 3): {
+        "id_gaussian_3n_20ns_3214a80ff98c.json": "907a3756ceb25597393f12c771892a14442adef47324e788a8185e9b38706d16",
+        "rx90_gaussian_3n_20ns_3214a80ff98c.json": "7c46b574ced96109e5955a3b0227b8602be8d7762ab974ce94922d1a26d9547c",
+        "rzx90_gaussian_2n_80ns_b3b548b07c70.json": "d416daa25fa5824c561d6817a377b4e3bcca03e3a0809c373fe26091e53fc754",
+    },
+    ("gaussian", 3, 3): {
+        "id_gaussian_4n_20ns_568720311426.json": "907a3756ceb25597393f12c771892a14442adef47324e788a8185e9b38706d16",
+        "rx90_gaussian_4n_20ns_568720311426.json": "7c46b574ced96109e5955a3b0227b8602be8d7762ab974ce94922d1a26d9547c",
+        "rzx90_gaussian_3n_80ns_3214a80ff98c.json": "d416daa25fa5824c561d6817a377b4e3bcca03e3a0809c373fe26091e53fc754",
+    },
+    ("pert", 2, 3): {
+        "id_pert_3n_20ns_3214a80ff98c.json": "e5a4e737e179d844ec6e3c3c8644f695e429695a80a40233afea7e6302ff2bcf",
+        "rx90_pert_3n_20ns_3214a80ff98c.json": "ad6030e553fb8497366a4e15c7c27a37d5149bdda8c210c701551017b234c8a3",
+        "rzx90_pert_2n_80ns_b3b548b07c70.json": "e6a10d2bcdada5d8a96d8a079f690d54f95ae764bf569b1d9617e375a34dabc5",
+    },
+    ("pert", 3, 3): {
+        "id_pert_4n_20ns_568720311426.json": "2f6c3141c4235488fca374c7c5eb354ba145c4acf1f6aa3c9796cc1749131c01",
+        "rx90_pert_4n_20ns_568720311426.json": "8843776cd53be17225c7ef4b9f3e1a1f4f510f279561f9d0103f0d777d588bd4",
+        "rzx90_pert_3n_80ns_3214a80ff98c.json": "2eda23ba7be074f8bd060c563d266214402717dd4319a49131821028edb40043",
+    },
+}
+
+
+@pytest.mark.parametrize("backend,rows,cols", list(PROVISIONED_SHA256))
+def test_provisioned_pulse_files_pinned(tmp_path, backend, rows, cols):
+    cli.provision_pulses(grid_topology(rows, cols), backend, 200e3, tmp_path)
+    written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in tmp_path.glob("*.json")}
+    assert written == PROVISIONED_SHA256[backend, rows, cols]

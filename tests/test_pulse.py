@@ -40,6 +40,8 @@ from zzsched.pulse import (
     gate_space_model,
     gaussian_pulse,
     load_pulse,
+    native_pulse,
+    native_region,
     num_steps,
     optctrl_loss,
     optimize,
@@ -575,6 +577,14 @@ class TestOptimizeRzx:
         with pytest.raises(ValueError):
             OptimizeConfig(**bad)
 
+    @pytest.mark.parametrize("field", ["max_iter", "restarts"])
+    def test_config_counts_are_integers(self, field):
+        # 2.5 once passed here and failed in the descent after the first loss
+        with pytest.raises(TypeError):
+            OptimizeConfig(**{field: 2.5})
+        cfg = OptimizeConfig(**{field: np.int64(2)})
+        assert type(getattr(cfg, field)) is int
+
     def test_config_is_frozen(self):
         # a field set after the checks would skip them
         cfg = OptimizeConfig()
@@ -716,7 +726,8 @@ PULSE_SHA256 = {
     ("pert", "rzx90", 3): "954c5e83398b437f21ef44e3233c50351523f22d6193a1df086cbb9298de9211",
     ("optctrl", "rx90", 1): "ab9a41d6394d8a209f09a78ea8953b1bc1e3552d76c95e51a522d6e382114936",
     # edge branches of optimize, recorded before the fast path lost its
-    # dense baseline; the label names a (model, config) in _PINNED_VARIANTS
+    # dense baseline; the label names a (model, config) in _PINNED_VARIANTS,
+    # or for "uncoupled" the native rx90 at zero strength
     ("pert", "rzx90", "a-only"): "b13dffd5228dcfd70fe5225618c936f9dd978d51d78728e69852425b929df88c",
     ("pert", "rzx90", "b-zero"): "e00c7e0b4151cd702930175ff2cff910cfa9a316bab14a9d207e2b27cb843569",
     ("pert", "rx90", "uncoupled"): "d14230748979369b00dc913d062c5af2738cec758108eca5c443fc3add61cd22",
@@ -730,7 +741,6 @@ _PINNED_VARIANTS = {
     # a b side of zero weight: the cancelable base is 0
     "b-zero": (RegionModel("two", neighbor_lambdas_a=(LAM,), neighbor_lambdas_b=(0.0,)),
                OptimizeConfig(T=80e-9)),
-    "uncoupled": (single_region(1, lam=0.0), None),
     "no-iter": (single_region(1), OptimizeConfig(max_iter=0, restarts=1)),
     # intra coupling: the slow, dense path
     "intra": (RegionModel("two", neighbor_lambdas_a=(LAM,), neighbor_lambdas_b=(LAM,),
@@ -739,22 +749,40 @@ _PINNED_VARIANTS = {
 }
 
 
+def _sha(op):
+    return hashlib.sha256(json.dumps(pulse_to_json(op), sort_keys=True).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("backend,target,m", list(PULSE_SHA256))
 def test_pulse_json_pinned(backend, target, m):
-    if isinstance(m, str):
-        model, config = _PINNED_VARIANTS[m]
-    elif target == "rzx90":
-        model = RegionModel("two", neighbor_lambdas_a=(LAM,) * m,
-                            neighbor_lambdas_b=(LAM,) * m)
-        config = OptimizeConfig(T=80e-9)
-    else:
-        model = single_region(m)
-        config = None
     if backend == "optctrl":
-        config = OptimizeConfig(max_iter=5, restarts=1)
-    op = optimize(model, target, backend, config)
-    blob = json.dumps(pulse_to_json(op), sort_keys=True).encode()
-    assert hashlib.sha256(blob).hexdigest() == PULSE_SHA256[backend, target, m]
+        op = optimize(single_region(m), target, backend, OptimizeConfig(max_iter=5, restarts=1))
+    elif m == "uncoupled":
+        op = native_pulse(target, backend, lambda_hz=0.0)
+    elif isinstance(m, str):
+        model, config = _PINNED_VARIANTS[m]
+        op = optimize(model, target, backend, config)
+    else:
+        # native regions are the hand-built ones the pins were recorded on
+        op = native_pulse(target, backend, m)
+    assert _sha(op) == PULSE_SHA256[backend, target, m]
+
+
+def test_native_region_shapes():
+    assert native_region("rx90", 0) == single_region(1)  # a 1q gate keeps one spectator
+    assert native_region("id", 3) == single_region(3)
+    assert native_region("rzx90", 0) == RegionModel("two")
+    assert native_region("rzx90", 2) == RegionModel(
+        "two", neighbor_lambdas_a=(LAM,) * 2, neighbor_lambdas_b=(LAM,) * 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        native_region("rx90", -1)
+
+
+@pytest.mark.parametrize("kind,backend", [("ry90", "pert"), ("rz", "gaussian"),
+                                          ("rx90", "annealing"), ("rzx90", "magic")])
+def test_native_pulse_rejects_unknown_names(kind, backend):
+    with pytest.raises(ValueError, match="unknown"):
+        native_pulse(kind, backend)
 
 
 def test_fast_pert_path_builds_no_dense_region(monkeypatch):

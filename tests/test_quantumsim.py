@@ -5,15 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from zzsched.circuit import Circuit, Gate, benchmark, gate_matrix, to_native
+from zzsched.circuit import Circuit, Gate, GateTimes, benchmark, gate_matrix, to_native
 from zzsched.pulse import (
-    OptimizeConfig,
     PulseSpec,
     RegionModel,
+    dcg_sequence,
     evolve,
     gaussian_pulse,
+    native_library,
     num_steps,
-    optimize,
 )
 from zzsched.quantumsim import (
     DeviceInstance,
@@ -25,11 +25,8 @@ from zzsched.quantumsim import (
     _split_layer,
     _window_amplitudes,
     _zz_diagonal,
-    backend_gate_times,
-    dcg_library,
     drive_noise_eval,
     fit_cosine,
-    gaussian_library,
     ramsey_experiment,
     sample_device,
     simulate_ensemble,
@@ -55,18 +52,12 @@ LINE3 = line_topology(3)
 
 @pytest.fixture(scope="module")
 def gauss_lib():
-    return gaussian_library()
+    return {kind: op.spec for kind, op in native_library("gaussian").items()}
 
 
 @pytest.fixture(scope="module")
 def pert_lib():
-    single = RegionModel("single", neighbor_lambdas_a=(LAM,))
-    two = RegionModel("two", neighbor_lambdas_a=(LAM,), neighbor_lambdas_b=(LAM,))
-    return {
-        "rx90": optimize(single, "rx90", "pert"),
-        "id": optimize(single, "id", "pert"),
-        "rzx90": optimize(two, "rzx90", "pert", OptimizeConfig(T=80e-9)),
-    }
+    return native_library("pert")
 
 
 def _reference_split_layer(psi, n, zz_diag, windows, duration, rate):
@@ -413,6 +404,17 @@ class TestSimulatePlan:
         with pytest.raises(ValueError):
             simulate_plan(uniform_device(LINE2, 0.0), plan, gauss_lib)
 
+    @pytest.mark.parametrize("scale", [2.0, 0.0])
+    def test_input_state_must_be_normalized(self, gauss_lib, scale):
+        # the clip to [0, 1] once scored a norm-2 state 1.0 and the zero vector 0.0
+        plan = par_sched(LINE2, Circuit(2, (Gate("rx90", (0,)),)))
+        psi0 = scale * np.eye(4)[0]
+        devices = [uniform_device(LINE2, 0.0)]
+        with pytest.raises(ValueError, match="unit norm"):
+            simulate_plan(devices[0], plan, gauss_lib, input_state=psi0)
+        with pytest.raises(ValueError, match="unit norm"):
+            simulate_ensemble(devices, plan, gauss_lib, input_state=psi0)
+
     def test_bad_input_dimension(self, gauss_lib):
         plan = par_sched(LINE2, Circuit(2, ()))
         with pytest.raises(ValueError):
@@ -496,20 +498,42 @@ class TestSimulateEnsemble:
             simulate_ensemble(devices, plan, gauss_lib)
 
 
+def _gaussian_library_reference():
+    """The fixed-shape library the simulator once built, before native_pulse."""
+    return {
+        "rx90": gaussian_pulse(math.pi / 2, 20e-9),
+        "id": gaussian_pulse(TWO_PI, 20e-9),
+        "rzx90": gaussian_pulse(math.pi / 2, 80e-9, axis="coupling", target=(0, 1)),
+    }
+
+
+def _dcg_library_reference():
+    """The composed-sequence library the simulator once built: Gaussian rzx90."""
+    return {
+        "rx90": dcg_sequence("rx_half_pi"),
+        "id": dcg_sequence("identity"),
+        "rzx90": gaussian_pulse(math.pi / 2, 80e-9, axis="coupling", target=(0, 1)),
+    }
+
+
 class TestPulseLibraries:
     def test_gaussian_library_kinds(self, gauss_lib):
-        assert set(gauss_lib) == {"rx90", "id", "rzx90"}
+        assert gauss_lib == _gaussian_library_reference()
         assert gauss_lib["rx90"].duration == pytest.approx(20e-9)
         assert gauss_lib["rzx90"].duration == pytest.approx(80e-9)
 
     def test_dcg_library_durations(self):
-        lib = dcg_library()
-        assert lib["rx90"].duration == pytest.approx(120e-9)
-        assert lib["id"].duration == pytest.approx(40e-9)
+        lib = native_library("dcg")
+        assert {kind: op.spec for kind, op in lib.items()} == _dcg_library_reference()
+        assert {op.backend for op in lib.values()} == {"dcg"}
+        times = GateTimes.for_backend("dcg")
+        for kind, op in lib.items():
+            assert op.spec.duration == pytest.approx(getattr(times, kind))
 
     def test_backend_gate_times(self):
-        assert backend_gate_times("dcg").rx90 == pytest.approx(120e-9)
-        assert backend_gate_times("gaussian").rx90 == pytest.approx(20e-9)
+        assert GateTimes.for_backend("dcg").rx90 == pytest.approx(120e-9)
+        assert GateTimes.for_backend("gaussian").rx90 == pytest.approx(20e-9)
+        assert GateTimes.for_backend("pert") == GateTimes()
 
 
 class TestSuppressionSweep:
@@ -641,6 +665,12 @@ class TestFitCosine:
         taus = np.array([0, 1, 2, 3, 4, 5, 6, 8.5]) * 160e-9
         with pytest.raises(ValueError):
             fit_cosine(taus, np.cos(taus * 1e6))
+
+    def test_needs_one_value_per_delay(self):
+        # numpy's lstsq once raised LinAlgError: Incompatible dimensions
+        taus = np.arange(64) * 160e-9
+        with pytest.raises(ValueError, match="one value per delay"):
+            fit_cosine(taus, np.cos(TWO_PI * 1.3e6 * taus)[:-1])
 
     def test_rejects_repeated_delays(self):
         taus = np.zeros(10)

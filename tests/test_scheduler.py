@@ -134,7 +134,8 @@ def _stack_gate_duration(gate, times):
     return max(finish.values())
 
 
-@pytest.mark.parametrize("times", [GateTimes(), GateTimes.dcg()], ids=["default", "dcg"])
+@pytest.mark.parametrize("times", [GateTimes(), GateTimes.for_backend("dcg")],
+                         ids=["default", "dcg"])
 def test_gate_duration_matches_stack_walk(times):
     for name, (n_par, n_q) in sorted(_KNOWN.items()):
         for qubits in ((0,), (1,)) if n_q == 1 else ((0, 1), (1, 0)):
@@ -144,7 +145,7 @@ def test_gate_duration_matches_stack_walk(times):
 
 @pytest.mark.parametrize("name", ["dcg", "duration"])
 def test_gate_named_like_a_gate_times_member_is_not_native(name):
-    # GateTimes also has a dcg classmethod and a duration method
+    # a pulse backend's name and a GateTimes method are not gates
     with pytest.raises(ValueError, match=f"cannot lower gate '{name}'"):
         gate_duration(Gate(name, (0,)), GateTimes())
     with pytest.raises(ValueError, match=f"cannot lower gate '{name}'"):
