@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import GateTimes, benchmark, load_circuit, save_circuit, to_native
-from .pulse import GATE_KINDS, load_pulse, native_pulse, native_region, save_pulse
+from .pulse import GATE_KINDS, check_native_size, load_pulse, native_pulse, save_pulse
 from .quantumsim import (
     ramsey_experiment,
     sample_device,
@@ -120,13 +120,11 @@ def provision_pulses(g, backend, lambda_hz, pulses_dir, verbose=False):
         name = _pulse_cache_name(kind, m, backend, getattr(times, kind),
                                  (lambda_hz,) * m)
         designs[kind] = (m, pulses_dir / name)
-    # a dense optctrl design can take minutes, so every region still to
-    # design is sized (RegionModel.dim raises past the cap) before the first
-    # starts; pert's native regions take the closed form at any size
-    if backend == "optctrl":
-        for kind, (m, path) in designs.items():
-            if not path.exists():
-                native_region(kind, m, lambda_hz).dim
+    # a dense design can take minutes, so every kind still to design is
+    # sized against the cap before the first starts
+    for kind, (m, path) in designs.items():
+        if not path.exists():
+            check_native_size(kind, backend, m, lambda_hz)
     out = {}
     for kind, (m, path) in designs.items():
         if path.exists():

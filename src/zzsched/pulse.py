@@ -728,6 +728,12 @@ def _descend(losses, grad, starts, max_iter):
     return list(zip(xs, fxs, iters))
 
 
+def _dense(model, backend):
+    """Whether optimize evaluates the region's dense operators (and so its
+    dim): every backend but the closed-form pert fast path does."""
+    return not (backend == "pert" and (model.kind == "single" or model.intra_lambda == 0.0))
+
+
 def optimize(model, target, backend, config=None):
     """Gradient-descent pulse search on Fourier coefficients.
 
@@ -749,8 +755,7 @@ def optimize(model, target, backend, config=None):
         raise ValueError(f"unknown backend {backend!r}")
     gate = gate_matrix(Gate(target, (0,) if kind == "single" else (0, 1)))
     T = config.T
-    # only this closed form skips the dense operators, and so the size cap
-    fast = backend == "pert" and (model.kind == "single" or model.intra_lambda == 0.0)
+    fast = not _dense(model, backend)
     coupled = any(lam for _, _, lam in model.cross_pairs())
 
     def build(x):
@@ -890,7 +895,7 @@ def _pert_polish(integrals, angle, T, x):
 # --------------------------------------------------------- native pulses
 
 
-def native_region(kind, neighbors=1, lambda_hz=200e3):
+def _native_region(kind, neighbors, lambda_hz):
     """The region a native kind is designed on: neighbors spectators at
     lambda_hz on each gate qubit, and at least one on a single-qubit gate."""
     if kind not in _TARGETS:
@@ -910,13 +915,13 @@ def native_pulse(kind, backend, neighbors=1, lambda_hz=200e3):
 
     gaussian is one truncated Gaussian; dcg a composed sequence, and for
     rzx90, which has no coupler sequence, that same Gaussian; pert and
-    optctrl optimize on native_region(kind, neighbors, lambda_hz).
+    optctrl optimize on _native_region(kind, neighbors, lambda_hz).
     """
     if kind not in _TARGETS:
         raise ValueError(f"unknown pulse target {kind!r}")
     T = getattr(GateTimes.for_backend(backend), kind)
     if backend in ("pert", "optctrl"):
-        return optimize(native_region(kind, neighbors, lambda_hz), kind, backend,
+        return optimize(_native_region(kind, neighbors, lambda_hz), kind, backend,
                         OptimizeConfig(T=T))
     if backend not in ("gaussian", "dcg"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -930,9 +935,18 @@ def native_pulse(kind, backend, neighbors=1, lambda_hz=200e3):
     return OptimizedPulse(spec, kind, backend, 0.0, 0, True)
 
 
-def native_library(backend, neighbors=1, lambda_hz=200e3):
-    """native_pulse of every native kind, keyed by kind."""
-    return {kind: native_pulse(kind, backend, neighbors, lambda_hz) for kind in GATE_KINDS}
+def check_native_size(kind, backend, neighbors=1, lambda_hz=200e3):
+    """Raise the size cap's ValueError now if native_pulse with these
+    arguments would build dense operators past it, and design nothing."""
+    if backend in ("pert", "optctrl"):
+        model = _native_region(kind, neighbors, lambda_hz)
+        if _dense(model, backend):
+            model.dim
+
+
+def native_library(backend):
+    """native_pulse of every native kind at its defaults, keyed by kind."""
+    return {kind: native_pulse(kind, backend) for kind in GATE_KINDS}
 
 
 # ------------------------------------------------------------------ JSON

@@ -23,6 +23,7 @@ from zzsched.pulse import (
     _descend,
     _fd_stencil,
     _fourier_basis,
+    _native_region,
     _optctrl_losses,
     _pert_first_orders,
     _pert_scorer,
@@ -32,6 +33,7 @@ from zzsched.pulse import (
     _window_terms,
     _zz_diagonal,
     avg_gate_fidelity,
+    check_native_size,
     control_unitary,
     dcg_sequence,
     envelope_value,
@@ -41,7 +43,6 @@ from zzsched.pulse import (
     gaussian_pulse,
     load_pulse,
     native_pulse,
-    native_region,
     num_steps,
     optctrl_loss,
     optimize,
@@ -769,13 +770,30 @@ def test_pulse_json_pinned(backend, target, m):
 
 
 def test_native_region_shapes():
-    assert native_region("rx90", 0) == single_region(1)  # a 1q gate keeps one spectator
-    assert native_region("id", 3) == single_region(3)
-    assert native_region("rzx90", 0) == RegionModel("two")
-    assert native_region("rzx90", 2) == RegionModel(
+    def region(kind, m):
+        return _native_region(kind, m, 200e3)
+
+    assert region("rx90", 0) == single_region(1)  # a 1q gate keeps one spectator
+    assert region("id", 3) == single_region(3)
+    assert region("rzx90", 0) == RegionModel("two")
+    assert region("rzx90", 2) == RegionModel(
         "two", neighbor_lambdas_a=(LAM,) * 2, neighbor_lambdas_b=(LAM,) * 2)
     with pytest.raises(ValueError, match="nonnegative"):
-        native_region("rx90", -1)
+        region("rx90", -1)
+
+
+def test_check_native_size_follows_optimize(monkeypatch):
+    # 3+3 spectators make an 8-qubit rzx90 region: optctrl's dense design
+    # is past the cap, pert's closed form and the fixed shapes are not
+    with pytest.raises(ValueError, match="dimension 256"):
+        check_native_size("rzx90", "optctrl", 3)
+    for backend in ("pert", "gaussian", "dcg"):
+        check_native_size("rzx90", backend, 3)
+    # the same rule optimize reads: a pert region with intra coupling is dense
+    monkeypatch.setattr(pulse, "_native_region", lambda kind, m, lam: RegionModel(
+        "two", neighbor_lambdas_a=(LAM,) * m, neighbor_lambdas_b=(LAM,) * m, intra_lambda=LAM))
+    with pytest.raises(ValueError, match="dimension 256"):
+        check_native_size("rzx90", "pert", 3)
 
 
 @pytest.mark.parametrize("kind,backend", [("ry90", "pert"), ("rz", "gaussian"),
