@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import GateTimes, benchmark, load_circuit, save_circuit, to_native
-from .pulse import GATE_KINDS, check_native_size, load_pulse, native_pulse, save_pulse
+from .pulse import (DESIGN_BACKENDS, GATE_KINDS, check_native_size, load_pulse, native_pulse,
+                    save_pulse)
 from .quantumsim import (
     ramsey_experiment,
     sample_device,
@@ -101,6 +102,10 @@ class RunConfig:
 
 
 def _pulse_cache_name(kind, m, backend, T, lams_hz):
+    """A fixed shape is named by kind, backend and slot; a designed pulse
+    also by its region's neighbor count and coupling strengths."""
+    if backend not in DESIGN_BACKENDS:
+        return f"{kind}_{backend}_{round(T * 1e9)}ns.json"
     tag = hashlib.sha1(
         ",".join(f"{v:.6e}" for v in sorted(lams_hz)).encode()
     ).hexdigest()[:12]

@@ -15,18 +15,19 @@ registers) and Ramsey slots as one-problem stacks. All share one
 Hamiltonian builder, one channel-target check and one size cap.
 
 Three pulse backends: optctrl (penalized fidelity averaged over coupling
-strengths), pert (first-order interaction-picture cancellation), and dcg
-(fixed composed Gaussian sequences). native_pulse is the one place that
-says which pulse a backend, gaussian included, runs for each native kind.
-All internal units are rad/s and seconds; file formats carry Hz and ns
-with explicit conversion.
+strengths), pert (first-order interaction-picture cancellation, in closed
+form, on regions without intra coupling), and dcg (fixed composed
+Gaussian sequences). native_pulse is the one place that says which pulse
+a backend, gaussian included, runs for each native kind. All internal
+units are rad/s and seconds; file formats carry Hz and ns with explicit
+conversion.
 
 Every loss takes a whole finite-difference stencil, or one line-search
-probe per restart, in one call: the fast pert loss as one batched pass
-over the plane integrals, the optctrl and dense pert losses as one stack
-of independent problems for the one stepper, which diagonalizes chunks
-of steps of every problem in stacked eigh calls. The restarts descend in
-lockstep. Pulses keep the bits of a per-point, per-step, per-restart loop.
+probe per restart, in one call: the pert loss as one batched pass over
+the plane integrals, the optctrl loss as one stack of independent
+problems for the one stepper, which diagonalizes chunks of steps of
+every problem in stacked eigh calls. The restarts descend in lockstep.
+Pulses keep the bits of a per-point, per-step, per-restart loop.
 """
 
 from __future__ import annotations
@@ -226,8 +227,8 @@ class RegionModel:
 
     @property
     def dim(self):
-        """Hilbert-space dimension, read by every dense routine; the pert
-        fast path never builds the region, so only dense work is capped."""
+        """Hilbert-space dimension, read by every dense routine; pert's
+        closed form never builds the region, so only dense work is capped."""
         return 1 << _dense_qubits(self.num_qubits)
 
     def cross_pairs(self):
@@ -293,9 +294,8 @@ def _step_nodes(h_static, terms, dt, steps):
     stack, diagonalizes them in one eigh call and forms the step unitaries
     with one stacked matmul; they are then applied in order, u = su @ u.
     LAPACK and BLAS treat each matrix of a stack on its own, so every
-    problem gets the bits of a per-step loop over it alone. Callers bound
-    P: _propagate passes at most _STACK_MAX problems per call, the
-    dense pert loss one per stencil point or searching restart.
+    problem gets the bits of a per-step loop over it alone. _propagate
+    bounds P, passing at most _STACK_MAX problems per call.
     """
     shape = np.broadcast_shapes(h_static.shape, *(a.shape[:-1] + (1, 1) for a, _ in terms))
     chunk = max(1, _STEP_CHUNK // math.prod(shape[:-2]))
@@ -474,30 +474,27 @@ def pert_first_order(model, pulses):
 
     U1 = -i * integral of U0(t)^dag H_xtalk U0(t) dt with U0 the propagator
     of the drives plus the intra-region coupling, H_xtalk normalized by the
-    largest cross-region strength. All couplings zero -> zero matrix.
+    largest cross-region strength. All couplings zero -> zero matrix. The
+    dense oracle pert's closed form is tested against.
     """
-    return _pert_first_orders(model, [pulses])[0]
-
-
-def _pert_first_orders(model, specs):
-    """pert_first_order of every pulse, as one (len(specs), d, d) stack;
-    the pulses share one duration and sample rate."""
     pairs = model.cross_pairs()
     top = max((abs(lam) for _, _, lam in pairs), default=0.0)
     if top == 0:
-        return np.zeros((len(specs), model.dim, model.dim), dtype=complex)
+        return np.zeros((model.dim, model.dim), dtype=complex)
     n = _dense_qubits(model.num_qubits)
     scale = 1.0 / top
     cross = [(g, q, lam * scale) for g, q, lam in pairs]
     intra = [(0, 1, model.intra_lambda)] if model.kind == "two" else []
     hx, h_intra = (np.diag(_zz_diagonal(n, zz).astype(complex)) for zz in (cross, intra))
-    terms, dt, steps = _window_terms(n, _pulse_windows(model, specs),
-                                     specs[0].duration, specs[0].sample_rate)
-    acc = np.zeros((len(specs), model.dim, model.dim), dtype=complex)
-    # trapezoid over the step nodes, summed as they are produced
+    terms, dt, steps = _window_terms(n, _pulse_windows(model, [pulses]),
+                                     pulses.duration, pulses.sample_rate)
+    acc = np.zeros((model.dim, model.dim), dtype=complex)
+    # trapezoid over the step nodes, summed as they are produced; a drive
+    # term gives the nodes a stack axis of one problem
     for k, u in enumerate(_step_nodes(h_intra, terms, dt, steps)):
+        u = u.reshape(acc.shape)
         weight = 0.5 if k in (0, steps) else 1.0
-        acc += weight * (u.conj().swapaxes(-1, -2) @ hx @ u)
+        acc += weight * (u.conj().T @ hx @ u)
     return -1j * acc * dt
 
 
@@ -569,8 +566,10 @@ class OptimizeConfig:
         # operator.index: 2.5 raises here, not in the descent after a first loss
         object.__setattr__(self, "max_iter", operator.index(self.max_iter))
         object.__setattr__(self, "restarts", operator.index(self.restarts))
-        if self.max_iter < 0 or self.restarts < 0:
-            raise ValueError("max_iter and restarts must be non-negative")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be non-negative, got {self.max_iter}")
+        if self.restarts < 1:  # the calibrated start always descends
+            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
 
 
 _GRAD_TOL = 1e-9  # descent stops below this gradient norm
@@ -593,6 +592,8 @@ _TARGETS = {  # (region kind, rotation angle)
     "rzx90": ("two", math.pi / 2),
 }
 GATE_KINDS = tuple(_TARGETS)  # the native kinds that take a pulse; rz is a frame change
+# the backends optimize designs on a region; gaussian and dcg are fixed shapes
+DESIGN_BACKENDS = ("pert", "optctrl")
 
 
 def _make_spec(model, coeffs, T):
@@ -651,9 +652,10 @@ def _plane_integrals_batch(basis, coeffs, T, steps):
 def _pert_scorer(model, T, angle):
     """score(cos_i, sin_i, phi_t) -> (first-order norm, gate fidelity).
 
-    Valid when the drive is one x channel (single region) or one coupling
-    channel with zero intra strength: the toggled z operator rotates in a
-    plane, so the first-order term reduces to two scalar integrals.
+    Valid for every region optimize designs with pert: the drive is one x
+    channel (single region) or one coupling channel with zero intra
+    strength, so the toggled z operator rotates in a plane and the
+    first-order term reduces to two scalar integrals.
     """
     spectators = 2 ** (model.num_qubits - model.num_gate_qubits)
     wa, wb = _normalized_weights(model)
@@ -728,21 +730,15 @@ def _descend(losses, grad, starts, max_iter):
     return list(zip(xs, fxs, iters))
 
 
-def _dense(model, backend):
-    """Whether optimize evaluates the region's dense operators (and so its
-    dim): every backend but the closed-form pert fast path does."""
-    return not (backend == "pert" and (model.kind == "single" or model.intra_lambda == 0.0))
-
-
 def optimize(model, target, backend, config=None):
     """Gradient-descent pulse search on Fourier coefficients.
 
     Deterministic: the first start is a calibrated initialization and each
-    further restart adds seeded noise to it; the best final loss wins. The
-    pert fast path (one x drive, or a coupling drive with no intra
-    coupling) is closed-form in the plane integrals throughout and builds
-    no dense region. Non-convergence returns the best pulses with a
-    warning flag rather than failing.
+    further restart adds seeded noise to it; the first start with the
+    least final loss wins. pert is closed-form in the plane integrals
+    throughout and builds no dense region; it takes regions without intra
+    coupling, and optctrl designs the others. Non-convergence returns the
+    best pulses with a warning flag rather than failing.
     """
     if config is None:
         config = OptimizeConfig()
@@ -751,17 +747,19 @@ def optimize(model, target, backend, config=None):
     kind, angle = _TARGETS[target]
     if model.kind != kind:
         raise ValueError(f"target {target} needs a {kind} region")
-    if backend not in ("pert", "optctrl"):
+    if backend not in DESIGN_BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
+    if backend == "pert" and model.intra_lambda:
+        raise ValueError("pert designs regions without intra coupling; "
+                         "use optctrl for an intra-coupled region")
     gate = gate_matrix(Gate(target, (0,) if kind == "single" else (0, 1)))
     T = config.T
-    fast = not _dense(model, backend)
     coupled = any(lam for _, _, lam in model.cross_pairs())
 
     def build(x):
         return _make_spec(model, np.asarray(x) / T, T)
 
-    if fast:
+    if backend == "pert":
         # _make_spec's pulses carry the default sample rate: the dense grid
         steps = num_steps(T, DEFAULT_SAMPLE_RATE)
         basis = _fourier_basis(T, steps)
@@ -778,15 +776,7 @@ def optimize(model, target, backend, config=None):
             return out
     else:
         def losses(xs):
-            specs = [build(x) for x in xs]
-            if backend == "optctrl":
-                return _optctrl_losses(model, specs, gate)
-            ucs = _evolve_stack([RegionModel(model.kind)], specs)[:, 0]
-            return [float(np.linalg.norm(first)) / T - avg_gate_fidelity(uc, gate)
-                    for first, uc in zip(_pert_first_orders(model, specs), ucs)]
-
-    def loss_fn(x):
-        return losses(np.asarray(x)[None])[0]
+            return _optctrl_losses(model, [build(x) for x in xs], gate)
 
     def grad(x):
         pts, h = _fd_stencil(x)
@@ -800,19 +790,13 @@ def optimize(model, target, backend, config=None):
         rng = np.random.default_rng(i)
         starts.append(x_init + 0.15 * angle * rng.standard_normal(5))
 
-    best = (None, math.inf, 0)
-    for x, fx, iters in _descend(losses, grad, starts, config.max_iter):
-        if fx < best[1]:
-            best = (x, fx, iters)
-    x, fx, iters = best
-    if x is None:
-        x, fx, iters = x_init, loss_fn(x_init), 0
+    x, fx, iters = min(_descend(losses, grad, starts, config.max_iter), key=lambda r: r[1])
 
-    if fast and coupled and config.max_iter > 0:
+    if backend == "pert" and coupled and config.max_iter > 0:
         # Newton polish of the cancellation system from the calibrated init,
         # which keeps the landing point independent of where descent stalls
         cand = _pert_polish(integrals, angle, T, x_init.copy())
-        fc = loss_fn(cand)
+        fc = losses(cand[None])[0]
         if fc < fx - 1e-12:
             x, fx = cand, fc
 
@@ -823,17 +807,13 @@ def optimize(model, target, backend, config=None):
     converged = fid_ok
     warning = None
     if backend == "pert" and coupled:
-        if fast:
-            c, s, phi_t = (float(r[0]) for r in integrals(x[None]))
-            resid, base = _cancelable_residual(model, T, c, s)
-            if base == 0.0:
-                # nothing a drive can null: score the whole first-order term
-                init = (float(r[0]) for r in integrals(x_init[None]))
-                base = score(*init)[0]
-                resid = score(c, s, phi_t)[0]
-        else:
-            base = float(np.linalg.norm(pert_first_order(model, build(x_init))))
-            resid = float(np.linalg.norm(pert_first_order(model, spec)))
+        c, s, phi_t = (float(r[0]) for r in integrals(x[None]))
+        resid, base = _cancelable_residual(model, T, c, s)
+        if base == 0.0:
+            # nothing a drive can null: score the whole first-order term
+            init = (float(r[0]) for r in integrals(x_init[None]))
+            base = score(*init)[0]
+            resid = score(c, s, phi_t)[0]
         converged = fid_ok and resid <= 1e-3 * base
         if not converged:
             warning = (f"first-order residual {resid:.3e} vs baseline {base:.3e}, "
@@ -920,7 +900,7 @@ def native_pulse(kind, backend, neighbors=1, lambda_hz=200e3):
     if kind not in _TARGETS:
         raise ValueError(f"unknown pulse target {kind!r}")
     T = getattr(GateTimes.for_backend(backend), kind)
-    if backend in ("pert", "optctrl"):
+    if backend in DESIGN_BACKENDS:
         return optimize(_native_region(kind, neighbors, lambda_hz), kind, backend,
                         OptimizeConfig(T=T))
     if backend not in ("gaussian", "dcg"):
@@ -937,11 +917,10 @@ def native_pulse(kind, backend, neighbors=1, lambda_hz=200e3):
 
 def check_native_size(kind, backend, neighbors=1, lambda_hz=200e3):
     """Raise the size cap's ValueError now if native_pulse with these
-    arguments would build dense operators past it, and design nothing."""
-    if backend in ("pert", "optctrl"):
-        model = _native_region(kind, neighbors, lambda_hz)
-        if _dense(model, backend):
-            model.dim
+    arguments would build dense operators past it, and design nothing.
+    Only optctrl does: pert designs its native regions in closed form."""
+    if backend == "optctrl":
+        _native_region(kind, neighbors, lambda_hz).dim
 
 
 def native_library(backend):

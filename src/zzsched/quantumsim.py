@@ -141,30 +141,33 @@ def _layer_windows(layer, pmap):
 
     Suppression layers (the ones carrying a cut) keep every gate qubit
     driven to the end of the slot by repeating the identity pulse after
-    the gate pulse finishes; baseline layers leave the tail undriven.
+    the gate pulse finishes, so one whose gate is shorter than its slot
+    needs an id pulse; baseline layers leave the tail undriven.
     """
+    def pulse_for(kind):
+        if kind not in pmap:
+            raise KeyError(f"no pulse provided for gate kind {kind!r}")
+        return pmap[kind]
+
     duration = layer.duration
     windows = []
-    fill = layer.cut is not None and "id" in pmap
-    tid = pmap["id"].duration if "id" in pmap else None
     for gate in layer.gates:
         if gate.name == "rz":
             raise ValueError("rz gates belong in the layer's frame rotations")
-        if gate.name not in pmap:
-            raise KeyError(f"no pulse provided for gate kind {gate.name!r}")
-        spec = pmap[gate.name]
+        spec = pulse_for(gate.name)
         if spec.duration > duration + 1e-12:
             raise ValueError(
                 f"{gate.name} pulse ({spec.duration * 1e9:.1f} ns) exceeds its "
                 f"layer slot ({duration * 1e9:.1f} ns)"
             )
         windows.append((0.0, spec, gate.qubits))
-        if fill:
+        if layer.cut is not None and spec.duration < duration - 1e-12:
+            fill = pulse_for("id")
             for q in gate.qubits:
                 t = spec.duration
-                while t + tid <= duration + 1e-12:
-                    windows.append((t, pmap["id"], (q,)))
-                    t += tid
+                while t + fill.duration <= duration + 1e-12:
+                    windows.append((t, fill, (q,)))
+                    t += fill.duration
     return windows
 
 

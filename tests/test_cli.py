@@ -470,19 +470,19 @@ def test_optctrl_region_cap_raises_before_any_design(tmp_path, monkeypatch):
     assert not list(tmp_path.glob("*.json"))
 
 
+# a Gaussian depends on neither the device degree nor its strength, so
+# every device gets the same three files
+GAUSSIAN_SHA256 = {
+    "id_gaussian_20ns.json": "907a3756ceb25597393f12c771892a14442adef47324e788a8185e9b38706d16",
+    "rx90_gaussian_20ns.json": "7c46b574ced96109e5955a3b0227b8602be8d7762ab974ce94922d1a26d9547c",
+    "rzx90_gaussian_80ns.json": "d416daa25fa5824c561d6817a377b4e3bcca03e3a0809c373fe26091e53fc754",
+}
+
 # sha256 of every file provision_pulses writes, recorded before one builder
 # (pulse.native_pulse) replaced the CLI's own region and library rules
 PROVISIONED_SHA256 = {
-    ("gaussian", 2, 3): {
-        "id_gaussian_3n_20ns_3214a80ff98c.json": "907a3756ceb25597393f12c771892a14442adef47324e788a8185e9b38706d16",
-        "rx90_gaussian_3n_20ns_3214a80ff98c.json": "7c46b574ced96109e5955a3b0227b8602be8d7762ab974ce94922d1a26d9547c",
-        "rzx90_gaussian_2n_80ns_b3b548b07c70.json": "d416daa25fa5824c561d6817a377b4e3bcca03e3a0809c373fe26091e53fc754",
-    },
-    ("gaussian", 3, 3): {
-        "id_gaussian_4n_20ns_568720311426.json": "907a3756ceb25597393f12c771892a14442adef47324e788a8185e9b38706d16",
-        "rx90_gaussian_4n_20ns_568720311426.json": "7c46b574ced96109e5955a3b0227b8602be8d7762ab974ce94922d1a26d9547c",
-        "rzx90_gaussian_3n_80ns_3214a80ff98c.json": "d416daa25fa5824c561d6817a377b4e3bcca03e3a0809c373fe26091e53fc754",
-    },
+    ("gaussian", 2, 3): GAUSSIAN_SHA256,
+    ("gaussian", 3, 3): GAUSSIAN_SHA256,
     ("pert", 2, 3): {
         "id_pert_3n_20ns_3214a80ff98c.json": "e5a4e737e179d844ec6e3c3c8644f695e429695a80a40233afea7e6302ff2bcf",
         "rx90_pert_3n_20ns_3214a80ff98c.json": "ad6030e553fb8497366a4e15c7c27a37d5149bdda8c210c701551017b234c8a3",

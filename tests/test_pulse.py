@@ -25,7 +25,6 @@ from zzsched.pulse import (
     _fourier_basis,
     _native_region,
     _optctrl_losses,
-    _pert_first_orders,
     _pert_scorer,
     _plane_integrals_batch,
     _propagate,
@@ -565,6 +564,20 @@ class TestOptimizeRzx:
         with pytest.raises(ValueError):
             optimize(RegionModel("two"), "rx90", "pert")
 
+    def test_pert_rejects_intra_coupling_before_any_loss(self, monkeypatch):
+        model = RegionModel("two", neighbor_lambdas_a=(LAM,), neighbor_lambdas_b=(LAM,),
+                            intra_lambda=0.3 * LAM)
+        # optctrl designs such a region; pert's closed form does not hold on it
+        opt = optimize(model, "rzx90", "optctrl", OptimizeConfig(T=80e-9, max_iter=0, restarts=1))
+        assert opt.iterations == 0
+
+        def no_descent(*args, **kwargs):
+            raise AssertionError("the descent ran before the region was checked")
+
+        monkeypatch.setattr(pulse, "_descend", no_descent)
+        with pytest.raises(ValueError, match="optctrl"):
+            optimize(model, "rzx90", "pert", OptimizeConfig(T=80e-9))
+
     def test_unknown_names(self):
         with pytest.raises(ValueError):
             optimize(single_region(1), "ry90", "pert")
@@ -573,7 +586,7 @@ class TestOptimizeRzx:
 
     @pytest.mark.parametrize("bad", [dict(T=0.0), dict(T=math.nan), dict(T=math.inf),
                                      dict(T=-80e-9), dict(max_iter=-3),
-                                     dict(restarts=-1)])
+                                     dict(restarts=-1), dict(restarts=0)])
     def test_config_rejected_up_front(self, bad):
         with pytest.raises(ValueError):
             OptimizeConfig(**bad)
@@ -733,7 +746,6 @@ PULSE_SHA256 = {
     ("pert", "rzx90", "b-zero"): "e00c7e0b4151cd702930175ff2cff910cfa9a316bab14a9d207e2b27cb843569",
     ("pert", "rx90", "uncoupled"): "d14230748979369b00dc913d062c5af2738cec758108eca5c443fc3add61cd22",
     ("pert", "rx90", "no-iter"): "64efc432e4f5c5db645df915dcf4df2d55c90b8b1eab82793bf789e4c634078b",
-    ("pert", "rzx90", "intra"): "e381ff3580d95a22190bd1a96f011eafb2c4faf51b226afaecebd41eec3b8a60",
 }
 
 _PINNED_VARIANTS = {
@@ -743,10 +755,6 @@ _PINNED_VARIANTS = {
     "b-zero": (RegionModel("two", neighbor_lambdas_a=(LAM,), neighbor_lambdas_b=(0.0,)),
                OptimizeConfig(T=80e-9)),
     "no-iter": (single_region(1), OptimizeConfig(max_iter=0, restarts=1)),
-    # intra coupling: the slow, dense path
-    "intra": (RegionModel("two", neighbor_lambdas_a=(LAM,), neighbor_lambdas_b=(LAM,),
-                          intra_lambda=0.3 * LAM),
-              OptimizeConfig(T=80e-9, max_iter=3, restarts=1)),
 }
 
 
@@ -782,18 +790,13 @@ def test_native_region_shapes():
         region("rx90", -1)
 
 
-def test_check_native_size_follows_optimize(monkeypatch):
+def test_check_native_size_follows_optimize():
     # 3+3 spectators make an 8-qubit rzx90 region: optctrl's dense design
     # is past the cap, pert's closed form and the fixed shapes are not
     with pytest.raises(ValueError, match="dimension 256"):
         check_native_size("rzx90", "optctrl", 3)
     for backend in ("pert", "gaussian", "dcg"):
         check_native_size("rzx90", backend, 3)
-    # the same rule optimize reads: a pert region with intra coupling is dense
-    monkeypatch.setattr(pulse, "_native_region", lambda kind, m, lam: RegionModel(
-        "two", neighbor_lambdas_a=(LAM,) * m, neighbor_lambdas_b=(LAM,) * m, intra_lambda=LAM))
-    with pytest.raises(ValueError, match="dimension 256"):
-        check_native_size("rzx90", "pert", 3)
 
 
 @pytest.mark.parametrize("kind,backend", [("ry90", "pert"), ("rz", "gaussian"),
@@ -954,8 +957,6 @@ def test_stacked_dense_losses_bit_identical(kind):
     got = _optctrl_losses(model, specs, target)
     assert got == [_optctrl_loss_reference(model, s, target) for s in specs]
     assert got == [optctrl_loss(model, s, target) for s in specs]
-    firsts = _pert_first_orders(model, specs)
-    assert all(np.array_equal(f, pert_first_order(model, s)) for f, s in zip(firsts, specs))
 
 
 @pytest.mark.parametrize("pulses,strengths", [(2, 70), (3, 30)])

@@ -152,11 +152,14 @@ class TestLayerWindows:
         layer = Layer((Gate("rx90", (0,)),), None, None, None, 80e-9)
         assert len(_layer_windows(layer, pmap)) == 1
 
-    def test_no_fill_without_identity_pulse(self, gauss_lib):
+    def test_cut_layer_tail_needs_identity_pulse(self, gauss_lib):
+        # the fill was once skipped without a word when the map had no id
         pmap = {"rx90": _pulse_map(gauss_lib)["rx90"]}
         cut = Cut(frozenset({0}), frozenset({1}))
-        layer = Layer((Gate("rx90", (0,)),), cut, 1, 0, 80e-9)
-        assert len(_layer_windows(layer, pmap)) == 1
+        with pytest.raises(KeyError, match="'id'"):
+            _layer_windows(Layer((Gate("rx90", (0,)),), cut, 1, 0, 80e-9), pmap)
+        # a gate that fills its slot leaves no tail to fill
+        assert len(_layer_windows(Layer((Gate("rx90", (0,)),), cut, 1, 0, 20e-9), pmap)) == 1
 
     def test_rz_rejected_in_gate_list(self, gauss_lib):
         layer = Layer((Gate("rz", (0,), (0.5,)),), None, None, None, 20e-9)
@@ -335,6 +338,17 @@ class TestSimulatePlan:
         assert first["gauss"] != first["pert"]
         for name in ("pert", "gauss", "pert"):
             assert simulate_plan(dev, plan, libs[name]) == first[name]
+
+    @pytest.mark.parametrize("method", ["split", "dense"])
+    def test_suppression_layer_needs_identity_pulse(self, gauss_lib, method):
+        # one 80 ns cut layer: the 20 ns rx90 on qubit 3 leaves a 60 ns
+        # identity fill, which a library without id once dropped silently
+        g = line_topology(4)
+        plan = schedule(g, Circuit(4, (Gate("rzx90", (0, 1)), Gate("rx90", (3,)))))
+        assert [layer.cut is not None for layer in plan.layers] == [True]
+        lib = {kind: spec for kind, spec in gauss_lib.items() if kind != "id"}
+        with pytest.raises(KeyError, match="'id'"):
+            simulate_plan(uniform_device(g, 200e3), plan, lib, method=method)
 
     def test_norm_preserved(self, gauss_lib):
         c = to_native(benchmark("qft", 3))
