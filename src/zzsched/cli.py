@@ -74,9 +74,12 @@ class RunConfig:
             raise ValueError(f"unknown policy {self.policy!r}")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError("alpha must be finite and positive")
-        # operator.index: k = 2.5 or a seed of 1.5 fails here, not after the
-        # schedule, and numpy ints become the Python ints report.json writes
+        # operator.index: k = 2.5, nq_max = NaN or a seed of 1.5 fails here,
+        # not after the schedule, and numpy ints become the Python ints
+        # report.json writes
         object.__setattr__(self, "k", operator.index(self.k))
+        if self.nq_max is not None:
+            object.__setattr__(self, "nq_max", operator.index(self.nq_max))
         object.__setattr__(self, "seeds", tuple(map(operator.index, self.seeds)))
         if self.k < 1:
             raise ValueError("k must be at least 1")

@@ -317,7 +317,7 @@ def _step_nodes(h_static, terms, dt, steps):
 def _zz_diagonal(n, terms):
     """Diagonal of sum lam Z_q... on n qubits, one (q..., lam) tuple per term.
 
-    A coupling is (u, v, lam) and a detuning omega on q is (q, omega / 2).
+    A coupling is (u, v, lam) and a z field on q is (q, lam).
     Terms add in the order given; zero strengths are skipped.
     """
     idx = np.arange(1 << n)
@@ -377,14 +377,13 @@ def _window_amplitudes(windows, mids):
     return out
 
 
-def _window_terms(n, stack, duration, rate, amp_scale=1.0):
+def _window_terms(n, stack, duration, rate):
     """(terms, dt, steps) for a stack of window lists on an n-qubit register.
 
     terms pairs each drive's amplitudes, one row per window list on every
-    midpoint step and times amp_scale, with its constant matrix, as
-    _step_nodes takes them. A list that lacks a drive gets zeros, which
-    leave a Hamiltonian's bits alone; an x or y drive that stays zero is
-    left out.
+    midpoint step, with its constant matrix, as _step_nodes takes them. A
+    list that lacks a drive gets zeros, which leave a Hamiltonian's bits
+    alone; an x or y drive that stays zero is left out.
     """
     _dense_qubits(n)
     steps = num_steps(duration, rate)
@@ -400,7 +399,7 @@ def _window_terms(n, stack, duration, rate, amp_scale=1.0):
             for key, amps, ops, qubits in drives:
                 row = rows.setdefault((w, key), (np.zeros((len(stack), steps)), ops, qubits))
                 row[0][p, i0:i1] = amps
-    terms = [(amp_scale * a, _embed(ops, qubits, n))
+    terms = [(a, _embed(ops, qubits, n))
              for _, (a, ops, qubits) in sorted(rows.items())]
     return terms, dt, steps
 
@@ -411,13 +410,13 @@ def _pulse_windows(model, specs):
     return [[(0.0, spec, gate)] for spec in specs]
 
 
-def _propagate(zz_diags, stack, duration, rate, amp_scale=1.0):
+def _propagate(zz_diags, stack, duration, rate):
     """Propagator of every window list in stack over every ZZ diagonal in
     zz_diags, as a (len(stack), len(zz_diags), d, d) array. The register
     size, read off the diagonals, is checked before any d x d array is
     built; each stepper call takes at most _STACK_MAX problems."""
     n = len(zz_diags[0]).bit_length() - 1
-    terms, dt, steps = _window_terms(n, stack, duration, rate, amp_scale)
+    terms, dt, steps = _window_terms(n, stack, duration, rate)
     h = np.stack([np.diag(z.astype(complex)) for z in zz_diags])
     out = np.empty((len(stack), *h.shape), dtype=complex)
     per = max(1, _STACK_MAX // len(zz_diags))  # window lists per block
@@ -430,27 +429,22 @@ def _propagate(zz_diags, stack, duration, rate, amp_scale=1.0):
     return out
 
 
-def evolve(model, pulses, amp_scale=1.0, detunings=()):
+def evolve(model, pulses):
     """Midpoint piecewise-constant propagator over the pulse duration, the
     pulse acting as one window at t = 0 on the gate qubits of a model that
-    holds every coupling to step (see gate_space_model, with_cross_lambda).
-
-    detunings: iterable of (qubit, omega_rad) adding omega/2 * sigma_z terms;
-    amp_scale multiplies every drive envelope (drive-noise evaluation hooks).
-    """
-    return _evolve_stack([model], [pulses], amp_scale, detunings)[0, 0]
+    holds every coupling to step (see gate_space_model, with_cross_lambda)."""
+    return _evolve_stack([model], [pulses])[0, 0]
 
 
-def _evolve_stack(models, specs, amp_scale=1.0, detunings=()):
+def _evolve_stack(models, specs):
     """evolve of every pulse on every model, as one (len(specs),
     len(models), d, d) stack with the same bits. The models share one
     layout and the pulses one duration and sample rate."""
     n = _dense_qubits(models[0].num_qubits)
-    detuned = [(q, omega / 2) for q, omega in detunings]
     zz = [_zz_diagonal(n, m.cross_pairs() + ([(0, 1, m.intra_lambda)] if m.kind == "two"
-                                             else []) + detuned) for m in models]
+                                             else [])) for m in models]
     return _propagate(zz, _pulse_windows(models[0], specs), specs[0].duration,
-                      specs[0].sample_rate, amp_scale)
+                      specs[0].sample_rate)
 
 
 def control_unitary(model, pulses):
@@ -827,9 +821,10 @@ def _cancelable_residual(model, T, cos_i, sin_i):
     """(residual, unoptimized residual) over the part a drive can null.
 
     A coupling drive commutes with z on the driven-side qubit, so the
-    z-side spectator term is fixed at its free value for every pulse; the
-    convergence measure covers the rotating-plane component only. The
-    gate decomposition refocuses the fixed part with an x-gate echo.
+    z-side spectator term is fixed at its free value for every pulse. No
+    pulse or gate decomposition suppresses that control-side term, so the
+    convergence measure leaves it out and covers the rotating-plane
+    component only.
     """
     m = model.num_qubits - model.num_gate_qubits
     # the rotating side: the x-driven qubit, or b under a coupling drive

@@ -389,59 +389,24 @@ def _pulse_kind(spec):
     return "single"
 
 
-def _curve(spec, kind, lambdas, floor, detunings=(), amp_scale=1.0, target_gate=None):
-    """(strength, suppression infidelity) per strength, clipped from below
-    at floor; the regions at every strength evolve as one stack.
-
-    The default reference is the pulse's own coupling-free evolution
-    under the same drive settings, so the curve isolates crosstalk:
-    calibration error belongs to the pulse, and a drive imperfection
-    moves the reference along with the evolution. target_gate switches
-    the reference to the exact gate matrix, folding calibration error
-    back in; that comparison has a lower numerical floor and is the
-    right one for scaling-exponent fits.
-    """
-    lams = [float(lam) for lam in lambdas]
-    if not lams:
-        return []
-    if kind == "single":
-        models = [RegionModel("single", neighbor_lambdas_a=(lam,)) for lam in lams]
-        if target_gate is not None:
-            target = np.kron(gate_matrix(Gate(target_gate, (0,))), np.eye(2))
-        else:
-            # no crosstalk, so one evolution serves every strength
-            target = _evolve_stack([with_cross_lambda(models[0], 0.0)], [spec], amp_scale,
-                                   detunings=detunings)[0, 0]
-        targets = [target] * len(lams)
-    else:
-        models = [RegionModel("two", neighbor_lambdas_a=(lam,), neighbor_lambdas_b=(lam,),
-                              intra_lambda=lam) for lam in lams]
-        # dressed: the gate-space evolution keeps the always-on intra
-        # coupling, so only spectator error is scored
-        dressed = _evolve_stack([gate_space_model(m) for m in models], [spec])[0]
-        targets = [np.kron(d, np.eye(4)) for d in dressed]
-    us = _evolve_stack(models, [spec], amp_scale, detunings=detunings)[0]
-    curve = []
-    for lam, u, target in zip(lams, us, targets):
-        infid = 1.0 - avg_gate_fidelity(u, target)
-        if floor is not None:
-            infid = max(infid, floor)
-        curve.append((lam, infid))
-    return curve
-
-
 def suppression_sweep(scenario, pulse, lambdas, floor=1e-8, target_gate=None):
-    """Infidelity-vs-strength curve for one pulse in a fixed scenario.
+    """Infidelity-vs-strength curve for one pulse in a fixed scenario, as
+    (strength, suppression infidelity) per strength; the regions at every
+    strength evolve as one stack.
 
-    single_gate_pair: the pulse's gate plus one idle coupled spectator.
+    single_gate_pair: the pulse's gate plus one idle coupled spectator,
+    scored against the pulse's own coupling-free evolution, so the curve
+    isolates crosstalk and calibration error belongs to the pulse.
+    target_gate ("rx90" or "id", single_gate_pair only) scores against the
+    exact gate matrix instead, folding calibration error back in; that
+    comparison has a lower numerical floor and is the right one for
+    scaling-exponent fits.
     two_gate_chain: a two-qubit gate in a four-qubit chain whose three
     couplings all carry the swept strength; scored against the dressed
     gate-space evolution tensored with idle identities.
 
     lambdas are in rad/s. floor clips reported infidelities from below
-    (pass None to keep raw values, e.g. for slope fits). target_gate
-    ("rx90" or "id", single_gate_pair only) scores against the exact
-    gate matrix instead of the pulse's own coupling-free evolution.
+    (pass None to keep raw values, e.g. for slope fits).
     """
     if scenario not in ("single_gate_pair", "two_gate_chain"):
         raise ValueError(f"unknown scenario {scenario!r}")
@@ -458,27 +423,30 @@ def suppression_sweep(scenario, pulse, lambdas, floor=1e-8, target_gate=None):
             raise ValueError("target_gate applies to single-qubit sweeps")
         if target_gate not in ("rx90", "id"):
             raise ValueError(f"unknown target gate {target_gate!r}")
-    return _curve(spec, kind, lambdas, floor, target_gate=target_gate)
-
-
-def drive_noise_eval(pulse, noise, lambdas, floor=1e-8):
-    """suppression_sweep under drive imperfections.
-
-    noise keys: detuning_hz (constant frequency offset on the driven
-    qubit, entering as 2 pi df Z/2) and amplitude_frac (constant relative
-    scaling of every drive envelope).
-    """
-    unknown = set(noise) - {"detuning_hz", "amplitude_frac"}
-    if unknown:
-        raise ValueError(f"unknown noise keys {sorted(unknown)}")
-    det = float(noise.get("detuning_hz", 0.0))
-    amp = float(noise.get("amplitude_frac", 0.0))
-    spec = _unwrap(pulse)
-    if _pulse_kind(spec) != "single":
-        raise ValueError("drive-noise evaluation covers single-qubit pulses")
-    detunings = ((0, TWO_PI * det),) if det else ()
-    return _curve(spec, "single", lambdas, floor, detunings=detunings,
-                  amp_scale=1.0 + amp)
+    lams = [float(lam) for lam in lambdas]
+    if kind == "single":
+        models = [RegionModel("single", neighbor_lambdas_a=(lam,)) for lam in lams]
+        if target_gate is not None:
+            target = np.kron(gate_matrix(Gate(target_gate, (0,))), np.eye(2))
+        else:
+            # no crosstalk, so one evolution serves every strength
+            target = _evolve_stack([with_cross_lambda(models[0], 0.0)], [spec])[0, 0]
+        targets = [target] * len(lams)
+    else:
+        models = [RegionModel("two", neighbor_lambdas_a=(lam,), neighbor_lambdas_b=(lam,),
+                              intra_lambda=lam) for lam in lams]
+        # dressed: the gate-space evolution keeps the always-on intra
+        # coupling, so only spectator error is scored
+        dressed = _evolve_stack([gate_space_model(m) for m in models], [spec])[0]
+        targets = [np.kron(d, np.eye(4)) for d in dressed]
+    us = _evolve_stack(models, [spec])[0]
+    curve = []
+    for lam, u, target in zip(lams, us, targets):
+        infid = 1.0 - avg_gate_fidelity(u, target)
+        if floor is not None:
+            infid = max(infid, floor)
+        curve.append((lam, infid))
+    return curve
 
 
 # ------------------------------------------------------ Ramsey protocol
@@ -584,15 +552,11 @@ def ramsey_experiment(device, pulses, policy, delays=None, probe=0, control=1,
     zz = _zz_diagonal(n, device.couplings())
     rx = pmap["rx90"]
     u_rx = _propagate([zz], [[(0.0, rx, (probe,))]], rx.duration, rate)[0, 0]
-    if policy == "bare":
-        u_slot = None
-        slot = taus[1] - taus[0] if len(taus) > 1 else t_id
-    else:
+    if policy != "bare":
         driven = (probe,) if policy == "suppressed_B" else tuple(
             q for q in range(n) if q != probe)
         windows = [(0.0, pmap["id"], (q,)) for q in driven]
         u_slot = _propagate([zz], [windows], t_id, rate)[0, 0]
-        slot = t_id
     dim = 1 << n
 
     omega_v = TWO_PI * virtual_detuning_hz
@@ -615,8 +579,8 @@ def ramsey_experiment(device, pulses, policy, delays=None, probe=0, control=1,
             if policy == "bare":
                 wait = np.exp(-1j * zz * (tau - prev_tau)) * wait
             else:
-                blocks = int(round((tau - prev_tau) / slot))
-                if abs((tau - prev_tau) - blocks * slot) > 1e-12:
+                blocks = int(round((tau - prev_tau) / t_id))
+                if abs((tau - prev_tau) - blocks * t_id) > 1e-12:
                     raise ValueError("delays must be multiples of the identity slot")
                 for _ in range(blocks):
                     wait = u_slot @ wait

@@ -51,6 +51,14 @@ class TestRunConfig:
             RunConfig("t", "c", k=0)
         with pytest.raises(ValueError):
             RunConfig("t", "c", nq_max=0)
+        # operator.index, as for k: a fraction or NaN fails here, and a numpy
+        # int becomes the Python int report.json writes
+        for nq_max in (2.5, math.nan):
+            with pytest.raises(TypeError):
+                RunConfig("t", "c", nq_max=nq_max)
+        cfg = RunConfig("t", "c", nq_max=np.int64(3))
+        assert type(cfg.nq_max) is int and cfg.nq_max == 3
+        json.dumps(cfg.to_json())
         for nc_max in (-1.0, math.nan):
             with pytest.raises(ValueError):
                 RunConfig("t", "c", nc_max=nc_max)

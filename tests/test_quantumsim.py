@@ -9,11 +9,14 @@ from zzsched.circuit import Circuit, Gate, GateTimes, benchmark, gate_matrix, to
 from zzsched.pulse import (
     PulseSpec,
     RegionModel,
+    avg_gate_fidelity,
     dcg_sequence,
     evolve,
+    gate_space_model,
     gaussian_pulse,
     native_library,
     num_steps,
+    with_cross_lambda,
 )
 from zzsched.quantumsim import (
     DeviceInstance,
@@ -25,7 +28,6 @@ from zzsched.quantumsim import (
     _split_layer,
     _window_amplitudes,
     _zz_diagonal,
-    drive_noise_eval,
     fit_cosine,
     ramsey_experiment,
     sample_device,
@@ -613,6 +615,35 @@ class TestSuppressionSweep:
         with pytest.raises(ValueError):
             suppression_sweep("single_gate_pair", gauss_lib["rx90"], [])
 
+    @pytest.mark.parametrize("case", ["pair", "pair-rx90", "chain"])
+    def test_bit_identical_to_per_strength_loop(self, gauss_lib, case):
+        # one evolve and one fidelity per strength, as the stacked sweep must
+        # reproduce them bit for bit
+        lams = [0.0, TWO_PI * 50e3, LAM]
+        if case == "chain":
+            spec = gauss_lib["rzx90"]
+            got = suppression_sweep("two_gate_chain", spec, lams, floor=None)
+            ref = []
+            for lam in lams:
+                model = RegionModel("two", neighbor_lambdas_a=(lam,),
+                                    neighbor_lambdas_b=(lam,), intra_lambda=lam)
+                target = np.kron(evolve(gate_space_model(model), spec), np.eye(4))
+                ref.append((lam, 1.0 - avg_gate_fidelity(evolve(model, spec), target)))
+        else:
+            spec = gauss_lib["rx90"]
+            target_gate = "rx90" if case == "pair-rx90" else None
+            got = suppression_sweep("single_gate_pair", spec, lams, floor=None,
+                                    target_gate=target_gate)
+            ref = []
+            for lam in lams:
+                model = RegionModel("single", neighbor_lambdas_a=(lam,))
+                if target_gate is None:
+                    target = evolve(with_cross_lambda(model, 0.0), spec)
+                else:
+                    target = np.kron(gate_matrix(Gate("rx90", (0,))), np.eye(2))
+                ref.append((lam, 1.0 - avg_gate_fidelity(evolve(model, spec), target)))
+        assert got == ref
+
     def test_target_gate_validation(self, gauss_lib, pert_lib):
         with pytest.raises(ValueError):
             suppression_sweep("two_gate_chain", pert_lib["rzx90"], [LAM],
@@ -620,38 +651,6 @@ class TestSuppressionSweep:
         with pytest.raises(ValueError):
             suppression_sweep("single_gate_pair", gauss_lib["rx90"], [LAM],
                               target_gate="ry90")
-
-
-class TestDriveNoise:
-    def test_zero_noise_matches_clean_sweep(self, pert_lib):
-        lams = [TWO_PI * 50e3, TWO_PI * 100e3]
-        clean = suppression_sweep("single_gate_pair", pert_lib["rx90"], lams)
-        noisy = drive_noise_eval(pert_lib["rx90"], {}, lams)
-        assert clean == noisy
-
-    def test_detuning_stays_suppressed(self, pert_lib):
-        # 2.0x of clean at these settings
-        lam = [TWO_PI * 100e3]
-        clean = drive_noise_eval(pert_lib["rx90"], {}, lam, floor=None)[0][1]
-        noisy = drive_noise_eval(pert_lib["rx90"], {"detuning_hz": 0.1e6}, lam,
-                                 floor=None)[0][1]
-        assert noisy <= 10 * clean
-
-    def test_amplitude_stays_suppressed(self, pert_lib):
-        # 2.3x of clean at these settings
-        lam = [TWO_PI * 100e3]
-        clean = drive_noise_eval(pert_lib["rx90"], {}, lam, floor=None)[0][1]
-        noisy = drive_noise_eval(pert_lib["rx90"], {"amplitude_frac": 0.001}, lam,
-                                 floor=None)[0][1]
-        assert noisy <= 10 * clean
-
-    def test_unknown_noise_key(self, pert_lib):
-        with pytest.raises(ValueError):
-            drive_noise_eval(pert_lib["rx90"], {"dephasing": 1.0}, [LAM])
-
-    def test_coupling_pulse_rejected(self, gauss_lib):
-        with pytest.raises(ValueError):
-            drive_noise_eval(gauss_lib["rzx90"], {}, [LAM])
 
 
 class TestFitCosine:
