@@ -131,19 +131,15 @@ def parse(text, num_qubits=None):
                 raise ValueError(f"line {ln}: negative qubit count {declared}")
             continue
         name = _ALIASES.get(head, head)
+        if name not in _KNOWN:
+            raise ValueError(f"line {ln}: unknown gate {name!r}")
+        n_par, n_q = _KNOWN[name]
         rest = tokens[1:]
-        if name in _KNOWN:
-            n_par, n_q = _KNOWN[name]
-            if len(rest) != n_par + n_q:
-                raise ValueError(
-                    f"line {ln}: {name} takes {n_par} parameter(s) and {n_q} qubit(s)"
-                )
-            par_tok, q_tok = rest[:n_par], rest[n_par:]
-        else:
-            q_tok = [t for t in rest if _is_int(t)]
-            par_tok = [t for t in rest if not _is_int(t)]
-            if len(q_tok) not in (1, 2):
-                raise ValueError(f"line {ln}: cannot tell qubits from parameters")
+        if len(rest) != n_par + n_q:
+            raise ValueError(
+                f"line {ln}: {name} takes {n_par} parameter(s) and {n_q} qubit(s)"
+            )
+        par_tok, q_tok = rest[:n_par], rest[n_par:]
         try:
             params = tuple(float(t) for t in par_tok)
         except ValueError:

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import GateTimes, benchmark, load_circuit, save_circuit, to_native
-from .pulse import (DESIGN_BACKENDS, GATE_KINDS, check_native_size, load_pulse, native_pulse,
-                    save_pulse)
+from .pulse import (BACKENDS, DESIGN_BACKENDS, GATE_KINDS, check_native_size, load_pulse,
+                    native_pulse, save_pulse)
 from .quantumsim import (
     ramsey_experiment,
     sample_device,
@@ -33,8 +33,6 @@ from .suppression import alpha_optimal, save_result
 from .topology import adjacency, grid_snake_order, load_topology
 
 TWO_PI = 2 * math.pi
-
-BACKENDS = ("gaussian", "pert", "optctrl", "dcg")
 
 
 class PipelineError(RuntimeError):
@@ -231,8 +229,8 @@ def _report_json(cfg, plans, reports):
                 "policy": policy,
                 "seed": rep.seed,
                 "fidelity": rep.fidelity,
-                "layers": len(rep.per_layer),
-                "total_duration_ns": rep.total_duration * 1e9,
+                "layers": len(plans[policy].layers),
+                "total_duration_ns": plans[policy].total_duration * 1e9,
             })
     mean_fid = {p: float(np.mean([r.fidelity for r in reps]))
                 for p, reps in reports.items()}

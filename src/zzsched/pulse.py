@@ -586,7 +586,9 @@ _TARGETS = {  # (region kind, rotation angle)
     "rzx90": ("two", math.pi / 2),
 }
 GATE_KINDS = tuple(_TARGETS)  # the native kinds that take a pulse; rz is a frame change
-# the backends optimize designs on a region; gaussian and dcg are fixed shapes
+# every pulse backend; the design backends optimize on a region, gaussian
+# and dcg are fixed shapes
+BACKENDS = ("gaussian", "pert", "optctrl", "dcg")
 DESIGN_BACKENDS = ("pert", "optctrl")
 
 
@@ -804,10 +806,9 @@ def optimize(model, target, backend, config=None):
         c, s, phi_t = (float(r[0]) for r in integrals(x[None]))
         resid, base = _cancelable_residual(model, T, c, s)
         if base == 0.0:
-            # nothing a drive can null: score the whole first-order term
-            init = (float(r[0]) for r in integrals(x_init[None]))
-            base = score(*init)[0]
-            resid = score(c, s, phi_t)[0]
+            # nothing a drive can null: the whole first-order term is the
+            # z-side term, the same for every pulse, so it is its own baseline
+            resid = base = score(c, s, phi_t)[0]
         converged = fid_ok and resid <= 1e-3 * base
         if not converged:
             warning = (f"first-order residual {resid:.3e} vs baseline {base:.3e}, "
@@ -894,12 +895,12 @@ def native_pulse(kind, backend, neighbors=1, lambda_hz=200e3):
     """
     if kind not in _TARGETS:
         raise ValueError(f"unknown pulse target {kind!r}")
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}")
     T = getattr(GateTimes.for_backend(backend), kind)
     if backend in DESIGN_BACKENDS:
         return optimize(_native_region(kind, neighbors, lambda_hz), kind, backend,
                         OptimizeConfig(T=T))
-    if backend not in ("gaussian", "dcg"):
-        raise ValueError(f"unknown backend {backend!r}")
     region, angle = _TARGETS[kind]
     if backend == "dcg" and region == "single":
         spec = dcg_sequence("rx_half_pi" if kind == "rx90" else "identity")

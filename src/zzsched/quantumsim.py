@@ -106,17 +106,15 @@ def sample_device(topology, mu_hz, sigma_hz, seed):
     return DeviceInstance(topology, tuple(TWO_PI * v for v in hz), seed)
 
 
-def uniform_device(topology, lambda_hz, seed=0):
+def uniform_device(topology, lambda_hz):
     """Every coupling at the same strength; convenience for fixed scenarios."""
     lam = TWO_PI * lambda_hz
-    return DeviceInstance(topology, (lam,) * len(topology.edges), seed)
+    return DeviceInstance(topology, (lam,) * len(topology.edges))
 
 
 @dataclass(frozen=True)
 class SimReport:
     fidelity: float
-    per_layer: tuple  # (n_q, n_c, duration) per executed layer
-    total_duration: float
     seed: int
 
 
@@ -298,7 +296,7 @@ def _split_layer(psi, n, zz_diag, windows, duration, rate, cache=None):
 # ------------------------------------------------------------ simulate
 
 
-def _run_plan(devices, plan, pmap, input_state, method):
+def _run_plan(devices, plan, pmap, method):
     g = devices[0].topology
     n = g.num_qubits
     if any(d.topology != g for d in devices[1:]):
@@ -307,16 +305,8 @@ def _run_plan(devices, plan, pmap, input_state, method):
         raise ValueError("plan does not fit the device")
     if n > 12:
         raise ValueError("simulation capped at 12 qubits")
-    dim = 1 << n
-    if input_state is None:
-        psi0 = np.zeros(dim, dtype=complex)
-        psi0[0] = 1.0
-    else:
-        psi0 = np.asarray(input_state, dtype=complex)
-        if psi0.shape != (dim,):
-            raise ValueError(f"input state must have dimension {dim}")
-        if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
-            raise ValueError("input state must have unit norm")
+    psi0 = np.zeros(1 << n, dtype=complex)
+    psi0[0] = 1.0
     rate = _sample_rate(pmap)
     windows = [_layer_windows(layer, pmap) for layer in plan.layers]
     ideal = psi0
@@ -345,39 +335,37 @@ def _run_plan(devices, plan, pmap, input_state, method):
         for gate in plan.trailing_rz:
             psi = apply_gate_to_state(psi, gate, n)
         rows.append(psi)
-    per_layer = tuple((layer.n_q, layer.n_c, layer.duration) for layer in plan.layers)
-    return np.concatenate(rows), ideal, per_layer
+    return np.concatenate(rows), ideal
 
 
-def simulate_ensemble(devices, plan, pulses, input_state=None, method="split"):
+def simulate_ensemble(devices, plan, pulses, method="split"):
     """Evolve one plan on every device in one pass; one SimReport each.
 
     devices share one topology and differ in their ZZ strengths; every
-    device starts from input_state (|0...0> when None), and the ideal
-    reference is evolved once. pulses maps native gate kind to a
-    PulseSpec (or OptimizedPulse); every kind appearing in the plan must
-    be covered. method "split" runs the split-step engine, batching the
-    devices from 4 qubits up; "dense" the small-system oracle, one by one.
+    device starts from |0...0>, and the ideal reference is evolved once.
+    pulses maps native gate kind to a PulseSpec (or OptimizedPulse); every
+    kind appearing in the plan must be covered. method "split" runs the
+    split-step engine, batching the devices from 4 qubits up; "dense" the
+    small-system oracle, one by one.
     """
     devices = tuple(devices)
     if not devices:
         raise ValueError("need at least one device")
     if method not in ("split", "dense"):
         raise ValueError(f"unknown method {method!r}")
-    psi, ideal, per_layer = _run_plan(devices, plan, _pulse_map(pulses), input_state,
-                                      method)
+    psi, ideal = _run_plan(devices, plan, _pulse_map(pulses), method)
     reports = []
     for device, row in zip(devices, psi):
         fid = abs(np.vdot(ideal, row)) ** 2
         fid = min(max(float(fid), 0.0), 1.0)
-        reports.append(SimReport(fid, per_layer, plan.total_duration, device.seed))
+        reports.append(SimReport(fid, device.seed))
     return reports
 
 
-def simulate_plan(device, plan, pulses, input_state=None, method="split"):
+def simulate_plan(device, plan, pulses, method="split"):
     """Evolve a scheduled plan on one device and score it against the ideal;
     simulate_ensemble with a single device."""
-    return simulate_ensemble((device,), plan, pulses, input_state, method)[0]
+    return simulate_ensemble((device,), plan, pulses, method)[0]
 
 
 # ---------------------------------------------------- suppression sweep
@@ -454,7 +442,6 @@ def suppression_sweep(scenario, pulse, lambdas, floor=1e-8, target_gate=None):
 
 @dataclass(frozen=True)
 class RamseyResult:
-    policy: str
     effective_zz_hz: float
     freqs_hz: tuple  # fitted fringe frequency per spectator preparation
     r_squared: tuple
@@ -515,17 +502,17 @@ def fit_cosine(taus, values):
     return best, r2
 
 
-def ramsey_experiment(device, pulses, policy, delays=None, probe=0, control=1,
-                      virtual_detuning_hz=2e6):
+def ramsey_experiment(device, pulses, policy, probe=0, control=1):
     """Spectator-conditioned Ramsey fringe pair on a 2- or 3-qubit device.
 
-    Each run is Rx(pi/2) on the probe, a wait block, a frame rotation at
-    the virtual detuning, and a second Rx(pi/2); P(|1>) versus delay is
+    Each run is Rx(pi/2) on the probe, a wait block, a frame rotation at a
+    2 MHz virtual detuning, and a second Rx(pi/2); P(|1>) versus delay is
     fitted to a cosine for the spectator prepared in |0> and in |1>, and
-    the effective ZZ strength is the fitted frequency difference. The
-    bare policy leaves the wait to free evolution; suppressed_B fills it
-    with repeated identity pulses on the probe, suppressed_C on every
-    qubit except the probe.
+    the effective ZZ strength is the fitted frequency difference. The 64
+    delays step from 0 by 8 identity slots (the id pulse's duration, 20 ns
+    without one). The bare policy leaves the wait to free evolution;
+    suppressed_B fills it with repeated identity pulses on the probe,
+    suppressed_C on every qubit except the probe.
     """
     if policy not in ("bare", "suppressed_B", "suppressed_C"):
         raise ValueError(f"unknown policy {policy!r}")
@@ -542,11 +529,7 @@ def ramsey_experiment(device, pulses, policy, delays=None, probe=0, control=1,
         raise KeyError("suppressed policies need an identity pulse")
     rate = _sample_rate(pmap)
     t_id = pmap["id"].duration if "id" in pmap else 20e-9
-    if delays is None:
-        delays = tuple(k * 8 * t_id for k in range(64))
-    taus = tuple(float(t) for t in delays)
-    if any(t < 0 for t in taus) or any(b <= a for a, b in zip(taus, taus[1:])):
-        raise ValueError("delays must be strictly increasing and nonnegative")
+    taus = tuple(k * 8 * t_id for k in range(64))
 
     # full-device propagators of one pulse slot, ZZ always on
     zz = _zz_diagonal(n, device.couplings())
@@ -559,7 +542,7 @@ def ramsey_experiment(device, pulses, policy, delays=None, probe=0, control=1,
         u_slot = _propagate([zz], [windows], t_id, rate)[0, 0]
     dim = 1 << n
 
-    omega_v = TWO_PI * virtual_detuning_hz
+    omega_v = TWO_PI * 2e6
     idx = np.arange(dim)
     probe_bit = (idx >> (n - 1 - probe)) & 1
 
@@ -575,14 +558,11 @@ def ramsey_experiment(device, pulses, policy, delays=None, probe=0, control=1,
         pops = []
         wait = after_first.copy()
         prev_tau = 0.0
-        for tau in taus:
+        for k, tau in enumerate(taus):
             if policy == "bare":
                 wait = np.exp(-1j * zz * (tau - prev_tau)) * wait
             else:
-                blocks = int(round((tau - prev_tau) / t_id))
-                if abs((tau - prev_tau) - blocks * t_id) > 1e-12:
-                    raise ValueError("delays must be multiples of the identity slot")
-                for _ in range(blocks):
+                for _ in range(8 if k else 0):
                     wait = u_slot @ wait
             prev_tau = tau
             framed = np.exp(0.5j * omega_v * tau * (2 * probe_bit - 1)) * wait
@@ -594,5 +574,5 @@ def ramsey_experiment(device, pulses, policy, delays=None, probe=0, control=1,
         curves.append(tuple(pops))
         freqs.append(f)
         r2s.append(r2)
-    return RamseyResult(policy, abs(freqs[1] - freqs[0]), tuple(freqs),
-                        tuple(r2s), taus, tuple(curves))
+    return RamseyResult(abs(freqs[1] - freqs[0]), tuple(freqs), tuple(r2s), taus,
+                        tuple(curves))

@@ -53,14 +53,9 @@ def test_parse_aliases():
     assert c.gates[1].name == "id"
 
 
-def test_parse_unknown_gate_kept():
-    c = parse("foo 0.5 2 3\n")
-    g = c.gates[0]
-    assert g.name == "foo"
-    assert g.params == (0.5,)
-    assert g.qubits == (2, 3)
-    with pytest.raises(ValueError):
-        to_native(c)
+def test_parse_unknown_gate_rejected():
+    with pytest.raises(ValueError, match="line 2: unknown gate 'foo'"):
+        parse("h 0\nfoo 0.5 2 3\n")
 
 
 def test_parse_errors_carry_line_numbers():

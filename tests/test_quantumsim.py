@@ -1,5 +1,7 @@
 """Tests for device sampling, plan simulation, sweeps, and Ramsey probes."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -356,7 +358,7 @@ class TestSimulatePlan:
         c = to_native(benchmark("qft", 3))
         plan = schedule(LINE3, c)
         dev = uniform_device(LINE3, 200e3)
-        psi, ideal, _ = _run_plan((dev,), plan, _pulse_map(gauss_lib), None, "split")
+        psi, ideal = _run_plan((dev,), plan, _pulse_map(gauss_lib), "split")
         assert abs(np.linalg.norm(psi[0]) - 1) <= 1e-8
         assert abs(np.linalg.norm(ideal) - 1) <= 1e-10
 
@@ -364,18 +366,12 @@ class TestSimulatePlan:
         plan = par_sched(LINE2, Circuit(2, ()))
         r = simulate_plan(uniform_device(LINE2, 200e3), plan, gauss_lib)
         assert r.fidelity == 1.0
-        assert r.per_layer == ()
-        assert r.total_duration == 0.0
 
     def test_report_metadata(self, gauss_lib):
         c = to_native(benchmark("qft", 3))
         plan = schedule(LINE3, c)
         dev = sample_device(LINE3, 200e3, 50e3, seed=11)
         r = simulate_plan(dev, plan, gauss_lib)
-        assert len(r.per_layer) == len(plan.layers)
-        assert r.per_layer[0] == (plan.layers[0].n_q, plan.layers[0].n_c,
-                                  plan.layers[0].duration)
-        assert r.total_duration == plan.total_duration
         assert r.seed == 11
 
     def test_deterministic(self, gauss_lib):
@@ -394,16 +390,6 @@ class TestSimulatePlan:
             r = simulate_plan(dev, plan, gauss_lib)
             assert 0.0 <= r.fidelity <= 1.0
 
-    def test_custom_input_state(self, gauss_lib):
-        c = Circuit(2, (Gate("rx90", (0,)),))
-        plan = par_sched(LINE2, c)
-        dev = uniform_device(LINE2, 0.0)
-        rng = np.random.default_rng(0)
-        psi0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        psi0 /= np.linalg.norm(psi0)
-        r = simulate_plan(dev, plan, gauss_lib, input_state=psi0)
-        assert r.fidelity >= 1 - 1e-6
-
     def test_unknown_method(self, gauss_lib):
         plan = par_sched(LINE2, Circuit(2, ()))
         with pytest.raises(ValueError):
@@ -419,23 +405,6 @@ class TestSimulatePlan:
         plan = par_sched(LINE3, Circuit(3, ()))
         with pytest.raises(ValueError):
             simulate_plan(uniform_device(LINE2, 0.0), plan, gauss_lib)
-
-    @pytest.mark.parametrize("scale", [2.0, 0.0])
-    def test_input_state_must_be_normalized(self, gauss_lib, scale):
-        # the clip to [0, 1] once scored a norm-2 state 1.0 and the zero vector 0.0
-        plan = par_sched(LINE2, Circuit(2, (Gate("rx90", (0,)),)))
-        psi0 = scale * np.eye(4)[0]
-        devices = [uniform_device(LINE2, 0.0)]
-        with pytest.raises(ValueError, match="unit norm"):
-            simulate_plan(devices[0], plan, gauss_lib, input_state=psi0)
-        with pytest.raises(ValueError, match="unit norm"):
-            simulate_ensemble(devices, plan, gauss_lib, input_state=psi0)
-
-    def test_bad_input_dimension(self, gauss_lib):
-        plan = par_sched(LINE2, Circuit(2, ()))
-        with pytest.raises(ValueError):
-            simulate_plan(uniform_device(LINE2, 0.0), plan, gauss_lib,
-                          input_state=np.ones(8) / math.sqrt(8))
 
     def test_channel_target_outside_gate_rejected(self, gauss_lib):
         # an x drive on index 1 of a one-qubit gate, on both integrators
@@ -483,18 +452,6 @@ class TestSimulateEnsemble:
         for dev, r in zip(devices, batch):
             assert r == simulate_plan(dev, plan, gauss_lib, method=method)
 
-    def test_input_state_shared(self, gauss_lib):
-        g = line_topology(4)
-        plan = par_sched(g, Circuit(4, (Gate("rx90", (0,)), Gate("rzx90", (1, 2)))))
-        rng = np.random.default_rng(1)
-        psi0 = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        psi0 /= np.linalg.norm(psi0)
-        devices = [sample_device(g, 200e3, 50e3, seed=s) for s in range(2)]
-        batch = simulate_ensemble(devices, plan, gauss_lib, input_state=psi0)
-        for dev, r in zip(devices, batch):
-            assert r == simulate_plan(dev, plan, gauss_lib, input_state=psi0)
-            assert r != simulate_plan(dev, plan, gauss_lib)
-
     def test_empty_device_list(self, gauss_lib):
         plan = par_sched(LINE2, Circuit(2, ()))
         with pytest.raises(ValueError, match="at least one device"):
@@ -509,7 +466,7 @@ class TestSimulateEnsemble:
 
     def test_plan_size_mismatch(self, gauss_lib):
         plan = par_sched(LINE3, Circuit(3, ()))
-        devices = [uniform_device(LINE2, 0.0, seed=s) for s in range(2)]
+        devices = [uniform_device(LINE2, 0.0) for _ in range(2)]
         with pytest.raises(ValueError, match="does not fit"):
             simulate_ensemble(devices, plan, gauss_lib)
 
@@ -697,7 +654,35 @@ class TestFitCosine:
             fit_cosine(taus, np.cos(TWO_PI * 1.3e6 * taus))
 
 
+# sha256 of json.dumps([effective_zz_hz, freqs_hz, r_squared, taus,
+# populations]) for ramsey_experiment on a uniform 200 kHz line, recorded
+# while the delays and the virtual detuning were still arguments at their
+# defaults (64 steps of 8 identity slots, 2 MHz).
+RAMSEY_SHA256 = {
+    ("gauss", 2, "bare"): "a943c74adc635ddc3359da0d9c5899c623d590136772a9278f5e5ab625231d89",
+    ("gauss", 2, "suppressed_B"): "5030d1a8bc89aab744e38fd6d6a4f551db32faa350e8a768f02d4ea65452f077",
+    ("gauss", 2, "suppressed_C"): "34eeed5b101201a95c91839bd9065c1bbb6ac65f2e58e2bc9188a7a1b476e486",
+    ("gauss", 3, "bare"): "61418b0c0a87959ef7229dbc957c3257c14ffc8268f1beb60fd03847207cbe88",
+    ("gauss", 3, "suppressed_B"): "3e07bc88cc4cbe0b74c2f6d0b2798267e4340f855df8d52ac84a614cb31c6648",
+    ("gauss", 3, "suppressed_C"): "45b23377e505114af1ea71c9d20c18f45e90b26608bcbda8b2a4f06ed3b77517",
+    ("pert", 2, "bare"): "4ca0e347a8d0cdf05bf6def5d27fd0a2fff21eb7db9a12b5935f63068c58b165",
+    ("pert", 2, "suppressed_B"): "6ed2b49a121bf4c61e5d61ae648d478e3734750efe8529d5e96c231ceb687b8d",
+    ("pert", 2, "suppressed_C"): "4ac656e9feb6b287cdc7db884ffb404a8246df7175569bcd0c19eac80349f606",
+    ("pert", 3, "bare"): "c3756bbe7bcef15ae87676ad4b04bffa128a8151b19333e1daede6cf6cdbd185",
+    ("pert", 3, "suppressed_B"): "fdbf07633ab34151c3b45102a2f30e2224ea5a9962dbcc9905e528800df0ea84",
+    ("pert", 3, "suppressed_C"): "679693bded205c16c4012ae2ee737b81c109349f513311c6d2d5f5bf0d37c6cf",
+}
+
+
 class TestRamsey:
+    @pytest.mark.parametrize("lib,n,policy", sorted(RAMSEY_SHA256))
+    def test_outputs_pinned(self, gauss_lib, pert_lib, lib, n, policy):
+        pulses = {"gauss": gauss_lib, "pert": pert_lib}[lib]
+        res = ramsey_experiment(uniform_device(line_topology(n), 200e3), pulses, policy)
+        blob = json.dumps([res.effective_zz_hz, res.freqs_hz, res.r_squared, res.taus,
+                           res.populations]).encode()
+        assert hashlib.sha256(blob).hexdigest() == RAMSEY_SHA256[lib, n, policy]
+
     def test_bare_frequency_shift_matches_closed_form(self, gauss_lib):
         # P(1) fringes sit at (w_v +- 2 lambda) / 2pi, so the conditional
         # splitting is 4 lambda / 2pi = 800 kHz at 200 kHz coupling
@@ -736,7 +721,6 @@ class TestRamsey:
     def test_result_fields(self, gauss_lib):
         dev = uniform_device(LINE2, 200e3)
         res = ramsey_experiment(dev, gauss_lib, "bare")
-        assert res.policy == "bare"
         assert len(res.freqs_hz) == 2
         assert res.effective_zz_hz == pytest.approx(abs(res.freqs_hz[1] - res.freqs_hz[0]))
         assert all(r2 >= 0.9 for r2 in res.r_squared)
@@ -761,22 +745,9 @@ class TestRamsey:
         with pytest.raises(KeyError):
             ramsey_experiment(dev, {"rx90": gauss_lib["rx90"]}, "suppressed_B")
 
-    def test_delay_validation(self, gauss_lib):
-        dev = uniform_device(LINE2, 200e3)
-        with pytest.raises(ValueError):
-            ramsey_experiment(dev, gauss_lib, "bare",
-                                delays=tuple(-(k * 160e-9) for k in range(10)))
-        off_grid = tuple(k * 30e-9 for k in range(16))
-        with pytest.raises(ValueError):
-            ramsey_experiment(dev, gauss_lib, "suppressed_B", delays=off_grid)
-
-    def test_rejects_repeated_and_descending_delays(self, gauss_lib):
-        dev = uniform_device(LINE2, 200e3)
-        for delays in ((0.0,) * 10, tuple(k * 160e-9 for k in range(10))[::-1]):
-            with pytest.raises(ValueError, match="strictly increasing"):
-                ramsey_experiment(dev, gauss_lib, "bare", delays=delays)
-
     def test_flat_signal_fails_the_fit(self, gauss_lib):
+        # an rx90 pulse of angle 0 leaves the probe in |0> at every delay
         dev = uniform_device(LINE2, 0.0)
-        with pytest.raises(ValueError):
-            ramsey_experiment(dev, gauss_lib, "bare", virtual_detuning_hz=0.0)
+        flat = {**gauss_lib, "rx90": gaussian_pulse(0.0, 20e-9)}
+        with pytest.raises(ValueError, match=r"cosine fit failed \(R\^2 = 0.000\)"):
+            ramsey_experiment(dev, flat, "bare")

@@ -148,8 +148,8 @@ def test_gate_named_like_a_gate_times_member_is_not_native(name):
     # a pulse backend's name and a GateTimes method are not gates
     with pytest.raises(ValueError, match=f"cannot lower gate '{name}'"):
         gate_duration(Gate(name, (0,)), GateTimes())
-    with pytest.raises(ValueError, match=f"cannot lower gate '{name}'"):
-        par_sched(line_topology(2), parse(f"{name} 0\n", num_qubits=2))
+    with pytest.raises(ValueError, match=f"line 1: unknown gate '{name}'"):
+        parse(f"{name} 0\n", num_qubits=2)
     with pytest.raises(ValueError, match="non-native"):
         GateTimes().duration(Gate(name, (0,)))
 

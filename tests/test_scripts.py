@@ -1,6 +1,15 @@
-"""Each script under scripts/ imports against the current package API."""
+"""Each script under scripts/ imports against the current package API.
 
+The scripts call the package through names imported `from zzsched.<module>`.
+Importing a script runs none of those calls, so every call is also read
+with ast and bound against the current signature: a renamed or deleted
+keyword fails here rather than when someone runs the script.
+"""
+
+import ast
+import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -22,6 +31,45 @@ def test_scripts_found():
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.stem)
 def test_script_imports(path):
     assert callable(_load(path).main)
+
+
+def _package_calls():
+    """(script, module, name, call node) per call in scripts/*.py to a name
+    imported from zzsched.<module>."""
+    calls = []
+    for path in SCRIPTS:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("zzsched."):
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = (node.module, alias.name)
+        calls += [(path.stem, *imported[node.func.id], node) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in imported]
+    return calls
+
+
+CALLS = _package_calls()
+
+
+def test_scripts_call_the_package():
+    assert {name for _, _, name, _ in CALLS} >= {
+        "ramsey_experiment", "uniform_device", "simulate_ensemble", "suppression_sweep"}
+
+
+@pytest.mark.parametrize("script,module,name,call", CALLS,
+                         ids=[f"{s}:{n}:{c.lineno}" for s, _, n, c in CALLS])
+def test_script_call_binds(script, module, name, call):
+    obj = getattr(importlib.import_module(module), name)
+    positional = 0 if any(isinstance(a, ast.Starred) for a in call.args) else len(call.args)
+    keywords = [kw.arg for kw in call.keywords if kw.arg is not None]
+    try:
+        inspect.signature(obj).bind_partial(*[None] * positional,
+                                            **dict.fromkeys(keywords))
+    except TypeError as exc:
+        pytest.fail(f"{script}.py:{call.lineno} calls {module}.{name} with {positional} "
+                    f"positional and keywords {keywords}: {exc}")
 
 
 def test_sweep_suppression_writes_csvs(tmp_path, monkeypatch):
