@@ -66,14 +66,9 @@ class FourierEnvelope:
             raise ValueError("duration must be positive")
 
 
-def fourier_eval(env, t):
-    t = np.asarray(t, dtype=float)
-    if np.any(t < -1e-15) or np.any(t > env.T * (1 + 1e-12) + 1e-15):
-        raise ValueError("time outside [0, T]")
-    out = np.zeros_like(t)
-    for j, aj in enumerate(env.a, start=1):
-        out = out + (aj / 2) * (1 + np.cos(TWO_PI * j * t / env.T - math.pi))
-    return out if out.ndim else float(out)
+def _fourier_rows(t, T):
+    """The five rows 1 + cos(2 pi j t / T - pi), j = 1..5, at the times t."""
+    return [1 + np.cos(TWO_PI * j * t / T - math.pi) for j in range(1, 6)]
 
 
 @dataclass(frozen=True)
@@ -127,26 +122,25 @@ class SegmentEnvelope:
             raise ValueError("segments must end at T")
 
 
-def segment_eval(env, t):
+def envelope_value(env, t):
+    """Omega at the times t in [0, T] (rad/s); a float for a scalar t."""
+    if not isinstance(env, (FourierEnvelope, SegmentEnvelope)):
+        raise TypeError(f"unknown envelope {type(env).__name__}")
     t = np.asarray(t, dtype=float)
     if np.any(t < -1e-15) or np.any(t > env.T * (1 + 1e-12) + 1e-15):
         raise ValueError("time outside [0, T]")
     out = np.zeros_like(t)
-    for seg in env.segments:
-        center = seg.start + seg.length / 2
-        inside = (t >= seg.start) & (t <= seg.start + seg.length)
-        u = t - center
-        shape = np.exp(-(u ** 2) / (2 * seg.sigma ** 2)) - math.exp(-4.5)
-        out = np.where(inside, out + seg.amplitude * shape, out)
-    return out if out.ndim else float(out)
-
-
-def envelope_value(env, t):
     if isinstance(env, FourierEnvelope):
-        return fourier_eval(env, t)
-    if isinstance(env, SegmentEnvelope):
-        return segment_eval(env, t)
-    raise TypeError(f"unknown envelope {type(env).__name__}")
+        for aj, row in zip(env.a, _fourier_rows(t, env.T)):
+            out = out + (aj / 2) * row
+    else:
+        for seg in env.segments:
+            center = seg.start + seg.length / 2
+            inside = (t >= seg.start) & (t <= seg.start + seg.length)
+            u = t - center
+            shape = np.exp(-(u ** 2) / (2 * seg.sigma ** 2)) - math.exp(-4.5)
+            out = np.where(inside, out + seg.amplitude * shape, out)
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -273,7 +267,6 @@ def _embed(ops, positions, n):
 
 _DENSE_MAX_QUBITS = 6  # the one cap on dense work: regions, device layers, Ramsey
 _STEP_CHUNK = 32  # matrices per stacked eigh; a whole-pulse stack costs memory and time
-_STACK_MAX = 2 * _STEP_CHUNK  # problems per stepper call; a 10-point stencil on 4 strengths fits
 
 
 def _dense_qubits(n):
@@ -294,8 +287,7 @@ def _step_nodes(h_static, terms, dt, steps):
     stack, diagonalizes them in one eigh call and forms the step unitaries
     with one stacked matmul; they are then applied in order, u = su @ u.
     LAPACK and BLAS treat each matrix of a stack on its own, so every
-    problem gets the bits of a per-step loop over it alone. _propagate
-    bounds P, passing at most _STACK_MAX problems per call.
+    problem gets the bits of a per-step loop over it alone.
     """
     shape = np.broadcast_shapes(h_static.shape, *(a.shape[:-1] + (1, 1) for a, _ in terms))
     chunk = max(1, _STEP_CHUNK // math.prod(shape[:-2]))
@@ -414,19 +406,14 @@ def _propagate(zz_diags, stack, duration, rate):
     """Propagator of every window list in stack over every ZZ diagonal in
     zz_diags, as a (len(stack), len(zz_diags), d, d) array. The register
     size, read off the diagonals, is checked before any d x d array is
-    built; each stepper call takes at most _STACK_MAX problems."""
+    built. With no drive term the nodes have no stack axis, and the last
+    is broadcast over the window lists."""
     n = len(zz_diags[0]).bit_length() - 1
     terms, dt, steps = _window_terms(n, stack, duration, rate)
     h = np.stack([np.diag(z.astype(complex)) for z in zz_diags])
-    out = np.empty((len(stack), *h.shape), dtype=complex)
-    per = max(1, _STACK_MAX // len(zz_diags))  # window lists per block
-    for s in range(0, len(stack), per):
-        for m in range(0, len(zz_diags), _STACK_MAX):
-            for u in _step_nodes(h[m:m + _STACK_MAX],
-                                 [(a[s:s + per, None], mat) for a, mat in terms], dt, steps):
-                pass
-            out[s:s + per, m:m + _STACK_MAX] = u
-    return out
+    for u in _step_nodes(h, [(a[:, None], mat) for a, mat in terms], dt, steps):
+        pass
+    return np.broadcast_to(u, (len(stack), *h.shape)).copy()
 
 
 def evolve(model, pulses):
@@ -492,16 +479,13 @@ def pert_first_order(model, pulses):
     return -1j * acc * dt
 
 
-def optctrl_loss(model, pulses, target):
-    """Mean over DEFAULT_LAMBDA_SAMPLES of the dressed-target infidelity
-    penalty, minus the gate fidelity of the drives alone."""
-    return _optctrl_losses(model, [pulses], target)[0]
-
-
 def _optctrl_losses(model, specs, target):
-    """optctrl_loss of every pulse, with the same bits: one stack of
-    control unitaries and one of the pulses on every sampled strength; the
-    pulses share one duration and sample rate."""
+    """Per pulse, the mean over DEFAULT_LAMBDA_SAMPLES of the dressed-target
+    infidelity penalty, minus the gate fidelity of the drives alone.
+
+    One stack of control unitaries and one of the pulses on every sampled
+    strength; the pulses share one duration and sample rate. One pulse
+    alone and the same pulse in a stack give the same bits."""
     ucs = _evolve_stack([RegionModel(model.kind)], specs)[:, 0]
     if model.kind == "two" and model.intra_lambda:
         dressed_gates = _evolve_stack([gate_space_model(model)], specs)[:, 0]
@@ -524,22 +508,21 @@ def _optctrl_losses(model, specs, target):
 
 def gaussian_pulse(angle, T, axis="x", target=0, sample_rate=DEFAULT_SAMPLE_RATE):
     """Single baseline-subtracted Gaussian implementing Rx(angle) (or Rzx)."""
-    if T <= 0:
-        raise ValueError("duration must be positive")
     env = SegmentEnvelope((GaussianSegment(angle, 0.0, T),), T)
     return PulseSpec((Channel(target, axis, env),), sample_rate)
 
 
-def dcg_sequence(target):
-    """Composed Gaussian sequences; the echo structure refocuses z*z coupling."""
+def dcg_sequence(kind):
+    """Composed Gaussian sequences for rx90 and id; the echo structure
+    refocuses z*z coupling."""
     ns = 1e-9
-    if target == "rx_half_pi":
+    if kind == "rx90":
         spec = [(math.pi, 0, 20), (math.pi / 2, 20, 20), (-math.pi / 2, 40, 20),
                 (math.pi, 60, 20), (math.pi / 2, 80, 40)]
-    elif target == "identity":
+    elif kind == "id":
         spec = [(math.pi, 0, 20), (math.pi, 20, 20)]
     else:
-        raise ValueError(f"no composed sequence for target {target!r}")
+        raise ValueError(f"no composed sequence for target {kind!r}")
     segs = tuple(GaussianSegment(a, s * ns, l * ns) for a, s, l in spec)
     T = segs[-1].start + segs[-1].length
     return PulseSpec((Channel(0, "x", SegmentEnvelope(segs, T)),))
@@ -600,9 +583,8 @@ def _make_spec(model, coeffs, T):
 
 
 def _fourier_basis(T, steps):
-    """Rows 1 + cos(2 pi j t / T - pi), j = 1..5, on the step midpoints."""
-    mids = (np.arange(steps) + 0.5) * (T / steps)
-    return np.array([1 + np.cos(TWO_PI * j * mids / T - math.pi) for j in range(1, 6)])
+    """_fourier_rows on the step midpoints, as one (5, steps) array."""
+    return np.array(_fourier_rows((np.arange(steps) + 0.5) * (T / steps), T))
 
 
 def _plane_integrals_batch(basis, coeffs, T, steps):
@@ -623,7 +605,7 @@ def _plane_integrals_batch(basis, coeffs, T, steps):
     half = coeffs / 2
     om = np.zeros((len(coeffs), steps))
     tmp = np.empty_like(om)
-    for j in range(5):  # fourier_eval's summation order
+    for j in range(5):  # envelope_value's summation order
         om += np.multiply(half[:, j, None], basis[j], out=tmp)
     phi = np.zeros((len(coeffs), steps + 1))
     acc = np.cumsum(om, axis=1, out=phi[:, 1:])
@@ -903,7 +885,7 @@ def native_pulse(kind, backend, neighbors=1, lambda_hz=200e3):
                         OptimizeConfig(T=T))
     region, angle = _TARGETS[kind]
     if backend == "dcg" and region == "single":
-        spec = dcg_sequence("rx_half_pi" if kind == "rx90" else "identity")
+        spec = dcg_sequence(kind)
     elif region == "single":
         spec = gaussian_pulse(angle, T)
     else:

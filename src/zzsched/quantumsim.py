@@ -144,7 +144,7 @@ def _layer_windows(layer, pmap):
     """
     def pulse_for(kind):
         if kind not in pmap:
-            raise KeyError(f"no pulse provided for gate kind {kind!r}")
+            raise ValueError(f"no pulse provided for gate kind {kind!r}")
         return pmap[kind]
 
     duration = layer.duration
@@ -524,9 +524,9 @@ def ramsey_experiment(device, pulses, policy, probe=0, control=1):
         raise ValueError("probe and control must be distinct device qubits")
     pmap = _pulse_map(pulses)
     if "rx90" not in pmap:
-        raise KeyError("pulses must cover rx90")
+        raise ValueError("pulses must cover rx90")
     if policy != "bare" and "id" not in pmap:
-        raise KeyError("suppressed policies need an identity pulse")
+        raise ValueError("suppressed policies need an identity pulse")
     rate = _sample_rate(pmap)
     t_id = pmap["id"].duration if "id" in pmap else 20e-9
     taus = tuple(k * 8 * t_id for k in range(64))

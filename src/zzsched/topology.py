@@ -129,16 +129,6 @@ class Cut:
         return Cut(self.partition_t, self.partition_s)
 
 
-@dataclass(frozen=True)
-class OddVertexPairing:
-    """Set of dual-edge ids whose contraction leaves no odd-degree face."""
-
-    dual_edges: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "dual_edges", frozenset(self.dual_edges))
-
-
 # ------------------------------------------------------------- builders
 
 
@@ -383,14 +373,15 @@ def _contract(g, edge_ids, dropped=()):
     return Cut(s, frozenset(range(n)) - s), max(size.values())
 
 
-def cut_from_pairing(g, p):
-    """Cut induced by a pairing: drop its primal edges, 2-color the rest.
+def cut_from_pairing(g, s):
+    """Cut induced by a pairing, a set s of dual-edge ids (see
+    is_odd_vertex_pairing): drop its primal edges, 2-color the rest.
 
     The remaining-set of the returned cut is contained in the pairing's
-    primal edges. A leftover odd cycle means p was not a valid pairing and
+    primal edges. A leftover odd cycle means s was not a valid pairing and
     raises.
     """
-    return _contract(g, (), p.dual_edges)[0]
+    return _contract(g, (), s)[0]
 
 
 def cut_from_contraction(g, edge_ids):

@@ -40,7 +40,6 @@ from zzsched.scheduler import (
 from zzsched.suppression import alpha_optimal, brute_force_optimal
 from zzsched.topology import (
     Cut,
-    OddVertexPairing,
     cut_from_pairing,
     dual_graph,
     grid_snake_order,
@@ -86,7 +85,7 @@ def test_criterion_01_cut_pairing_duality():
             if not is_odd_vertex_pairing(d, rem):
                 _verdict("criterion 01", False, f"cut {sorted(s)} on "
                          f"{rows}x{cols}: leftover set is not a pairing")
-            induced = cut_from_pairing(g, OddVertexPairing(rem))
+            induced = cut_from_pairing(g, rem)
             if not remaining_set(g, induced) <= rem:
                 _verdict("criterion 01", False, f"cut {sorted(s)} on "
                          f"{rows}x{cols}: induced cut grew the leftover set")
@@ -246,7 +245,7 @@ def test_criterion_06_first_order_cancellation():
 def test_criterion_07_composed_sequence():
     """The 120 ns composed rotation is exact without coupling and beats
     the plain Gaussian under it."""
-    seq = dcg_sequence("rx_half_pi")
+    seq = dcg_sequence("rx90")
     rx90 = gate_matrix(Gate("rx90", (0,)))
     clean_model = RegionModel("single", neighbor_lambdas_a=(0.0,))
     target = np.kron(rx90, np.eye(2))

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -394,6 +395,22 @@ class TestSimulateCommand:
         assert code == 1
         assert "[pulse]" in capsys.readouterr().err
 
+    def test_missing_id_pulse_error_line(self, workspace, tmp_path, capsys):
+        # the zzx plan fills cut-layer tails with id pulses; the message
+        # prints without quotes around it
+        pulses = tmp_path / "pulses"
+        pulses.mkdir()
+        for f in (workspace / "runs" / "pulses").glob("*.json"):
+            if not f.name.startswith("id_"):
+                shutil.copy(f, pulses / f.name)
+        code = main(["simulate", "--topology", str(workspace / "g23.json"),
+                     "--plan", str(workspace / "runs" / "plan_zzx.json"),
+                     "--pulses", str(pulses), "--samples", "1",
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error [quantumsim] no pulse provided for gate kind 'id'\n")
+
 
 class TestSweepCommand:
     def test_csv_shape_and_floor(self, workspace, tmp_path):
@@ -456,6 +473,16 @@ class TestRamseyCommand:
                      "--out", str(tmp_path / "b.csv")]) == 0
         held_khz = float(capsys.readouterr().out.split("effective ZZ")[1].split("kHz")[0])
         assert held_khz * 10 <= bare_khz
+
+    def test_missing_rx90_pulse_error_line(self, workspace, tmp_path, capsys):
+        pulses = tmp_path / "pulses"
+        pulses.mkdir()
+        for f in (workspace / "runs" / "pulses").glob("id_*.json"):
+            shutil.copy(f, pulses / f.name)
+        code = main(["ramsey", "--topology", str(workspace / "line2.json"),
+                     "--pulses", str(pulses), "--out", str(tmp_path / "r.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == "error [quantumsim] pulses must cover rx90\n"
 
 
 class TestErrorTagging:

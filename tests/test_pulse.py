@@ -37,13 +37,11 @@ from zzsched.pulse import (
     dcg_sequence,
     envelope_value,
     evolve,
-    fourier_eval,
     gate_space_model,
     gaussian_pulse,
     load_pulse,
     native_pulse,
     num_steps,
-    optctrl_loss,
     optimize,
     pert_first_order,
     pulse_from_json,
@@ -105,27 +103,27 @@ def infidelity(model, spec, target):
 class TestFourierEnvelope:
     def test_zero_at_endpoints(self):
         env = FourierEnvelope((1e8, -3e7, 2e7, 5e6, -1e6), 20e-9)
-        assert abs(fourier_eval(env, 0.0)) < 1e-6
-        assert abs(fourier_eval(env, env.T)) < 1e-6
+        assert abs(envelope_value(env, 0.0)) < 1e-6
+        assert abs(envelope_value(env, env.T)) < 1e-6
 
     def test_single_coefficient_peak(self):
         a = 2 * math.pi * 12.5e6
         env = FourierEnvelope((a, 0, 0, 0, 0), 20e-9)
-        assert fourier_eval(env, env.T / 2) == pytest.approx(a)
+        assert envelope_value(env, env.T / 2) == pytest.approx(a)
 
     def test_single_coefficient_area(self):
         a = 1e8
         env = FourierEnvelope((a, 0, 0, 0, 0), 20e-9)
         ts = np.linspace(0, env.T, 20001)
-        area = np.trapezoid(fourier_eval(env, ts), ts)
+        area = np.trapezoid(envelope_value(env, ts), ts)
         assert area == pytest.approx(a * env.T / 2, rel=1e-9)
 
     def test_out_of_range_raises(self):
         env = FourierEnvelope((1e8, 0, 0, 0, 0), 20e-9)
         with pytest.raises(ValueError):
-            fourier_eval(env, -1e-9)
+            envelope_value(env, -1e-9)
         with pytest.raises(ValueError):
-            fourier_eval(env, 21e-9)
+            envelope_value(env, 21e-9)
 
     def test_wrong_coefficient_count(self):
         with pytest.raises(ValueError):
@@ -152,6 +150,11 @@ class TestGaussianSegment:
     def test_zero_angle_zero_amplitude(self):
         seg = GaussianSegment(0.0, 0.0, 20e-9)
         assert seg.amplitude == 0.0
+
+    def test_gaussian_pulse_rejects_zero_duration(self):
+        # the envelope's own check, not one of gaussian_pulse's
+        with pytest.raises(ValueError, match="duration must be finite and positive"):
+            gaussian_pulse(math.pi / 2, 0.0)
 
     def test_segments_must_tile(self):
         good = (GaussianSegment(1.0, 0.0, 10e-9), GaussianSegment(1.0, 10e-9, 10e-9))
@@ -249,7 +252,7 @@ class TestBuildHamiltonian:
         env = FourierEnvelope((a, 0, 0, 0, 0), 80e-9)
         spec = PulseSpec((Channel((0, 1), "coupling", env),), sample_rate=1)
         h = dense_hamiltonian(2, [(0, 1, LAM)], [(0.0, spec, (0, 1))], 80e-9, 1, 1)
-        expected = fourier_eval(env, 30e-9) * np.kron(Z, X) + LAM * np.kron(Z, Z)
+        expected = envelope_value(env, 30e-9) * np.kron(Z, X) + LAM * np.kron(Z, Z)
         assert np.allclose(h, expected)
 
     def test_device_windows_and_detuning(self):
@@ -382,7 +385,7 @@ class TestPertFirstOrder:
 
 class TestLosses:
     def test_pert_loss_refocused_identity(self):
-        norm, fid = pert_parts(single_region(1), dcg_sequence("identity"), I2)
+        norm, fid = pert_parts(single_region(1), dcg_sequence("id"), I2)
         assert norm == pytest.approx(0.0, abs=1e-6)
         assert fid == pytest.approx(1.0, abs=1e-6)
 
@@ -399,13 +402,13 @@ class TestLosses:
 
     def test_optctrl_loss_exact_pulse_at_zero_coupling(self):
         spec = gaussian_pulse(math.pi / 2, 20e-9)
-        loss = optctrl_loss(RegionModel("single"), spec, RX90)
+        loss = _optctrl_losses(RegionModel("single"), [spec], RX90)[0]
         assert loss == pytest.approx(-2.0, abs=1e-6)
 
     def test_optctrl_loss_bounded_below(self):
         model = single_region(1)
         spec = x_pulse((1.3e8, -4e7, 2e7, 0, 0), 20e-9)
-        loss = optctrl_loss(model, spec, RX90)
+        loss = _optctrl_losses(model, [spec], RX90)[0]
         assert loss >= -2.0
 
 
@@ -414,7 +417,7 @@ class TestLosses:
 
 class TestDcgSequence:
     def test_rx_half_pi_structure(self):
-        spec = dcg_sequence("rx_half_pi")
+        spec = dcg_sequence("rx90")
         env = spec.channels[0].envelope
         assert env.T == pytest.approx(120e-9)
         angles = [s.angle for s in env.segments]
@@ -423,7 +426,7 @@ class TestDcgSequence:
         assert np.allclose(bounds, [0, 20e-9, 40e-9, 60e-9, 80e-9, 120e-9])
 
     def test_identity_structure(self):
-        spec = dcg_sequence("identity")
+        spec = dcg_sequence("id")
         env = spec.channels[0].envelope
         assert env.T == pytest.approx(40e-9)
         assert [s.angle for s in env.segments] == [math.pi, math.pi]
@@ -433,23 +436,23 @@ class TestDcgSequence:
             dcg_sequence("hadamard")
 
     def test_rx_half_pi_composition_at_zero_coupling(self):
-        u = evolve(RegionModel("single"), dcg_sequence("rx_half_pi"))
+        u = evolve(RegionModel("single"), dcg_sequence("rx90"))
         assert 1 - avg_gate_fidelity(u, RX90) <= 1e-6
 
     def test_identity_composition_at_zero_coupling(self):
-        u = evolve(RegionModel("single"), dcg_sequence("identity"))
+        u = evolve(RegionModel("single"), dcg_sequence("id"))
         assert avg_gate_fidelity(u, I2) == pytest.approx(1.0, abs=1e-10)
 
     def test_echo_refocuses_first_order(self):
         model = single_region(1)
-        for name, T in (("identity", 40e-9), ("rx_half_pi", 120e-9)):
+        for name, T in (("id", 40e-9), ("rx90", 120e-9)):
             resid = np.linalg.norm(pert_first_order(model, dcg_sequence(name)))
             free = np.linalg.norm(pert_first_order(model, x_pulse((0,) * 5, T)))
             assert resid <= 1e-5 * free
 
     def test_beats_plain_gaussian_at_strong_coupling(self):
         model = single_region(1)
-        dcg = infidelity(model, dcg_sequence("rx_half_pi"), RX90)
+        dcg = infidelity(model, dcg_sequence("rx90"), RX90)
         gauss = infidelity(model, gaussian_pulse(math.pi / 2, 20e-9), RX90)
         assert dcg < gauss / 10
 
@@ -599,7 +602,7 @@ class TestOptimizeOptctrl:
         cfg = OptimizeConfig(max_iter=8)
         opt = optimize(model, "rx90", "optctrl", cfg)
         init = x_pulse((math.pi / 2 / cfg.T, 0, 0, 0, 0), cfg.T)
-        init_loss = optctrl_loss(model, init, RX90)
+        init_loss = _optctrl_losses(model, [init], RX90)[0]
         assert opt.loss <= init_loss + 1e-12
         uc = control_unitary(model, opt.spec)
         assert avg_gate_fidelity(uc, RX90) >= 1 - 1e-3
@@ -648,7 +651,7 @@ class TestPulseJson:
         assert back.converged == opt.converged
 
     def test_segment_round_trip(self):
-        op = OptimizedPulse(dcg_sequence("rx_half_pi"), "rx90", "dcg", 0.0, 0, True)
+        op = OptimizedPulse(dcg_sequence("rx90"), "rx90", "dcg", 0.0, 0, True)
         back = pulse_from_json(pulse_to_json(op))
         env0 = op.spec.channels[0].envelope
         env1 = back.spec.channels[0].envelope
@@ -943,15 +946,14 @@ def test_stacked_dense_losses_bit_identical(kind):
     specs[6] = PulseSpec(specs[6].channels + (extra,))
     got = _optctrl_losses(model, specs, target)
     assert got == [_optctrl_loss_reference(model, s, target) for s in specs]
-    assert got == [optctrl_loss(model, s, target) for s in specs]
+    assert got == [_optctrl_losses(model, [s], target)[0] for s in specs]
 
 
 @pytest.mark.parametrize("pulses,strengths", [(2, 70), (3, 30)])
-def test_evolve_stack_blocks_bit_identical(pulses, strengths):
-    # more problems than one stepper call takes: 70 strengths run in blocks
-    # of 64 and 6, one pulse each; 3 pulses on 30 strengths in blocks of
-    # 2 and 1 pulses. Every block member keeps the bits of evolve
-    assert pulses * strengths > pulse._STACK_MAX
+def test_evolve_large_stack_bit_identical(pulses, strengths):
+    # more problems than one eigh chunk holds, so the stepper takes one
+    # step per chunk; every stack member keeps the bits of evolve
+    assert pulses * strengths > pulse._STEP_CHUNK
     models = [single_region(1, lam) for lam in LAM * np.linspace(0.1, 2.0, strengths)]
     specs = [gaussian_pulse(math.pi / 2 * (k + 1), 20e-9, sample_rate=45) for k in range(pulses)]
     got = pulse._evolve_stack(models, specs)
@@ -992,14 +994,14 @@ def test_propagate_one_problem_bit_identical(n):
     assert np.array_equal(got[0, 0], _dense_layer_reference(n, zz, windows, 40e-9, 50))
 
 
-def test_propagate_stack_blocks_bit_identical():
-    # 3 window lists on 30 diagonals: more problems than one stepper call
-    # takes. One list lacks the coupling drive and one drives y as well
+def test_propagate_large_stack_bit_identical():
+    # 3 window lists on 30 diagonals: more problems than one eigh chunk
+    # holds. One list lacks the coupling drive and one drives y as well
     zz = [_device_layer(3, seed)[0] for seed in range(30)]
     windows = _device_layer(3, 0)[1]
     extra = (0.0, gaussian_pulse(math.pi / 2, 40e-9, axis="y", target=0, sample_rate=50), (2,))
     stack = [windows, windows[1:], windows + [extra]]
-    assert len(stack) * len(zz) > pulse._STACK_MAX
+    assert len(stack) * len(zz) > pulse._STEP_CHUNK
     got = _propagate(zz, stack, 40e-9, 50)
     assert got.shape == (3, 30, 8, 8)
     for s, w in enumerate(stack):

@@ -33,24 +33,35 @@ def test_script_imports(path):
     assert callable(_load(path).main)
 
 
-def _package_calls():
-    """(script, module, name, call node) per call in scripts/*.py to a name
-    imported from zzsched.<module>."""
-    calls = []
-    for path in SCRIPTS:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        imported = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("zzsched."):
-                for alias in node.names:
-                    imported[alias.asname or alias.name] = (node.module, alias.name)
-        calls += [(path.stem, *imported[node.func.id], node) for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                  and node.func.id in imported]
-    return calls
+def package_calls(source, filename):
+    """(module, name, call node) per call in source to a name imported
+    from zzsched.<module>."""
+    tree = ast.parse(source, filename=filename)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("zzsched."):
+            for alias in node.names:
+                imported[alias.asname or alias.name] = (node.module, alias.name)
+    return [(*imported[node.func.id], node) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in imported]
 
 
-CALLS = _package_calls()
+def bind_error(module, name, call):
+    """The TypeError binding call's arguments to module.name raises, or None."""
+    obj = getattr(importlib.import_module(module), name)
+    positional = 0 if any(isinstance(a, ast.Starred) for a in call.args) else len(call.args)
+    keywords = [kw.arg for kw in call.keywords if kw.arg is not None]
+    try:
+        inspect.signature(obj).bind_partial(*[None] * positional,
+                                            **dict.fromkeys(keywords))
+    except TypeError as exc:
+        return (f"{module}.{name} with {positional} positional and keywords "
+                f"{keywords}: {exc}")
+    return None
+
+
+CALLS = [(path.stem, *c) for path in SCRIPTS for c in package_calls(path.read_text(), str(path))]
 
 
 def test_scripts_call_the_package():
@@ -61,15 +72,9 @@ def test_scripts_call_the_package():
 @pytest.mark.parametrize("script,module,name,call", CALLS,
                          ids=[f"{s}:{n}:{c.lineno}" for s, _, n, c in CALLS])
 def test_script_call_binds(script, module, name, call):
-    obj = getattr(importlib.import_module(module), name)
-    positional = 0 if any(isinstance(a, ast.Starred) for a in call.args) else len(call.args)
-    keywords = [kw.arg for kw in call.keywords if kw.arg is not None]
-    try:
-        inspect.signature(obj).bind_partial(*[None] * positional,
-                                            **dict.fromkeys(keywords))
-    except TypeError as exc:
-        pytest.fail(f"{script}.py:{call.lineno} calls {module}.{name} with {positional} "
-                    f"positional and keywords {keywords}: {exc}")
+    error = bind_error(module, name, call)
+    if error:
+        pytest.fail(f"{script}.py:{call.lineno} calls {error}")
 
 
 def test_sweep_suppression_writes_csvs(tmp_path, monkeypatch):
@@ -82,3 +87,19 @@ def test_sweep_suppression_writes_csvs(tmp_path, monkeypatch):
             rows = (tmp_path / f"sweep_{label}_{kind}.csv").read_text().splitlines()
             assert rows[0] == "lambda_hz,infidelity"
             assert len(rows) == 4
+
+
+def test_ramsey_demo_writes_fringes(tmp_path, monkeypatch, capsys):
+    module = _load(next(p for p in SCRIPTS if p.stem == "ramsey_demo"))
+    monkeypatch.chdir(tmp_path)
+    module.main(200e3, "fringes.csv")
+    rows = (tmp_path / "fringes.csv").read_text().splitlines()
+    assert rows[0] == "tau_s,p_control0,p_control1"
+    assert len(rows) == 65
+    zz_khz = {}
+    for line in capsys.readouterr().out.splitlines():
+        parts = line.split()
+        if len(parts) == 3 and parts[2] == "kHz":
+            zz_khz[parts[0]] = float(parts[1])
+    assert list(zz_khz) == ["bare", "suppressed_B", "suppressed_C"]
+    assert zz_khz["bare"] == pytest.approx(800.0, rel=0.05)

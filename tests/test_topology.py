@@ -190,16 +190,16 @@ def test_pairing_duplicates_collapse(six_qubit_planar):
 
 def test_cut_from_pairing_on_six_qubit(six_qubit_planar):
     g = six_qubit_planar
-    p = topo.OddVertexPairing(frozenset({g.edge_index(1, 5), g.edge_index(2, 4)}))
+    p = frozenset({g.edge_index(1, 5), g.edge_index(2, 4)})
     cut = topo.cut_from_pairing(g, p)
     assert 0 in cut.partition_s
     assert cut.partition_s == frozenset({0, 2, 4})
-    assert topo.remaining_set(g, cut) == p.dual_edges
+    assert topo.remaining_set(g, cut) == p
 
 
 def test_cut_from_pairing_all_edges():
     g = topo.grid_topology(2, 2)
-    p = topo.OddVertexPairing(frozenset(range(len(g.edges))))
+    p = frozenset(range(len(g.edges)))
     cut = topo.cut_from_pairing(g, p)
     assert cut.partition_s == frozenset(range(4))
     assert cut.partition_t == frozenset()
@@ -207,7 +207,7 @@ def test_cut_from_pairing_all_edges():
 
 def test_cut_from_pairing_invalid_raises(six_qubit_planar):
     with pytest.raises(ValueError):
-        topo.cut_from_pairing(six_qubit_planar, topo.OddVertexPairing(frozenset()))
+        topo.cut_from_pairing(six_qubit_planar, frozenset())
 
 
 def test_duality_roundtrip_exhaustive_2x3():
@@ -219,7 +219,7 @@ def test_duality_roundtrip_exhaustive_2x3():
     for bits in range(2 ** len(g.edges)):
         ids = frozenset(e for e in range(len(g.edges)) if bits >> e & 1)
         if topo.is_odd_vertex_pairing(d, ids):
-            cut = topo.cut_from_pairing(g, topo.OddVertexPairing(ids))
+            cut = topo.cut_from_pairing(g, ids)
             assert topo.remaining_set(g, cut) <= ids
 
 
@@ -250,7 +250,7 @@ def test_duality_roundtrip_property(rows, cols, bits):
     cut = topo.Cut(s, frozenset(range(n)) - s)
     rem = topo.remaining_set(g, cut)
     assert topo.is_odd_vertex_pairing(d, rem)
-    back = topo.cut_from_pairing(g, topo.OddVertexPairing(rem))
+    back = topo.cut_from_pairing(g, rem)
     assert topo.remaining_set(g, back) <= rem
     exact = topo.cut_from_contraction(g, rem)
     assert topo.remaining_set(g, exact) == rem
