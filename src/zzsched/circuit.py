@@ -339,17 +339,19 @@ def gate_matrix(gate):
     raise ValueError(f"no matrix for gate {name!r}")
 
 
-def _dot_layout(qubits, n, b):
+def _dot_layout(qubits, n, b, order=None):
     """(transpose, inverse, operand shape, product shape) with which one
     np.dot applies an operator on qubits to a (b, 2, ..., 2) batch. The
-    operand's axes are the targets, the batch, then the other qubits, so
-    each state's columns are the operand np.tensordot builds for it alone.
+    operand's axes are the targets, then the other axes in order (axis 0
+    the batch, 1 + q qubit q). The default order, the batch then the other
+    qubits, makes each state's columns the operand np.tensordot builds for
+    it alone.
     """
-    rest = tuple(1 + q for q in range(n) if q not in qubits)
-    perm = tuple(1 + q for q in qubits) + (0,) + rest
+    targets = tuple(1 + q for q in qubits)
+    perm = targets + tuple(a for a in (order or range(n + 1)) if a not in targets)
     inv_perm = tuple(perm.index(a) for a in range(n + 1))
     d = 1 << len(qubits)
-    return perm, inv_perm, (d, (b << n) // d), (2,) * len(qubits) + (b,) + (2,) * len(rest)
+    return perm, inv_perm, (d, (b << n) // d), tuple(b if a == 0 else 2 for a in perm)
 
 
 def apply_gate_to_state(state, gate, num_qubits):

@@ -16,23 +16,27 @@ around closed-form local drive exponentials) used by default, and the
 dense propagator in pulse (_propagate as a one-problem stack, the one
 that also evolves basic regions), kept as a small-system oracle.
 
-One np.dot layout (circuit._dot_layout) serves the drive steps, the
-frame rotations and the ideal reference: on a (b, 2, ..., 2) batch, its
-operand holds, for each state, exactly the columns np.tensordot would
-build for it alone, so every amplitude, and so every report, keeps the
-bits of the tensordot formulation.
+Frame rotations and the ideal reference apply gates with one np.dot in
+the layout of circuit._dot_layout, on exactly the operand np.tensordot
+would build for each state alone.
 
 The split-step layer cuts its steps at every window start and end, so a
-segment has one operator sequence and builds its views once, over two
-buffers: a holds the state in the layout of the operator that wrote it
-last, o the operand. A step multiplies a by the ZZ half-step straight
-into o in the first operator's layout, each further operator copies a
-into o, np.dot writes every product back into a, and the trailing
-half-step multiplies a in place (both half-steps, when a step has no
-operator). Elementwise products keep their bits at any stride and each
-np.dot keeps its operand's shape and column order, so the bits stay
-those of the tensordot formulation. Step operators are built once per
-_run_plan call.
+segment has one operator sequence and one axis order: its operators'
+targets in operator order, the batch, then the untouched qubits. Each
+operator's np.dot layout takes its targets first and the other axes in
+that order, so a copy between two operators only permutes leading target
+axes. The layer works in two buffers: a holds the state in the layout of
+the operator that wrote it last, o the operand. A step multiplies a by
+the ZZ half-step straight into o in the first operator's layout, each
+further operator copies a into o, np.dot writes every product back into
+a, and the trailing half-step multiplies a in place (both half-steps,
+when a step has no operator). Elementwise products keep their bits at any
+stride. A drive operand holds the tensordot operand's columns in another
+order, and zgemm computes each column on its own when the operand is
+below 4 or a multiple of 4 columns wide (a test checks this of the BLAS
+build), so each product column, and so every report, keeps the bits of
+the tensordot formulation. Step operators are built once per _run_plan
+call.
 
 Device samples of one topology differ only in the diagonal ZZ phase, so
 simulate_ensemble evolves a group of them in one (devices, 2^n) state
@@ -231,14 +235,14 @@ def _window_ops(windows, duration, steps, cache):
 
 class _Layout(NamedTuple):
     """A layer's two buffers in the layout of np.dot on some target qubits
-    (circuit._dot_layout): a holds the state, o the operand."""
+    in a segment's axis order (circuit._dot_layout): a holds the state, o
+    the operand."""
 
     state: np.ndarray  # a with axes (batch, qubit 0, ..., qubit n-1)
     a: np.ndarray  # a as the contiguous product tensor
     a_mat: np.ndarray  # a as the (2^targets, columns) product
     o: np.ndarray  # o as the contiguous operand tensor
     o_mat: np.ndarray  # o as the (2^targets, columns) operand
-    half: np.ndarray  # the ZZ half-step factors in this layout
     perm: tuple  # state axes -> layout axes
 
 
@@ -254,42 +258,44 @@ def _split_layer(psi, n, zz_diag, windows, duration, rate, cache=None):
     half = np.exp(-0.5j * dt * zz_diag).reshape((b,) + (2,) * n)
     a = psi.reshape(half.shape).copy()
     o = np.empty_like(a)
-    layouts = {}
 
-    def layout(qubits):
-        if qubits not in layouts:
-            perm, inv_perm, in_shape, out_shape = _dot_layout(qubits, n, b)
-            a_ten = a.reshape(out_shape)
-            layouts[qubits] = _Layout(
-                a_ten.transpose(inv_perm), a_ten, a.reshape(in_shape),
-                o.reshape(out_shape), o.reshape(in_shape),
-                np.ascontiguousarray(half.transpose(perm)), perm)
-        return layouts[qubits]
+    def layout(qubits, order):
+        perm, inv_perm, in_shape, out_shape = _dot_layout(qubits, n, b, order)
+        a_ten = a.reshape(out_shape)
+        return _Layout(a_ten.transpose(inv_perm), a_ten, a.reshape(in_shape),
+                       o.reshape(out_shape), o.reshape(in_shape), perm)
 
-    cur = _Layout(a, a, None, None, None, half, None)  # the layout a is in
+    # the layout a is in and the ZZ half-step factors in it
+    cur, cur_half = _Layout(a, a, None, None, None, None), half
     cuts = sorted({0, steps}.union(*((i0, i1) for i0, i1, _, _ in ops)))
     for s0, s1 in zip(cuts, cuts[1:]):
-        seg = [(us[s0 - i0:s1 - i0], layout(qubits))
-               for i0, i1, us, qubits in ops if i0 <= s0 < i1]
-        if not seg:
+        live = [(us[s0 - i0:s1 - i0], qubits) for i0, i1, us, qubits in ops if i0 <= s0 < i1]
+        if not live:
             for _ in range(s1 - s0):
-                np.multiply(cur.a, cur.half, out=cur.a)
-                np.multiply(cur.a, cur.half, out=cur.a)
+                np.multiply(cur.a, cur_half, out=cur.a)
+                np.multiply(cur.a, cur_half, out=cur.a)
             continue
+        # the segment's axis order: its operators' targets, the batch, then
+        # the untouched qubits
+        targets = dict.fromkeys(1 + q for _, qubits in live for q in qubits)
+        order = (*targets, *(ax for ax in range(n + 1) if ax not in targets))
+        seg = [(us, layout(qubits, order)) for us, qubits in live]
         (us0, first), last = seg[0], seg[-1][1]
+        first_half = np.ascontiguousarray(half.transpose(first.perm))
+        last_half = first_half if last is first else np.ascontiguousarray(half.transpose(last.perm))
         # the segment's first step reads a in the previous segment's last
         # layout, every later step in this segment's own
         lead = (cur.state.transpose(first.perm), last.state.transpose(first.perm))
         chain = [(us, prev.state.transpose(lay.perm), lay.o, lay.o_mat, lay.a_mat)
                  for (_, prev), (us, lay) in zip(seg, seg[1:])]
         for k in range(s1 - s0):
-            np.multiply(lead[k > 0], first.half, out=first.o)
+            np.multiply(lead[k > 0], first_half, out=first.o)
             np.dot(us0[k], first.o_mat, out=first.a_mat)
             for us, src, o_ten, o_mat, a_mat in chain:
                 np.copyto(o_ten, src)
                 np.dot(us[k], o_mat, out=a_mat)
-            np.multiply(last.a, last.half, out=last.a)
-        cur = last
+            np.multiply(last.a, last_half, out=last.a)
+        cur, cur_half = last, last_half
     return np.ascontiguousarray(cur.state).reshape(b, -1)
 
 
@@ -315,10 +321,12 @@ def _run_plan(devices, plan, pmap, method):
         ideal = apply_gate_to_state(ideal, gate, n)
     zz_diag = np.stack([_zz_diagonal(n, d.couplings()) for d in devices])
     # zgemm computes 4-column blocks with one kernel and a narrower tail
-    # with another, so a device keeps its one-device bits only when its
-    # operand block (2^n / 4 columns for a coupling) is a multiple of 4
-    # wide; smaller registers, and the dense oracle, run one device at a
-    # time. Frame rotations and drive layers share the group's batch.
+    # with another, so an operand's columns keep their bits in any order
+    # and at any batch only when it is below 4 or a multiple of 4 wide. A
+    # drive operand is B * 2^n / 2^targets wide: a power of 2 for one
+    # device, a multiple of 4 for B devices from 4 qubits up. Smaller
+    # registers, and the dense oracle, run one device at a time. Frame
+    # rotations and drive layers share the group's batch.
     group = len(devices) if n >= 4 and method == "split" else 1
     rows = []
     step_ops = {}

@@ -1,6 +1,8 @@
 """Tests for device sampling, plan simulation, sweeps, and Ramsey probes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 
@@ -218,6 +220,27 @@ def _assert_split_matches_reference(n, layers, rate, batches=(1, 2, 3)):
                 assert np.array_equal(row, r)
 
 
+@pytest.mark.parametrize("d", [2, 4])
+def test_dot_column_permutation_bit_identical(d):
+    """The split-step layout argument: at operand widths below 4 and at
+    multiples of 4, np.dot on a column-permuted operand gives the
+    column-permuted product bit for bit, so each segment may order its
+    columns as it likes."""
+    rng = np.random.default_rng(d)
+    for width in (1, 2, 3, *(4 << k for k in range(11))):
+        for _ in range(4):
+            u = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            x = rng.standard_normal((d, width)) + 1j * rng.standard_normal((d, width))
+            cols = rng.permutation(width)
+            if not np.array_equal(np.dot(u, x[:, cols]), np.dot(u, x)[:, cols]):
+                config = io.StringIO()
+                with contextlib.redirect_stdout(config):
+                    np.show_config()
+                pytest.fail(f"{d}x{d} operator, width {width}: permuting the operand's "
+                            f"columns changed the product's bits under this BLAS build:\n"
+                            f"{config.getvalue()}")
+
+
 # rate 20 samples a layer once per ns, so window edges at whole ns cut
 # the step grid exactly where the windows say
 _PLAN_CASES = {
@@ -319,15 +342,20 @@ class TestSimulatePlan:
         # a second layer starts from the first one's last operator layout
         _assert_split_matches_reference(n, [(windows, duration)] * 2, 20)
 
-    def test_split_layer_grc12_bit_identical(self, gauss_lib):
+    @pytest.mark.parametrize("policy", ["zzx", "par"])
+    def test_split_layer_grc12_bit_identical(self, gauss_lib, policy):
         g = grid_topology(3, 4)
         c = to_native(benchmark("grc", 12, qubit_order=grid_snake_order(3, 4)))
-        plan = schedule(g, c)
+        plan = schedule(g, c) if policy == "zzx" else par_sched(g, c)
         pmap = dict(_pulse_map(gauss_lib))
         for kind in ("rx90", "id"):
             pmap[kind] = _xy_pulse(pmap[kind].duration)
         layers = [(_layer_windows(layer, pmap), layer.duration) for layer in plan.layers[:4]]
         assert any(len(qs) == 2 for w, _ in layers for _, _, qs in w)
+        if policy == "par":
+            # every qubit driven at once: the longest operator chain, and
+            # only the batch axis left behind the targets
+            assert any(len({q for _, _, qs in w for q in qs}) == 12 for w, _ in layers)
         _assert_split_matches_reference(12, layers, 200, batches=(1, 2))
 
     def test_libraries_back_to_back(self, gauss_lib, pert_lib):
