@@ -1,10 +1,14 @@
 """Circuit IR, text format, native-gate lowering, benchmark generators.
 
-Gates are named records over 1 or 2 qubit ids. The native set is
-{rz(theta), rx90, rzx90, id}; rz is virtual (zero duration). Anything else
-is lowered by to_native through fixed decompositions verified against dense
-matrices. The text format is one gate per line, `name [params] qubit
-[qubit]`, with `#` comments and an optional leading `qubits N` line.
+Gates are named records over 1 or 2 qubit ids. The gate table `_GATES` is
+the one place a gate is defined: its parameter and qubit counts, its dense
+matrix and its one-step decomposition. Parsing, the arity check,
+`gate_matrix` and `to_native` all read it. The native set is the entries
+with no decomposition, {rz(theta), rx90, rzx90, id}; rz is virtual (zero
+duration). Anything else is lowered by to_native through the table's fixed
+decompositions, verified against dense matrices. The text format is one
+gate per line, `name [params] qubit [qubit]`, with `#` comments and an
+optional leading `qubits N` line.
 
 Unitary conventions: qubit 0 is the most significant bit of a state index.
 Rz(t) = diag(e^{-it/2}, e^{it/2}), Rx(t) = exp(-i t X / 2), and rzx90 is
@@ -17,19 +21,82 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-NATIVE_NAMES = frozenset({"rz", "rx90", "rzx90", "id"})
+# ------------------------------------------------------------- gate table
 
-# name -> (param count, qubit count) for every gate the parser knows
-_KNOWN = {
-    "h": (0, 1), "x": (0, 1), "y": (0, 1), "z": (0, 1),
-    "s": (0, 1), "t": (0, 1), "id": (0, 1), "rx90": (0, 1),
-    "rx": (1, 1), "ry": (1, 1), "rz": (1, 1),
-    "cx": (0, 2), "cz": (0, 2), "swap": (0, 2), "rzx90": (0, 2),
-    "cp": (1, 2), "rzz": (1, 2),
+_I2 = np.eye(2, dtype=complex)
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_Z = np.diag([1, -1]).astype(complex)
+_H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+
+
+def _rx_mat(t):
+    return math.cos(t / 2) * _I2 - 1j * math.sin(t / 2) * _X
+
+
+def _controlled(u0, u1):
+    """Two-qubit matrix: u0 on the second operand if the first is 0, else u1."""
+    out = np.zeros((4, 4), dtype=complex)
+    out[:2, :2] = u0
+    out[2:, 2:] = u1
+    return out
+
+
+class _GateDef(NamedTuple):
+    """matrix(*params): the dense matrix, first operand the high bit.
+    lower(*qubits, *params): one decomposition step, None for a native gate."""
+
+    n_params: int
+    n_qubits: int
+    matrix: Callable
+    lower: Callable | None = None
+
+
+_GATES = {
+    "id": _GateDef(0, 1, _I2.copy),
+    "rz": _GateDef(1, 1, lambda th: np.diag([np.exp(-0.5j * th), np.exp(0.5j * th)])),
+    "rx90": _GateDef(0, 1, lambda: _rx_mat(math.pi / 2)),
+    "rzx90": _GateDef(0, 2, lambda: _controlled(_rx_mat(math.pi / 2),
+                                                _rx_mat(-math.pi / 2))),
+    "h": _GateDef(0, 1, _H.copy, lambda q: [
+        Gate("rz", (q,), (math.pi / 2,)), Gate("rx90", (q,)),
+        Gate("rz", (q,), (math.pi / 2,))]),
+    "x": _GateDef(0, 1, _X.copy, lambda q: [Gate("rx90", (q,)), Gate("rx90", (q,))]),
+    "y": _GateDef(0, 1, _Y.copy, lambda q: [
+        Gate("rz", (q,), (math.pi,)), Gate("rx90", (q,)), Gate("rx90", (q,))]),
+    "z": _GateDef(0, 1, _Z.copy, lambda q: [Gate("rz", (q,), (math.pi,))]),
+    "s": _GateDef(0, 1, lambda: np.diag([1, 1j]).astype(complex), lambda q: [
+        Gate("rz", (q,), (math.pi / 2,))]),
+    "t": _GateDef(0, 1, lambda: np.diag([1, np.exp(0.25j * math.pi)]), lambda q: [
+        Gate("rz", (q,), (math.pi / 4,))]),
+    "rx": _GateDef(1, 1, _rx_mat, lambda q, th: [
+        Gate("rz", (q,), (-math.pi / 2,)), Gate("rx90", (q,)),
+        Gate("rz", (q,), (math.pi - th,)), Gate("rx90", (q,)),
+        Gate("rz", (q,), (-math.pi / 2,))]),
+    "ry": _GateDef(1, 1, lambda th: math.cos(th / 2) * _I2 - 1j * math.sin(th / 2) * _Y,
+                   lambda q, th: [Gate("rz", (q,), (-math.pi / 2,)), Gate("rx", (q,), (th,)),
+                                  Gate("rz", (q,), (math.pi / 2,))]),
+    "cx": _GateDef(0, 2, lambda: _controlled(_I2, _X), lambda c, t: [
+        Gate("x", (c,)), Gate("rzx90", (c, t)), Gate("x", (c,)), Gate("rx90", (t,)),
+        Gate("rz", (c,), (math.pi / 2,))]),
+    "cz": _GateDef(0, 2, lambda: np.diag([1, 1, 1, -1]).astype(complex), lambda c, t: [
+        Gate("h", (t,)), Gate("cx", (c, t)), Gate("h", (t,))]),
+    "cp": _GateDef(1, 2, lambda th: np.diag([1, 1, 1, np.exp(1j * th)]), lambda c, t, th: [
+        Gate("rz", (c,), (th / 2,)), Gate("rz", (t,), (th / 2,)), Gate("cx", (c, t)),
+        Gate("rz", (t,), (-th / 2,)), Gate("cx", (c, t))]),
+    "swap": _GateDef(0, 2, lambda: np.eye(4, dtype=complex)[[0, 2, 1, 3]], lambda a, b: [
+        Gate("cx", (a, b)), Gate("cx", (b, a)), Gate("cx", (a, b))]),
+    "rzz": _GateDef(1, 2, lambda th: np.diag(np.exp(-0.5j * th * np.array([1, -1, -1, 1]))),
+                    lambda a, b, th: [Gate("cx", (a, b)), Gate("rz", (b,), (th,)),
+                                      Gate("cx", (a, b))]),
 }
+# name -> (param count, qubit count) for every gate the parser knows
+_KNOWN = {name: (d.n_params, d.n_qubits) for name, d in _GATES.items()}
+NATIVE_NAMES = frozenset(name for name, d in _GATES.items() if d.lower is None)
 _ALIASES = {"identity": "id", "cnot": "cx"}
 
 
@@ -197,51 +264,10 @@ def load_circuit(path):
 
 def _expand(gate):
     """One decomposition step; returns None when the gate is native."""
-    name, qs, ps = gate.name, gate.qubits, gate.params
-    q = qs[0]
-    if name in NATIVE_NAMES:
-        return None
-    if name == "h":
-        return [Gate("rz", (q,), (math.pi / 2,)), Gate("rx90", (q,)),
-                Gate("rz", (q,), (math.pi / 2,))]
-    if name == "x":
-        return [Gate("rx90", (q,)), Gate("rx90", (q,))]
-    if name == "y":
-        return [Gate("rz", (q,), (math.pi,)), Gate("rx90", (q,)), Gate("rx90", (q,))]
-    if name == "z":
-        return [Gate("rz", (q,), (math.pi,))]
-    if name == "s":
-        return [Gate("rz", (q,), (math.pi / 2,))]
-    if name == "t":
-        return [Gate("rz", (q,), (math.pi / 4,))]
-    if name == "rx":
-        th = ps[0]
-        return [Gate("rz", (q,), (-math.pi / 2,)), Gate("rx90", (q,)),
-                Gate("rz", (q,), (math.pi - th,)), Gate("rx90", (q,)),
-                Gate("rz", (q,), (-math.pi / 2,))]
-    if name == "ry":
-        return [Gate("rz", (q,), (-math.pi / 2,)), Gate("rx", (q,), ps),
-                Gate("rz", (q,), (math.pi / 2,))]
-    if name == "cx":
-        c, t = qs
-        return [Gate("x", (c,)), Gate("rzx90", (c, t)), Gate("x", (c,)),
-                Gate("rx90", (t,)), Gate("rz", (c,), (math.pi / 2,))]
-    if name == "cz":
-        c, t = qs
-        return [Gate("h", (t,)), Gate("cx", (c, t)), Gate("h", (t,))]
-    if name == "cp":
-        c, t = qs
-        th = ps[0]
-        return [Gate("rz", (c,), (th / 2,)), Gate("rz", (t,), (th / 2,)),
-                Gate("cx", (c, t)), Gate("rz", (t,), (-th / 2,)),
-                Gate("cx", (c, t))]
-    if name == "swap":
-        a, b = qs
-        return [Gate("cx", (a, b)), Gate("cx", (b, a)), Gate("cx", (a, b))]
-    if name == "rzz":
-        a, b = qs
-        return [Gate("cx", (a, b)), Gate("rz", (b,), ps), Gate("cx", (a, b))]
-    raise ValueError(f"cannot lower gate {name!r} to the native set")
+    entry = _GATES.get(gate.name)
+    if entry is None:
+        raise ValueError(f"cannot lower gate {gate.name!r} to the native set")
+    return entry.lower and entry.lower(*gate.qubits, *gate.params)
 
 
 def _lowered(gate):
@@ -272,71 +298,12 @@ def to_native(c):
 
 # ------------------------------------------------------ dense semantics
 
-_I2 = np.eye(2, dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.diag([1, -1]).astype(complex)
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-
-
-def _rz_mat(t):
-    return np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)])
-
-
-def _rx_mat(t):
-    return math.cos(t / 2) * _I2 - 1j * math.sin(t / 2) * _X
-
-
-def _ry_mat(t):
-    return math.cos(t / 2) * _I2 - 1j * math.sin(t / 2) * _Y
-
-
 def gate_matrix(gate):
     """Dense matrix for a named gate; first operand is the high bit."""
-    name, ps = gate.name, gate.params
-    if name == "id":
-        return _I2.copy()
-    if name == "h":
-        return _H.copy()
-    if name == "x":
-        return _X.copy()
-    if name == "y":
-        return _Y.copy()
-    if name == "z":
-        return _Z.copy()
-    if name == "s":
-        return np.diag([1, 1j]).astype(complex)
-    if name == "t":
-        return np.diag([1, np.exp(0.25j * math.pi)])
-    if name == "rz":
-        return _rz_mat(ps[0])
-    if name == "rx":
-        return _rx_mat(ps[0])
-    if name == "ry":
-        return _ry_mat(ps[0])
-    if name == "rx90":
-        return _rx_mat(math.pi / 2)
-    if name == "rzx90":
-        out = np.zeros((4, 4), dtype=complex)
-        out[:2, :2] = _rx_mat(math.pi / 2)
-        out[2:, 2:] = _rx_mat(-math.pi / 2)
-        return out
-    if name == "cx":
-        out = np.eye(4, dtype=complex)
-        out[2:, 2:] = _X
-        return out
-    if name == "cz":
-        return np.diag([1, 1, 1, -1]).astype(complex)
-    if name == "cp":
-        return np.diag([1, 1, 1, np.exp(1j * ps[0])])
-    if name == "swap":
-        out = np.eye(4, dtype=complex)
-        out[[1, 2]] = out[[2, 1]]
-        return out
-    if name == "rzz":
-        t = ps[0]
-        return np.diag(np.exp(-0.5j * t * np.array([1, -1, -1, 1])))
-    raise ValueError(f"no matrix for gate {name!r}")
+    entry = _GATES.get(gate.name)
+    if entry is None:
+        raise ValueError(f"no matrix for gate {gate.name!r}")
+    return entry.matrix(*gate.params)
 
 
 def _dot_layout(qubits, n, b, order=None):

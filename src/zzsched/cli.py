@@ -134,7 +134,11 @@ def provision_pulses(g, backend, lambda_hz, pulses_dir, verbose=False):
     out = {}
     for kind, (m, path) in designs.items():
         if path.exists():
-            out[kind] = load_pulse(path)
+            op = out[kind] = load_pulse(path)
+            held = (op.target_gate, op.backend, round(op.spec.duration * 1e9))
+            if held != (kind, backend, round(getattr(times, kind) * 1e9)):
+                raise ValueError(f"cached {path.name} holds a {held[1]} {held[0]} pulse "
+                                 f"of {held[2]} ns; delete it to design the pulse again")
             if verbose:
                 print(f"  pulse {kind}: cached {path.name}", file=sys.stderr)
             continue
@@ -169,9 +173,8 @@ def _schedule_policy(g, circ, policy, cfg, gate_times):
     return schedule(g, circ, r, alpha=cfg.alpha, k=cfg.k, gate_times=gate_times)
 
 
-def _simulate_seeds(g, plan, pulses, cfg):
-    devices = [sample_device(g, cfg.lambda_mu_hz, cfg.lambda_sigma_hz, s)
-               for s in cfg.seeds]
+def _simulate_seeds(g, plan, pulses, mu, sigma, seeds):
+    devices = [sample_device(g, mu, sigma, s) for s in seeds]
     return simulate_ensemble(devices, plan, pulses)
 
 
@@ -209,7 +212,8 @@ def run_pipeline(cfg, threads=1, verbose=False):
     reports = {}
     with _stage("quantumsim"):
         for policy in policies:
-            reports[policy] = _simulate_seeds(g, plans[policy], pulses, cfg)
+            reports[policy] = _simulate_seeds(g, plans[policy], pulses, cfg.lambda_mu_hz,
+                                              cfg.lambda_sigma_hz, cfg.seeds)
 
     with _stage("cli"):
         doc = _report_json(cfg, plans, reports)
@@ -349,9 +353,8 @@ def cmd_simulate(args):
         pulses = _load_pulse_dir(args.pulses)
     with _stage("quantumsim"):
         seeds = tuple(range(args.seed, args.seed + args.samples))
-        devices = [sample_device(g, args.lambda_mu_hz, args.lambda_sigma_hz, s)
-                   for s in seeds]
-        reports = simulate_ensemble(devices, plan, pulses)
+        reports = _simulate_seeds(g, plan, pulses, args.lambda_mu_hz,
+                                  args.lambda_sigma_hz, seeds)
     with _stage("cli"):
         backends = {op.backend for op in pulses.values()}
         label = backends.pop() if len(backends) == 1 else "mixed"

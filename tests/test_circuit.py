@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -343,6 +344,52 @@ def test_ideal_unitary_bit_identical_to_tensordot(name):
 def test_ideal_unitary_qubit_cap():
     with pytest.raises(ValueError):
         ideal_unitary(Circuit(9, (Gate("h", (0,)),)))
+
+
+# ------------------------------------------------------------ gate pins
+
+# sha256 of the gate set's matrices, lowerings and arity table, recorded
+# before the per-gate if-chains became one table; any change to a matrix
+# entry, a decomposition angle (a zero's sign included), the operand order
+# of a lowering or the known/native names moves one of them.
+GATE_MATRIX_SHA256 = "e550b2be84eb53949ae372719eac7c1f224c6fbeb954af7e1de8c53a3e0f1b77"
+GATE_LOWERING_SHA256 = "d56bde47849c0373ba8b9c40ff5c5d38667f5ccf5349452f21432bc75277fd1b"
+GATE_NAMES_SHA256 = "19dafe771cd6babb560d6dd064b3ee717056c40211880b0c4e54aaa832dd7fa6"
+
+_PIN_ANGLES = (0.0, -0.0, 0.7, -1.3, math.pi / 3, 2.5 * math.pi)
+
+
+def _pin_gates():
+    """Every known gate on both operand orders, each angle for a parameter."""
+    for name, (n_par, n_q) in sorted(circuit._KNOWN.items()):
+        for qubits in ((0,), (1,)) if n_q == 1 else ((0, 1), (1, 0)):
+            for params in [(a,) for a in _PIN_ANGLES] if n_par else [()]:
+                yield Gate(name, qubits, params)
+
+
+def _sha256_lines(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_gate_matrices_pinned():
+    lines = []
+    for gate in _pin_gates():
+        if gate.qubits[0] == 0:
+            m = gate_matrix(gate)
+            lines.append(f"{gate.name} {gate.params!r} {m.dtype} {m.shape} "
+                         f"{m.tobytes().hex()}")
+    assert _sha256_lines(lines) == GATE_MATRIX_SHA256
+
+
+def test_gate_lowerings_pinned():
+    lines = [" ; ".join(map(circuit._gate_line, to_native(Circuit(2, (gate,))).gates))
+             for gate in _pin_gates()]
+    assert _sha256_lines(lines) == GATE_LOWERING_SHA256
+
+
+def test_gate_names_pinned():
+    lines = [repr(sorted(circuit._KNOWN.items())), repr(sorted(circuit.NATIVE_NAMES))]
+    assert _sha256_lines(lines) == GATE_NAMES_SHA256
 
 
 # ------------------------------------------------------------ benchmarks

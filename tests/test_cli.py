@@ -6,6 +6,7 @@ import io
 import json
 import math
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from zzsched import cli, pulse
 from zzsched.circuit import Circuit, benchmark, load_circuit, save_circuit
 from zzsched.cli import RunConfig, main, run_pipeline
-from zzsched.pulse import load_pulse, native_pulse
+from zzsched.pulse import load_pulse, native_pulse, save_pulse
 from zzsched.scheduler import load_plan
 from zzsched.topology import grid_snake_order, grid_topology, line_topology, save_topology
 
@@ -354,6 +355,54 @@ def test_report_on_degree4_grid(tmp_path):
         reports = run_pipeline(cfg)
     mean = {p: np.mean([r.fidelity for r in reps]) for p, reps in reports.items()}
     assert mean["zzx"] > mean["par"]
+
+
+def test_report_verbose_logs_layers_and_pulses_to_stderr(workspace, tmp_path, capsys):
+    out = tmp_path / "runs"
+    argv = ["report", "--topology", str(workspace / "g23.json"),
+            "--circuit", str(workspace / "qft4.zzq"), "--backend", "gaussian",
+            "--out-dir", str(out)]
+    assert main(argv) == 0
+    quiet = capsys.readouterr()
+    assert quiet.err == ""
+    report = (out / "report.json").read_bytes()
+    summary = json.loads(report)["summary"]
+    layer_lines = [f"  {p}: {summary['layers'][p]} layers, "
+                   f"{summary['total_duration_ns'][p]:.0f} ns" for p in ("zzx", "par")]
+    files = {"rx90": "rx90_gaussian_20ns.json", "id": "id_gaussian_20ns.json",
+             "rzx90": "rzx90_gaussian_80ns.json"}
+
+    def verbose_stderr_lines():
+        assert main(argv + ["--verbose"]) == 0
+        loud = capsys.readouterr()
+        assert loud.out == quiet.out
+        assert (out / "report.json").read_bytes() == report
+        return loud.err.splitlines()
+
+    assert verbose_stderr_lines() == layer_lines + [
+        f"  pulse {kind}: cached {name}" for kind, name in files.items()]
+    shutil.rmtree(out / "pulses")
+    assert verbose_stderr_lines() == layer_lines + [
+        f"  pulse {kind}: optimized -> {name}" for kind, name in files.items()]
+
+
+@pytest.mark.parametrize("name,wrong", [
+    ("rx90_gaussian_20ns.json", lambda: native_pulse("id", "gaussian")),
+    ("rzx90_gaussian_80ns.json", lambda: native_pulse("rzx90", "dcg")),
+    ("id_gaussian_20ns.json", lambda: replace(native_pulse("id", "dcg"), backend="gaussian")),
+], ids=["other-kind", "other-backend", "other-slot"])
+def test_report_rejects_a_cached_pulse_that_is_not_the_named_one(
+        workspace, tmp_path, capsys, name, wrong):
+    out = tmp_path / "runs"
+    (out / "pulses").mkdir(parents=True)
+    save_pulse(out / "pulses" / name, wrong())
+    code = main(["report", "--topology", str(workspace / "g23.json"),
+                 "--circuit", str(workspace / "qft4.zzq"), "--backend", "gaussian",
+                 "--out-dir", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [pulse] cached {name} holds a ")
+    assert not (out / "report.json").exists()
 
 
 class TestSimulateCommand:
