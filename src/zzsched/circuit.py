@@ -306,28 +306,20 @@ def gate_matrix(gate):
     return entry.matrix(*gate.params)
 
 
-def _dot_layout(qubits, n, b, order=None):
-    """(transpose, inverse, operand shape, product shape) with which one
-    np.dot applies an operator on qubits to a (b, 2, ..., 2) batch. The
-    operand's axes are the targets, then the other axes in order (axis 0
-    the batch, 1 + q qubit q). The default order, the batch then the other
-    qubits, makes each state's columns the operand np.tensordot builds for
-    it alone.
-    """
-    targets = tuple(1 + q for q in qubits)
-    perm = targets + tuple(a for a in (order or range(n + 1)) if a not in targets)
-    inv_perm = tuple(perm.index(a) for a in range(n + 1))
-    d = 1 << len(qubits)
-    return perm, inv_perm, (d, (b << n) // d), tuple(b if a == 0 else 2 for a in perm)
-
-
 def apply_gate_to_state(state, gate, num_qubits):
-    """Apply a gate to a (2^n,) state or a (b, 2^n) batch, batch axis leading."""
+    """Apply a gate to a (2^n,) state or a (b, 2^n) batch, batch axis leading.
+
+    One np.dot on an operand whose axes are the gate's qubits, the batch,
+    then the other qubits, so each state's columns are the operand
+    np.tensordot builds for it alone.
+    """
     b = len(state) if state.ndim == 2 else 1
-    perm, inv_perm, in_shape, out_shape = _dot_layout(gate.qubits, num_qubits, b)
-    bt = state.reshape((b,) + (2,) * num_qubits).transpose(perm).reshape(in_shape)
-    psi = np.dot(gate_matrix(gate), bt).reshape(out_shape).transpose(inv_perm)
-    return np.ascontiguousarray(psi).reshape(state.shape)
+    targets = tuple(1 + q for q in gate.qubits)
+    perm = targets + tuple(a for a in range(num_qubits + 1) if a not in targets)
+    inv_perm = tuple(perm.index(a) for a in range(num_qubits + 1))
+    bt = state.reshape((b,) + (2,) * num_qubits).transpose(perm).reshape(1 << len(targets), -1)
+    psi = np.dot(gate_matrix(gate), bt).reshape([b if a == 0 else 2 for a in perm])
+    return np.ascontiguousarray(psi.transpose(inv_perm)).reshape(state.shape)
 
 
 def ideal_unitary(c):

@@ -145,7 +145,8 @@ def provision_pulses(g, backend, lambda_hz, pulses_dir, verbose=False):
         out[kind] = native_pulse(kind, backend, m, lambda_hz)
         save_pulse(path, out[kind])
         if verbose:
-            print(f"  pulse {kind}: optimized -> {path.name}", file=sys.stderr)
+            made = "optimized" if backend in DESIGN_BACKENDS else "built"
+            print(f"  pulse {kind}: {made} -> {path.name}", file=sys.stderr)
     return out
 
 

@@ -16,24 +16,28 @@ around closed-form local drive exponentials) used by default, and the
 dense propagator in pulse (_propagate as a one-problem stack, the one
 that also evolves basic regions), kept as a small-system oracle.
 
-Frame rotations and the ideal reference apply gates with one np.dot in
-the layout of circuit._dot_layout, on exactly the operand np.tensordot
-would build for each state alone.
+Frame rotations and the ideal reference apply gates with one np.dot
+(circuit.apply_gate_to_state), on exactly the operand np.tensordot would
+build for each state alone.
 
 The split-step layer cuts its steps at every window start and end, so a
-segment has one operator sequence and one axis order: its operators'
-targets in operator order, the batch, then the untouched qubits. Each
-operator's np.dot layout takes its targets first and the other axes in
-that order, so a copy between two operators only permutes leading target
-axes. The layer works in two buffers: a holds the state in the layout of
-the operator that wrote it last, o the operand. A step multiplies a by
-the ZZ half-step straight into o in the first operator's layout, each
-further operator copies a into o, np.dot writes every product back into
-a, and the trailing half-step multiplies a in place (both half-steps,
-when a step has no operator). Elementwise products keep their bits at any
-stride. A drive operand holds the tensordot operand's columns in another
-order, and zgemm computes each column on its own when the operand is
-below 4 or a multiple of 4 columns wide (a test checks this of the BLAS
+segment has one operator sequence. Two flat buffers take turns as operand
+and product, and no copy runs between two operators: the layout rotates
+instead. A segment starts with its first operator's targets, the batch and
+the untouched qubits, then the later operators' targets last to first.
+The first np.dot reads its leading targets and keeps the layout; each
+later one reads its trailing targets through an F-ordered operand (the
+transpose of a C-contiguous view) and writes them first. The leading ZZ
+half-step multiply reads the step's end layout through a transposed view
+into the start layout, the step's one permutation; the trailing one
+multiplies in place. Elementwise products keep their bits at any stride.
+Only operators that share a target, as a coupled gate's own single-qubit
+channels do, take a copy that moves a later one's targets to the back.
+
+A drive operand holds the tensordot operand's columns in another order
+and memory order. zgemm computes each column on its own when the operand
+is below 4 or a multiple of 4 columns wide, and gives an F-ordered
+operand the bits of its contiguous copy (tests check both of the BLAS
 build), so each product column, and so every report, keeps the bits of
 the tensordot formulation. Step operators are built once per _run_plan
 call.
@@ -49,13 +53,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .circuit import (
     Gate,
-    _dot_layout,
     apply_gate_to_state,
     gate_matrix,
 )
@@ -233,17 +235,47 @@ def _window_ops(windows, duration, steps, cache):
     return ops
 
 
-class _Layout(NamedTuple):
-    """A layer's two buffers in the layout of np.dot on some target qubits
-    in a segment's axis order (circuit._dot_layout): a holds the state, o
-    the operand."""
+def _start_layout(targets, n):
+    """A segment's start layout (state axes in memory order: 0 the batch,
+    1 + q qubit q): the first operator's targets, the axes no operator
+    drives, then the later operators' targets last to first, so each
+    finds its targets trailing. The tail stops at the first operator that
+    shares a target with an earlier one."""
+    placed, tail = set(targets[0]), ()
+    for t in targets[1:]:
+        if placed.intersection(t):
+            break
+        placed.update(t)
+        tail = t + tail
+    return (*targets[0], *(ax for ax in range(n + 1) if ax not in placed), *tail)
 
-    state: np.ndarray  # a with axes (batch, qubit 0, ..., qubit n-1)
-    a: np.ndarray  # a as the contiguous product tensor
-    a_mat: np.ndarray  # a as the (2^targets, columns) product
-    o: np.ndarray  # o as the contiguous operand tensor
-    o_mat: np.ndarray  # o as the (2^targets, columns) operand
-    perm: tuple  # state axes -> layout axes
+
+def _in_layout(buf, b, lay, order=None):
+    """A flat buffer holding layout lay, as a tensor with its axes in order."""
+    ten = buf.reshape([b if ax == 0 else 2 for ax in lay])
+    return ten if order is None else ten.transpose([lay.index(ax) for ax in order])
+
+
+def _step_calls(live, start, bufs, i, b):
+    """([(step operators, operand, product)], buffer, layout): one step's
+    calls from the start layout in buffer i, and where they leave the
+    state. Targets neither leading nor trailing take a copy (step
+    operators None) to the back first."""
+    calls, at = [], start
+    for us, t in live:
+        d = 1 << len(t)
+        if at[:len(t)] == t:
+            calls.append((us, bufs[i].reshape(d, -1), bufs[1 - i].reshape(d, -1)))
+        else:
+            if at[-len(t):] != t:
+                last = (*(ax for ax in at if ax not in t), *t)
+                calls.append((None, _in_layout(bufs[i], b, at, last),
+                              _in_layout(bufs[1 - i], b, last)))
+                i, at = 1 - i, last
+            calls.append((us, bufs[i].reshape(-1, d).T, bufs[1 - i].reshape(d, -1)))
+            at = t + at[:-len(t)]
+        i = 1 - i
+    return calls, i, at
 
 
 def _split_layer(psi, n, zz_diag, windows, duration, rate, cache=None):
@@ -256,47 +288,41 @@ def _split_layer(psi, n, zz_diag, windows, duration, rate, cache=None):
     b = len(psi)
     ops = _window_ops(windows, duration, steps, {} if cache is None else cache)
     half = np.exp(-0.5j * dt * zz_diag).reshape((b,) + (2,) * n)
-    a = psi.reshape(half.shape).copy()
-    o = np.empty_like(a)
-
-    def layout(qubits, order):
-        perm, inv_perm, in_shape, out_shape = _dot_layout(qubits, n, b, order)
-        a_ten = a.reshape(out_shape)
-        return _Layout(a_ten.transpose(inv_perm), a_ten, a.reshape(in_shape),
-                       o.reshape(out_shape), o.reshape(in_shape), perm)
-
-    # the layout a is in and the ZZ half-step factors in it
-    cur, cur_half = _Layout(a, a, None, None, None, None), half
+    bufs = (psi.reshape(-1).copy(), np.empty(psi.size, dtype=complex))
+    # the buffer holding the state, its layout and the ZZ half-step in it
+    cur, lay, lay_half = 0, tuple(range(n + 1)), half.reshape(-1)
     cuts = sorted({0, steps}.union(*((i0, i1) for i0, i1, _, _ in ops)))
     for s0, s1 in zip(cuts, cuts[1:]):
-        live = [(us[s0 - i0:s1 - i0], qubits) for i0, i1, us, qubits in ops if i0 <= s0 < i1]
+        live = [(us[s0 - i0:s1 - i0], tuple(1 + q for q in qubits))
+                for i0, i1, us, qubits in ops if i0 <= s0 < i1]
         if not live:
             for _ in range(s1 - s0):
-                np.multiply(cur.a, cur_half, out=cur.a)
-                np.multiply(cur.a, cur_half, out=cur.a)
+                np.multiply(bufs[cur], lay_half, out=bufs[cur])
+                np.multiply(bufs[cur], lay_half, out=bufs[cur])
             continue
-        # the segment's axis order: its operators' targets, the batch, then
-        # the untouched qubits
-        targets = dict.fromkeys(1 + q for _, qubits in live for q in qubits)
-        order = (*targets, *(ax for ax in range(n + 1) if ax not in targets))
-        seg = [(us, layout(qubits, order)) for us, qubits in live]
-        (us0, first), last = seg[0], seg[-1][1]
-        first_half = np.ascontiguousarray(half.transpose(first.perm))
-        last_half = first_half if last is first else np.ascontiguousarray(half.transpose(last.perm))
-        # the segment's first step reads a in the previous segment's last
-        # layout, every later step in this segment's own
-        lead = (cur.state.transpose(first.perm), last.state.transpose(first.perm))
-        chain = [(us, prev.state.transpose(lay.perm), lay.o, lay.o_mat, lay.a_mat)
-                 for (_, prev), (us, lay) in zip(seg, seg[1:])]
+        start = _start_layout([t for _, t in live], n)
+        start_half = np.ascontiguousarray(half.transpose(start))
+        # the segment's calls for each buffer and layout a step starts from
+        plans = {}
         for k in range(s1 - s0):
-            np.multiply(lead[k > 0], first_half, out=first.o)
-            np.dot(us0[k], first.o_mat, out=first.a_mat)
-            for us, src, o_ten, o_mat, a_mat in chain:
-                np.copyto(o_ten, src)
-                np.dot(us[k], o_mat, out=a_mat)
-            np.multiply(last.a, last_half, out=last.a)
-        cur, cur_half = last, last_half
-    return np.ascontiguousarray(cur.state).reshape(b, -1)
+            key = cur, lay
+            if key not in plans:
+                calls, end, at = _step_calls(live, start, bufs, 1 - cur, b)
+                plans[key] = (_in_layout(bufs[cur], b, lay, start),
+                              _in_layout(bufs[1 - cur], b, start), calls, end, at)
+            src, dst, calls, cur, lay = plans[key]
+            # the leading half-step carries the step's one permutation
+            np.multiply(src, start_half, out=dst)
+            for us, x, o in calls:
+                if us is None:
+                    np.copyto(o, x)
+                else:
+                    np.dot(us[k], x, out=o)
+            if not k:
+                # every step of the segment ends in this layout
+                lay_half = np.ascontiguousarray(half.transpose(lay)).reshape(-1)
+            np.multiply(bufs[cur], lay_half, out=bufs[cur])
+    return np.ascontiguousarray(_in_layout(bufs[cur], b, lay, range(n + 1))).reshape(b, -1)
 
 
 # ------------------------------------------------------------ simulate
@@ -320,13 +346,15 @@ def _run_plan(devices, plan, pmap, method):
     for gate in (*gates, *plan.trailing_rz):
         ideal = apply_gate_to_state(ideal, gate, n)
     zz_diag = np.stack([_zz_diagonal(n, d.couplings()) for d in devices])
-    # zgemm computes 4-column blocks with one kernel and a narrower tail
-    # with another, so an operand's columns keep their bits in any order
-    # and at any batch only when it is below 4 or a multiple of 4 wide. A
-    # drive operand is B * 2^n / 2^targets wide: a power of 2 for one
-    # device, a multiple of 4 for B devices from 4 qubits up. Smaller
-    # registers, and the dense oracle, run one device at a time. Frame
-    # rotations and drive layers share the group's batch.
+    # Two zgemm premises keep the split-step bits. zgemm computes 4-column
+    # blocks with one kernel and a narrower tail with another, so an
+    # operand's columns keep their bits in any order and at any batch only
+    # when it is below 4 or a multiple of 4 wide. And an F-ordered operand
+    # (the transpose of a C-contiguous array) gives the bits of its
+    # contiguous copy. A drive operand is B * 2^n / 2^targets wide: a power
+    # of 2 for one device, a multiple of 4 for B devices from 4 qubits up.
+    # Smaller registers, and the dense oracle, run one device at a time.
+    # Frame rotations and drive layers share the group's batch.
     group = len(devices) if n >= 4 and method == "split" else 1
     rows = []
     step_ops = {}

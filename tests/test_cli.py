@@ -383,7 +383,7 @@ def test_report_verbose_logs_layers_and_pulses_to_stderr(workspace, tmp_path, ca
         f"  pulse {kind}: cached {name}" for kind, name in files.items()]
     shutil.rmtree(out / "pulses")
     assert verbose_stderr_lines() == layer_lines + [
-        f"  pulse {kind}: optimized -> {name}" for kind, name in files.items()]
+        f"  pulse {kind}: built -> {name}" for kind, name in files.items()]
 
 
 @pytest.mark.parametrize("name,wrong", [

@@ -241,6 +241,29 @@ def test_dot_column_permutation_bit_identical(d):
                             f"{config.getvalue()}")
 
 
+@pytest.mark.parametrize("d", [2, 4])
+def test_dot_transposed_operand_bit_identical(d):
+    """The split-step rotation argument: np.dot on the transpose of a
+    C-contiguous (width, d) array, an operand whose rows are its trailing
+    memory axis, writes into a C-ordered product the bits np.dot gives on
+    the contiguous copy, so an operator may read its targets from the
+    buffer's trailing axes."""
+    rng = np.random.default_rng(d)
+    for width in (1, 2, 3, *(4 << k for k in range(11))):
+        for _ in range(4):
+            u = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            x_c = rng.standard_normal((width, d)) + 1j * rng.standard_normal((width, d))
+            o = np.empty((d, width), dtype=complex)
+            np.dot(u, x_c.T, out=o)
+            if not np.array_equal(o, np.dot(u, np.ascontiguousarray(x_c.T))):
+                config = io.StringIO()
+                with contextlib.redirect_stdout(config):
+                    np.show_config()
+                pytest.fail(f"{d}x{d} operator, width {width}: a transposed operand "
+                            f"changed the product's bits under this BLAS build:\n"
+                            f"{config.getvalue()}")
+
+
 # rate 20 samples a layer once per ns, so window edges at whole ns cut
 # the step grid exactly where the windows say
 _PLAN_CASES = {
@@ -258,6 +281,15 @@ _PLAN_CASES = {
                               (3e-9, _xy_pulse(20e-9), (3,))], 30e-9),
     "coupled-gate-drives": ([(0.0, _coupled_pulse(25e-9, (0, 1)), (2, 1)),
                              (4e-9, _xy_pulse(20e-9), (0,))], 28e-9),
+    # two operators for 10 steps (the state changes buffer every step),
+    # three for 6 (it stays in one), one for 6, then a coupled gate's
+    # overlapping drives beside a single: each segment starts from the
+    # layout the one before it ended in
+    "buffer-parities": ([(0.0, _xy_pulse(10e-9), (0,)), (0.0, _xy_pulse(16e-9), (1,)),
+                         (10e-9, _xy_pulse(6e-9), (3,)), (10e-9, _xy_pulse(6e-9), (2,)),
+                         (16e-9, _xy_pulse(6e-9), (3,)),
+                         (22e-9, _coupled_pulse(10e-9, (0, 1)), (2, 1)),
+                         (22e-9, _xy_pulse(10e-9), (0,))], 34e-9),
 }
 
 
