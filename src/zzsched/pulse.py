@@ -873,16 +873,15 @@ def native_pulse(kind, backend, neighbors=1, lambda_hz=200e3):
 
     gaussian is one truncated Gaussian; dcg a composed sequence, and for
     rzx90, which has no coupler sequence, that same Gaussian; pert and
-    optctrl optimize on _native_region(kind, neighbors, lambda_hz).
+    optctrl optimize on _native_region(kind, neighbors, lambda_hz). Every
+    backend checks the region's arguments, shapes included.
     """
-    if kind not in _TARGETS:
-        raise ValueError(f"unknown pulse target {kind!r}")
+    model = _native_region(kind, neighbors, lambda_hz)
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
     T = getattr(GateTimes.for_backend(backend), kind)
     if backend in DESIGN_BACKENDS:
-        return optimize(_native_region(kind, neighbors, lambda_hz), kind, backend,
-                        OptimizeConfig(T=T))
+        return optimize(model, kind, backend, OptimizeConfig(T=T))
     region, angle = _TARGETS[kind]
     if backend == "dcg" and region == "single":
         spec = dcg_sequence(kind)

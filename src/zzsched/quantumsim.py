@@ -21,26 +21,22 @@ Frame rotations and the ideal reference apply gates with one np.dot
 build for each state alone.
 
 The split-step layer cuts its steps at every window start and end, so a
-segment has one operator sequence. Two flat buffers take turns as operand
-and product, and no copy runs between two operators: the layout rotates
-instead. A segment starts with its first operator's targets, the batch and
-the untouched qubits, then the later operators' targets last to first.
-The first np.dot reads its leading targets and keeps the layout; each
-later one reads its trailing targets through an F-ordered operand (the
-transpose of a C-contiguous view) and writes them first. The leading ZZ
-half-step multiply reads the step's end layout through a transposed view
-into the start layout, the step's one permutation; the trailing one
-multiplies in place. Elementwise products keep their bits at any stride.
-Only operators that share a target, as a coupled gate's own single-qubit
-channels do, take a copy that moves a later one's targets to the back.
+segment has one operator sequence; the state lives in a home buffer
+between steps. The leading ZZ half-step reads it through a transposed view
+into the segment's start layout, the step's one permutation, and writes
+the second buffer. Operators then take turns between the two buffers with
+no copy: the first np.dot keeps the layout, each later one reads its
+targets from the trailing axes through an F-ordered operand and writes
+them first. The trailing half-step writes the result home. Elementwise
+products keep their bits at any stride. Only operators that share a
+target, as a coupled gate's own channels do, take a copy.
 
 A drive operand holds the tensordot operand's columns in another order
 and memory order. zgemm computes each column on its own when the operand
 is below 4 or a multiple of 4 columns wide, and gives an F-ordered
 operand the bits of its contiguous copy (tests check both of the BLAS
-build), so each product column, and so every report, keeps the bits of
-the tensordot formulation. Step operators are built once per _run_plan
-call.
+build), so every report keeps the bits of the tensordot formulation. Step
+operators are built once per _run_plan call.
 
 Device samples of one topology differ only in the diagonal ZZ phase, so
 simulate_ensemble evolves a group of them in one (devices, 2^n) state
@@ -235,33 +231,33 @@ def _window_ops(windows, duration, steps, cache):
     return ops
 
 
-def _start_layout(targets, n):
-    """A segment's start layout (state axes in memory order: 0 the batch,
-    1 + q qubit q): the first operator's targets, the axes no operator
-    drives, then the later operators' targets last to first, so each
-    finds its targets trailing. The tail stops at the first operator that
-    shares a target with an earlier one."""
-    placed, tail = set(targets[0]), ()
-    for t in targets[1:]:
-        if placed.intersection(t):
-            break
-        placed.update(t)
-        tail = t + tail
-    return (*targets[0], *(ax for ax in range(n + 1) if ax not in placed), *tail)
-
-
 def _in_layout(buf, b, lay, order=None):
     """A flat buffer holding layout lay, as a tensor with its axes in order."""
     ten = buf.reshape([b if ax == 0 else 2 for ax in lay])
     return ten if order is None else ten.transpose([lay.index(ax) for ax in order])
 
 
-def _step_calls(live, start, bufs, i, b):
-    """([(step operators, operand, product)], buffer, layout): one step's
-    calls from the start layout in buffer i, and where they leave the
-    state. Targets neither leading nor trailing take a copy (step
-    operators None) to the back first."""
-    calls, at = [], start
+def _segment_calls(live, n, lay, bufs, b):
+    """(start layout, [(step operators, operand, product)], end buffer, end
+    layout) for one segment's steps, each starting in bufs[1]; layouts list
+    the state axes in memory order, 0 the batch and 1 + q qubit q.
+
+    The start layout is the first operator's targets, the axes no operator
+    drives, then the later operators' targets last to first, so each finds
+    its targets trailing; with no operator it is lay. The tail stops at the
+    first operator that shares a target with an earlier one: targets
+    neither leading nor trailing take a copy (step operators None) to the
+    back first."""
+    start = lay
+    if live:
+        placed, tail = set(live[0][1]), ()
+        for _, t in live[1:]:
+            if placed.intersection(t):
+                break
+            placed.update(t)
+            tail = t + tail
+        start = (*live[0][1], *(ax for ax in range(n + 1) if ax not in placed), *tail)
+    calls, i, at = [], 1, start
     for us, t in live:
         d = 1 << len(t)
         if at[:len(t)] == t:
@@ -275,7 +271,7 @@ def _step_calls(live, start, bufs, i, b):
             calls.append((us, bufs[i].reshape(-1, d).T, bufs[1 - i].reshape(d, -1)))
             at = t + at[:-len(t)]
         i = 1 - i
-    return calls, i, at
+    return start, calls, i, at
 
 
 def _split_layer(psi, n, zz_diag, windows, duration, rate, cache=None):
@@ -288,41 +284,30 @@ def _split_layer(psi, n, zz_diag, windows, duration, rate, cache=None):
     b = len(psi)
     ops = _window_ops(windows, duration, steps, {} if cache is None else cache)
     half = np.exp(-0.5j * dt * zz_diag).reshape((b,) + (2,) * n)
+    # bufs[0] holds the state between steps, in layout lay
     bufs = (psi.reshape(-1).copy(), np.empty(psi.size, dtype=complex))
-    # the buffer holding the state, its layout and the ZZ half-step in it
-    cur, lay, lay_half = 0, tuple(range(n + 1)), half.reshape(-1)
+    lay = tuple(range(n + 1))
     cuts = sorted({0, steps}.union(*((i0, i1) for i0, i1, _, _ in ops)))
     for s0, s1 in zip(cuts, cuts[1:]):
         live = [(us[s0 - i0:s1 - i0], tuple(1 + q for q in qubits))
                 for i0, i1, us, qubits in ops if i0 <= s0 < i1]
-        if not live:
-            for _ in range(s1 - s0):
-                np.multiply(bufs[cur], lay_half, out=bufs[cur])
-                np.multiply(bufs[cur], lay_half, out=bufs[cur])
-            continue
-        start = _start_layout([t for _, t in live], n)
+        start, calls, end, at = _segment_calls(live, n, lay, bufs, b)
         start_half = np.ascontiguousarray(half.transpose(start))
-        # the segment's calls for each buffer and layout a step starts from
-        plans = {}
+        end_half = np.ascontiguousarray(half.transpose(at)).reshape(-1)
+        # the first step reads the layout the segment before left
+        first = _in_layout(bufs[0], b, lay, start)
+        src, dst = _in_layout(bufs[0], b, at, start), _in_layout(bufs[1], b, start)
         for k in range(s1 - s0):
-            key = cur, lay
-            if key not in plans:
-                calls, end, at = _step_calls(live, start, bufs, 1 - cur, b)
-                plans[key] = (_in_layout(bufs[cur], b, lay, start),
-                              _in_layout(bufs[1 - cur], b, start), calls, end, at)
-            src, dst, calls, cur, lay = plans[key]
             # the leading half-step carries the step's one permutation
-            np.multiply(src, start_half, out=dst)
+            np.multiply(src if k else first, start_half, out=dst)
             for us, x, o in calls:
                 if us is None:
                     np.copyto(o, x)
                 else:
                     np.dot(us[k], x, out=o)
-            if not k:
-                # every step of the segment ends in this layout
-                lay_half = np.ascontiguousarray(half.transpose(lay)).reshape(-1)
-            np.multiply(bufs[cur], lay_half, out=bufs[cur])
-    return np.ascontiguousarray(_in_layout(bufs[cur], b, lay, range(n + 1))).reshape(b, -1)
+            np.multiply(bufs[end], end_half, out=bufs[0])
+        lay = at
+    return np.ascontiguousarray(_in_layout(bufs[0], b, lay, range(n + 1))).reshape(b, -1)
 
 
 # ------------------------------------------------------------ simulate
@@ -346,15 +331,17 @@ def _run_plan(devices, plan, pmap, method):
     for gate in (*gates, *plan.trailing_rz):
         ideal = apply_gate_to_state(ideal, gate, n)
     zz_diag = np.stack([_zz_diagonal(n, d.couplings()) for d in devices])
-    # Two zgemm premises keep the split-step bits. zgemm computes 4-column
-    # blocks with one kernel and a narrower tail with another, so an
-    # operand's columns keep their bits in any order and at any batch only
-    # when it is below 4 or a multiple of 4 wide. And an F-ordered operand
+    # Two zgemm premises keep the split-step bits; tests check both of the
+    # BLAS build. zgemm computes 4-column blocks with one kernel and a
+    # narrower tail with another, so an operand's columns keep their bits
+    # in any order and at any batch only when it is below 4 or a multiple
+    # of 4 wide: each segment may pick its layout. And an F-ordered operand
     # (the transpose of a C-contiguous array) gives the bits of its
-    # contiguous copy. A drive operand is B * 2^n / 2^targets wide: a power
-    # of 2 for one device, a multiple of 4 for B devices from 4 qubits up.
-    # Smaller registers, and the dense oracle, run one device at a time.
-    # Frame rotations and drive layers share the group's batch.
+    # contiguous copy: an operator may read its targets from the trailing
+    # axes of its operand buffer. A drive operand is B * 2^n / 2^targets wide: a power of 2 for
+    # one device, a multiple of 4 for B devices from 4 qubits up. Smaller
+    # registers, and the dense oracle, run one device at a time. Frame
+    # rotations and drive layers share the group's batch.
     group = len(devices) if n >= 4 and method == "split" else 1
     rows = []
     step_ops = {}

@@ -222,15 +222,21 @@ class TestOptimizePulse:
         op = load_pulse(out)
         assert op.spec.duration == pytest.approx(20e-9)
 
-    @pytest.mark.parametrize("flag,value", [("--lambda-hz", "nan"),
-                                            ("--neighbors", "-1")])
-    def test_bad_region_rejected(self, tmp_path, capsys, flag, value):
+    @pytest.mark.parametrize("gate,backend,flag,value,message", [
+        ("rx90", "pert", "--lambda-hz", "nan", "ZZ strengths must be finite"),
+        ("rx90", "pert", "--neighbors", "-1", "neighbor count must be nonnegative"),
+        # fixed shapes ignore the count, but one below zero is still wrong
+        ("rx90", "gaussian", "--neighbors", "-3", "neighbor count must be nonnegative"),
+        ("rzx90", "dcg", "--neighbors", "-1", "neighbor count must be nonnegative"),
+    ], ids=["--lambda-hz-nan", "--neighbors--1", "gaussian--neighbors--3", "dcg--neighbors--1"])
+    def test_bad_region_rejected(self, tmp_path, capsys, gate, backend, flag, value,
+                                 message):
         # a NaN strength would write "loss": NaN, which is not JSON
         out = tmp_path / "p.json"
-        code = main(["optimize-pulse", "--gate", "rx90", "--backend", "pert",
+        code = main(["optimize-pulse", "--gate", gate, "--backend", backend,
                      flag, value, "--out", str(out)])
         assert code == 1
-        assert "error [pulse]" in capsys.readouterr().err
+        assert f"error [pulse] {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_dcg_has_no_coupler_sequence(self, tmp_path):

@@ -281,15 +281,22 @@ _PLAN_CASES = {
                               (3e-9, _xy_pulse(20e-9), (3,))], 30e-9),
     "coupled-gate-drives": ([(0.0, _coupled_pulse(25e-9, (0, 1)), (2, 1)),
                              (4e-9, _xy_pulse(20e-9), (0,))], 28e-9),
-    # two operators for 10 steps (the state changes buffer every step),
-    # three for 6 (it stays in one), one for 6, then a coupled gate's
-    # overlapping drives beside a single: each segment starts from the
-    # layout the one before it ended in
+    # two operators for 10 steps (they end in the buffer they start from,
+    # so the trailing half-step writes the state home), three for 6 (they
+    # end at home, so it multiplies in place), one for 6, then a coupled
+    # gate's overlapping drives beside a single: each segment starts from
+    # the layout the one before it ended in
     "buffer-parities": ([(0.0, _xy_pulse(10e-9), (0,)), (0.0, _xy_pulse(16e-9), (1,)),
                          (10e-9, _xy_pulse(6e-9), (3,)), (10e-9, _xy_pulse(6e-9), (2,)),
                          (16e-9, _xy_pulse(6e-9), (3,)),
                          (22e-9, _coupled_pulse(10e-9, (0, 1)), (2, 1)),
                          (22e-9, _xy_pulse(10e-9), (0,))], 34e-9),
+    # a two-operator segment, 4 undriven steps, then a two-operator
+    # segment on other qubits: the undriven steps keep the rotated layout
+    # the first segment ended in, and the second starts from it
+    "undriven-gap": ([(0.0, _xy_pulse(8e-9), (0,)), (0.0, _xy_pulse(8e-9), (1,)),
+                      (12e-9, _xy_pulse(8e-9), (2,)), (12e-9, _xy_pulse(8e-9), (3,))],
+                     20e-9),
 }
 
 
