@@ -21,6 +21,7 @@ from .circuit import GateTimes, benchmark, load_circuit, save_circuit, to_native
 from .pulse import (BACKENDS, DESIGN_BACKENDS, GATE_KINDS, check_native_size, load_pulse,
                     native_pulse, save_pulse)
 from .quantumsim import (
+    check_sim_size,
     ramsey_experiment,
     sample_device,
     simulate_ensemble,
@@ -190,6 +191,8 @@ def run_pipeline(cfg, threads=1, verbose=False):
         g = load_topology(cfg.topology)
     with _stage("circuit"):
         circ = to_native(load_circuit(cfg.circuit))
+    with _stage("quantumsim"):  # the register is the whole device
+        check_sim_size(g.num_qubits)
     gate_times = GateTimes.for_backend(cfg.backend)
     policies = ("zzx", "par") if cfg.policy == "both" else (cfg.policy,)
 

@@ -17,10 +17,12 @@ Hamiltonian builder, one channel-target check and one size cap.
 Three pulse backends: optctrl (penalized fidelity averaged over coupling
 strengths), pert (first-order interaction-picture cancellation, in closed
 form, on regions without intra coupling), and dcg (fixed composed
-Gaussian sequences). native_pulse is the one place that says which pulse
-a backend, gaussian included, runs for each native kind. All internal
-units are rad/s and seconds; file formats carry Hz and ns with explicit
-conversion.
+Gaussian sequences). optimize is one driver for both design backends:
+each gives it a problem, a loss and, for pert (_pert_system), a Newton
+polish and a convergence check. native_pulse is the one place that says
+which pulse a backend, gaussian included, runs for each native kind. All
+internal units are rad/s and seconds; file formats carry Hz and ns with
+explicit conversion.
 
 Every loss takes a whole finite-difference stencil, or one line-search
 probe per restart, in one call: the pert loss as one batched pass over
@@ -627,39 +629,91 @@ def _plane_integrals_batch(basis, coeffs, T, steps):
     return cos_int, np.divide(tmp, two_om, out=tmp).sum(axis=1), phi[:, -1]
 
 
-def _pert_scorer(model, T, angle):
-    """score(cos_i, sin_i, phi_t) -> (first-order norm, gate fidelity).
+def _pert_system(model, T, angle):
+    """pert's design problem on a region: (score, losses, polish, check).
 
-    Valid for every region optimize designs with pert: the drive is one x
-    channel (single region) or one coupling channel with zero intra
-    strength, so the toggled z operator rotates in a plane and the
-    first-order term reduces to two scalar integrals.
+    Every function takes normalized coefficients (A_j T) on _make_spec's
+    default-rate grid. The drive is one x channel (single region) or one
+    coupling channel with zero intra strength, so the toggled z operator
+    rotates in a plane and the first-order term reduces to two scalar
+    integrals, weighted per side by the squared cross strengths over the
+    largest |lambda|.
+
+    - score(xs): (first-order norm, gate fidelity) per row;
+    - losses(xs): norm / T - fidelity per row;
+    - polish(x): Newton steps from x on the residual system (the cos and
+      sin integrals, phi(T) - angle);
+    - check(x): (residual, baseline) over the part a drive can null. A
+      coupling drive commutes with z on the driven-side qubit, so the
+      z-side spectator term is fixed at its free value for every pulse
+      and the check covers the rotating side only (the x-driven qubit, or
+      b under a coupling drive). With nothing a drive can null, the whole
+      norm is the z-side term, and it is its own baseline.
+
+    An uncoupled region has no polish and no check.
     """
-    spectators = 2 ** (model.num_qubits - model.num_gate_qubits)
-    wa, wb = _normalized_weights(model)
-    d = 2 * model.num_gate_qubits
-
-    def score(cos_i, sin_i, phi_t):
-        if model.kind == "single":
-            norm_sq = 2 * (cos_i ** 2 + sin_i ** 2) * wa * spectators
-        else:
-            norm_sq = (4 * T * T * wa + 4 * (cos_i ** 2 + sin_i ** 2) * wb) * spectators
-        tr = d * math.cos((phi_t - angle) / 2)
-        fid = (tr * tr + d) / (d * (d + 1))
-        return math.sqrt(max(norm_sq, 0.0)), fid
-
-    return score
-
-
-def _normalized_weights(model):
-    """(a side, b side) sums of squared cross strengths over the largest |lambda|."""
+    g = model.num_gate_qubits
+    spectators = 2 ** (model.num_qubits - g)
     lams = model.neighbor_lambdas_a + model.neighbor_lambdas_b
-    top = max((abs(v) for v in lams), default=0.0)
-    if top == 0:
-        return 0.0, 0.0
-    wa = sum((v / top) ** 2 for v in model.neighbor_lambdas_a)
-    wb = sum((v / top) ** 2 for v in model.neighbor_lambdas_b)
-    return wa, wb
+    top = max(map(abs, lams), default=0.0) or 1.0  # uncoupled: every weight is 0
+    wa, wb = (sum((v / top) ** 2 for v in side)
+              for side in (model.neighbor_lambdas_a, model.neighbor_lambdas_b))
+    steps = num_steps(T, DEFAULT_SAMPLE_RATE)
+    basis = _fourier_basis(T, steps)
+    d = 2 * g
+
+    def integrals(xs):
+        return _plane_integrals_batch(basis, xs / T, T, steps)
+
+    def score(xs):
+        out = []
+        for c, s, phi_t in zip(*(a.tolist() for a in integrals(xs))):
+            if g == 1:
+                norm_sq = 2 * (c ** 2 + s ** 2) * wa * spectators
+            else:
+                norm_sq = (4 * T * T * wa + 4 * (c ** 2 + s ** 2) * wb) * spectators
+            tr = d * math.cos((phi_t - angle) / 2)
+            out.append((math.sqrt(max(norm_sq, 0.0)), (tr * tr + d) / (d * (d + 1))))
+        return out
+
+    def losses(xs):
+        return [norm / T - fid for norm, fid in score(xs)]
+
+    if not any(lams):
+        return score, losses, None, None
+    scale = math.sqrt(2 ** (g - 1) * 2 * (wa, wb)[g - 1] * spectators)
+    base = T * scale
+
+    def residuals(xs):
+        c, s, phi_t = integrals(xs)
+        return np.stack([c / T, s / T, phi_t - angle], axis=1)
+
+    def polish(x):
+        for _ in range(25):
+            r = residuals(x[None])[0]
+            r_norm = np.linalg.norm(r)
+            if r_norm < 1e-13:
+                break
+            pts, h = _fd_stencil(x)
+            res = residuals(pts)
+            jac = ((res[0::2] - res[1::2]) / (2 * h)[:, None]).T
+            delta, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+            step = 1.0  # halved until the residual shrinks, down to 1e-6
+            while not np.linalg.norm(residuals((x + step * delta)[None])[0]) < r_norm:
+                step /= 2
+                if step <= 1e-6:
+                    return x
+            x = x + step * delta
+        return x
+
+    def check(x):
+        if base == 0.0:
+            norm = score(x[None])[0][0]
+            return norm, norm
+        c, s, _ = (float(r[0]) for r in integrals(x[None]))
+        return math.hypot(c, s) * scale, base
+
+    return score, losses, polish, check
 
 
 def _fd_stencil(x):
@@ -709,14 +763,20 @@ def _descend(losses, grad, starts, max_iter):
 
 
 def optimize(model, target, backend, config=None):
-    """Gradient-descent pulse search on Fourier coefficients.
+    """Gradient-descent pulse search on Fourier coefficients, one driver
+    for both design backends.
 
-    Deterministic: the first start is a calibrated initialization and each
-    further restart adds seeded noise to it; the first start with the
-    least final loss wins. pert is closed-form in the plane integrals
-    throughout and builds no dense region; it takes regions without intra
-    coupling, and optctrl designs the others. Non-convergence returns the
-    best pulses with a warning flag rather than failing.
+    The backend gives the problem: a loss over rows of normalized
+    coefficients, and optionally a polish and a convergence check. pert's
+    (_pert_system) is closed-form in the plane integrals and builds no
+    dense region; it takes regions without intra coupling, and optctrl,
+    a loss alone, designs the others. Deterministic: the first start is a
+    calibrated initialization and each further restart adds seeded noise
+    to it; the first start with the least final loss wins. A polish runs
+    from the calibrated start, which keeps the landing point independent
+    of where descent stalls, and replaces the descent's result if it
+    scores lower. Non-convergence returns the best pulses with a warning
+    flag rather than failing.
     """
     if config is None:
         config = OptimizeConfig()
@@ -732,27 +792,15 @@ def optimize(model, target, backend, config=None):
                          "use optctrl for an intra-coupled region")
     gate = gate_matrix(Gate(target, (0,) if kind == "single" else (0, 1)))
     T = config.T
-    coupled = any(lam for _, _, lam in model.cross_pairs())
 
     def build(x):
         return _make_spec(model, np.asarray(x) / T, T)
 
     if backend == "pert":
-        # _make_spec's pulses carry the default sample rate: the dense grid
-        steps = num_steps(T, DEFAULT_SAMPLE_RATE)
-        basis = _fourier_basis(T, steps)
-        score = _pert_scorer(model, T, angle)
-
-        def integrals(xs):
-            return _plane_integrals_batch(basis, xs / T, T, steps)
-
-        def losses(xs):
-            out = []
-            for parts in zip(*(a.tolist() for a in integrals(xs))):
-                norm, fid = score(*parts)
-                out.append(norm / T - fid)
-            return out
+        _, losses, polish, check = _pert_system(model, T, angle)
     else:
+        polish = check = None
+
         def losses(xs):
             return _optctrl_losses(model, [build(x) for x in xs], gate)
 
@@ -769,85 +817,23 @@ def optimize(model, target, backend, config=None):
         starts.append(x_init + 0.15 * angle * rng.standard_normal(5))
 
     x, fx, iters = min(_descend(losses, grad, starts, config.max_iter), key=lambda r: r[1])
-
-    if backend == "pert" and coupled and config.max_iter > 0:
-        # Newton polish of the cancellation system from the calibrated init,
-        # which keeps the landing point independent of where descent stalls
-        cand = _pert_polish(integrals, angle, T, x_init.copy())
+    if polish is not None and config.max_iter > 0:
+        cand = polish(x_init)
         fc = losses(cand[None])[0]
         if fc < fx - 1e-12:
             x, fx = cand, fc
 
     spec = build(x)
-    uc = control_unitary(model, spec)
-    fid = avg_gate_fidelity(uc, gate)
-    fid_ok = bool(fid >= 1 - 1e-4)
-    converged = fid_ok
-    warning = None
-    if backend == "pert" and coupled:
-        c, s, phi_t = (float(r[0]) for r in integrals(x[None]))
-        resid, base = _cancelable_residual(model, T, c, s)
-        if base == 0.0:
-            # nothing a drive can null: the whole first-order term is the
-            # z-side term, the same for every pulse, so it is its own baseline
-            resid = base = score(c, s, phi_t)[0]
-        converged = fid_ok and resid <= 1e-3 * base
+    fid = avg_gate_fidelity(control_unitary(model, spec), gate)
+    converged = bool(fid >= 1 - 1e-4)
+    warning = None if converged else f"gate fidelity {fid:.6f} below 1 - 1e-4"
+    if check is not None:
+        resid, base = check(x)
+        converged = converged and resid <= 1e-3 * base
         if not converged:
             warning = (f"first-order residual {resid:.3e} vs baseline {base:.3e}, "
                        f"gate fidelity {fid:.6f}")
-    elif not fid_ok:
-        warning = f"gate fidelity {fid:.6f} below 1 - 1e-4"
     return OptimizedPulse(spec, target, backend, float(fx), iters, converged, warning)
-
-
-def _cancelable_residual(model, T, cos_i, sin_i):
-    """(residual, unoptimized residual) over the part a drive can null.
-
-    A coupling drive commutes with z on the driven-side qubit, so the
-    z-side spectator term is fixed at its free value for every pulse. No
-    pulse or gate decomposition suppresses that control-side term, so the
-    convergence measure leaves it out and covers the rotating-plane
-    component only.
-    """
-    m = model.num_qubits - model.num_gate_qubits
-    # the rotating side: the x-driven qubit, or b under a coupling drive
-    wsum = _normalized_weights(model)[model.num_gate_qubits - 1]
-    scale = math.sqrt(2 ** (model.num_gate_qubits - 1) * 2 * wsum * 2 ** m)
-    return math.hypot(cos_i, sin_i) * scale, T * scale
-
-
-def _pert_polish(integrals, angle, T, x):
-    """Newton steps on the residual system (cos and sin integrals, angle).
-
-    integrals maps rows of normalized coefficients to their plane integrals.
-    """
-    def residuals(xs):
-        c, s, phi_t = integrals(xs)
-        # two-qubit regions keep an uncancelable z-side term; the solvable
-        # part is identical in both kinds
-        return np.stack([c / T, s / T, phi_t - angle], axis=1)
-
-    for _ in range(25):
-        r = residuals(x[None])[0]
-        if np.linalg.norm(r) < 1e-13:
-            break
-        pts, h = _fd_stencil(x)
-        res = residuals(pts)
-        jac = ((res[0::2] - res[1::2]) / (2 * h)[:, None]).T
-        delta, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        scale = 1.0
-        base = np.linalg.norm(r)
-        improved = False
-        while scale > 1e-6:
-            xn = x + scale * delta
-            if np.linalg.norm(residuals(xn[None])[0]) < base:
-                x = xn
-                improved = True
-                break
-            scale /= 2
-        if not improved:
-            break
-    return x
 
 
 # --------------------------------------------------------- native pulses

@@ -72,6 +72,14 @@ from .pulse import (
 )
 
 TWO_PI = 2 * math.pi
+SIM_MAX_QUBITS = 12  # the statevector register cap
+
+
+def check_sim_size(n):
+    """Raise the simulator's size cap for an n-qubit register; a run checks
+    it before it schedules or designs anything."""
+    if n > SIM_MAX_QUBITS:
+        raise ValueError(f"simulation capped at {SIM_MAX_QUBITS} qubits")
 
 
 # ------------------------------------------------------------- devices
@@ -320,8 +328,7 @@ def _run_plan(devices, plan, pmap, method):
         raise ValueError("devices must share one topology")
     if plan.num_qubits != n:
         raise ValueError("plan does not fit the device")
-    if n > 12:
-        raise ValueError("simulation capped at 12 qubits")
+    check_sim_size(n)
     psi0 = np.zeros(1 << n, dtype=complex)
     psi0[0] = 1.0
     rate = _sample_rate(pmap)

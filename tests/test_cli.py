@@ -268,6 +268,19 @@ class TestReportPipeline:
         assert "error [cli] seeds must be nonnegative" in capsys.readouterr().err
         assert not list(out.glob("**/plan_*.json"))
 
+    def test_device_past_the_simulator_cap_rejected_before_any_work(self, tmp_path, capsys):
+        # the register is the whole 16-qubit device, though the circuit has 4
+        save_topology(tmp_path / "g44.json", grid_topology(4, 4))
+        save_circuit(tmp_path / "qft4.zzq",
+                     benchmark("qft", 4, qubit_order=grid_snake_order(4, 4)[:4]))
+        out = tmp_path / "runs"
+        code = main(["report", "--topology", str(tmp_path / "g44.json"),
+                     "--circuit", str(tmp_path / "qft4.zzq"), "--backend", "gaussian",
+                     "--out-dir", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error [quantumsim] simulation capped at 12 qubits\n"
+        assert not (out / "plan_zzx.json").exists()
+
     def test_summary_table(self, workspace, capsys):
         # rerun on the cached pulses; zzx must beat the baseline
         assert main(["report", "--topology", str(workspace / "g23.json"),

@@ -25,7 +25,7 @@ from zzsched.pulse import (
     _fourier_basis,
     _native_region,
     _optctrl_losses,
-    _pert_scorer,
+    _pert_system,
     _plane_integrals_batch,
     _propagate,
     _step_nodes,
@@ -696,9 +696,8 @@ class TestFastPathConsistency:
         model = single_region(1)
         T = 20e-9
         spec = x_pulse(tuple(coeffs), T)
-        parts = _plane_integrals_batch(_fourier_basis(T, 200), np.array([coeffs]), T, 200)
-        score = _pert_scorer(model, T, math.pi / 2)
-        fast_norm, fast_fid = score(*(float(r[0]) for r in parts))
+        score = _pert_system(model, T, math.pi / 2)[0]
+        [(fast_norm, fast_fid)] = score(np.array([coeffs]) * T)
         full = np.linalg.norm(pert_first_order(model, spec))
         uc = control_unitary(model, spec)
         fid = avg_gate_fidelity(uc, RX90)
@@ -731,10 +730,12 @@ PULSE_SHA256 = {
     ("optctrl", "rx90", 1): "ab9a41d6394d8a209f09a78ea8953b1bc1e3552d76c95e51a522d6e382114936",
     # edge branches of optimize, recorded before the fast path lost its
     # dense baseline; the label names a (model, config) in _PINNED_VARIANTS,
-    # or for "uncoupled" the native rx90 at zero strength
+    # or for "uncoupled" the native pulse at zero strength
     ("pert", "rzx90", "a-only"): "b13dffd5228dcfd70fe5225618c936f9dd978d51d78728e69852425b929df88c",
     ("pert", "rzx90", "b-zero"): "e00c7e0b4151cd702930175ff2cff910cfa9a316bab14a9d207e2b27cb843569",
     ("pert", "rx90", "uncoupled"): "d14230748979369b00dc913d062c5af2738cec758108eca5c443fc3add61cd22",
+    # recorded before pert's design moved into one function
+    ("pert", "rzx90", "uncoupled"): "525baa5acc218be6421c156feca170780dafee0183cbdd995a9e9eee41334c3e",
     ("pert", "rx90", "no-iter"): "64efc432e4f5c5db645df915dcf4df2d55c90b8b1eab82793bf789e4c634078b",
 }
 
@@ -765,6 +766,35 @@ def test_pulse_json_pinned(backend, target, m):
         # native regions are the hand-built ones the pins were recorded on
         op = native_pulse(target, backend, m)
     assert _sha(op) == PULSE_SHA256[backend, target, m]
+
+
+@pytest.mark.parametrize("target,m", [*((t, m) for t in ("rx90", "id") for m in (1, 2, 3, 4)),
+                                      *(("rzx90", m) for m in (1, 2, 3)),
+                                      ("rx90", "spread"), ("rzx90", "a-only"),
+                                      ("rzx90", "b-zero")])
+def test_polish_alone_lands_on_optimize(target, m):
+    """The Newton polish from the calibrated start gives optimize's pert
+    coefficients bit for bit: the descent before it changes nothing but
+    meta.iterations. Not on a two-qubit region whose b side is absent or
+    of zero weight: there no drive moves the first-order norm, the loss
+    depends on phi(T) alone, which the calibrated start already sets, so
+    the polish's point cannot score lower and optimize keeps that start."""
+    if m == "spread":
+        model = RegionModel("single", neighbor_lambdas_a=tuple(TWO_PI * f for f in
+                                                              (200e3, 50e3, 400e3)))
+        config = OptimizeConfig()
+    elif isinstance(m, str):
+        model, config = _PINNED_VARIANTS[m]
+    else:  # the native regions in their pert slots
+        model = _native_region(target, m, 200e3)
+        config = OptimizeConfig(T=80e-9 if target == "rzx90" else 20e-9)
+    angle = pulse._TARGETS[target][1]
+    polish = _pert_system(model, config.T, angle)[2]
+    x_init = np.array([angle, 0.0, 0.0, 0.0, 0.0])
+    got = (polish(x_init) / config.T).tolist()
+    want = list(optimize(model, target, "pert", config).spec.channels[0].envelope.a)
+    flat = model.kind == "two" and not any(model.neighbor_lambdas_b)
+    assert (got != want) if flat else (got == want)
 
 
 def test_native_region_shapes():
@@ -1043,14 +1073,7 @@ def _rx90_losses(model, backend, T=20e-9):
         def losses(xs):
             return _optctrl_losses(model, [pulse._make_spec(model, x / T, T) for x in xs], RX90)
         return losses
-    steps = num_steps(T, 200)
-    basis = _fourier_basis(T, steps)
-    score = _pert_scorer(model, T, math.pi / 2)
-
-    def losses(xs):
-        parts = zip(*(a.tolist() for a in _plane_integrals_batch(basis, xs / T, T, steps)))
-        return [norm / T - fid for norm, fid in (score(*p) for p in parts)]
-    return losses
+    return _pert_system(model, T, math.pi / 2)[1]
 
 
 @pytest.mark.parametrize("backend,lam,max_iter,restarts", [
