@@ -5,7 +5,10 @@ of a cut chosen by the suppression solver, padded with identity gates on
 the idle qubits of that side so the whole partition is actively driven.
 The two-qubit grouping heuristic seeds two groups with the closest pair of
 gates and grows them farthest-first while the grown group's optimal cut
-still meets the (n_q, n_c) requirement.
+still meets the (n_q, n_c) requirement. A group is rejected by its forced
+couplings before any cut search: any cut keeping it on one side leaves its
+own couplings unsuppressed, so when those alone break the requirement, so
+does every cut.
 
 rz gates are virtual frame updates: they take no slot and are absorbed
 into the start of the next emitted layer (or trail the plan).
@@ -25,7 +28,7 @@ from functools import lru_cache
 
 from .circuit import NATIVE_NAMES, Gate, GateTimes, dependencies, parse
 from .circuit import _gate_line, _lowered
-from .suppression import alpha_optimal
+from .suppression import _forced_metrics, _mask, _tables, alpha_optimal
 from .topology import Cut, adjacency, bfs_distances
 
 
@@ -154,8 +157,10 @@ def two_q_schedule(g, sg2, r, alpha=0.5, k=3, _cuts=None):
 
     sg2 is an ordered sequence; positions within it act as gate ids for
     deterministic tie-breaking. Returns the group whose qubits the cut
-    pins to partition_s. _cuts, when a dict, holds the solver results for
-    this g, alpha and k by gate set and is filled as sets are solved.
+    pins to partition_s. A set of two or more gates and each trial growth
+    is rejected by its forced couplings before any cut search. _cuts, when
+    a dict, holds the solver results for this g, alpha and k by gate set
+    and is filled as sets are solved.
     """
     gates = list(sg2)
     if not gates:
@@ -168,16 +173,25 @@ def two_q_schedule(g, sg2, r, alpha=0.5, k=3, _cuts=None):
             raise ValueError(f"{gate.name} operands {gate.qubits} are not coupled")
 
     cuts = {} if _cuts is None else _cuts
+    tab = _tables(g)
+
+    def qubits(ids):
+        return frozenset(q for i in ids for q in gates[i].qubits)
 
     def cut_for(ids):
-        return _solve(cuts, g, frozenset(q for i in ids for q in gates[i].qubits), alpha, k)
+        return _solve(cuts, g, qubits(ids), alpha, k)
+
+    def fits(ids):
+        """Whether the cut of ids meets r; unsolved when the forced metrics fail r."""
+        if not r.satisfied(*_forced_metrics(tab, _mask(qubits(ids)))):
+            return False
+        res = cut_for(ids)
+        return r.satisfied(res.n_q, res.n_c)
 
     everything = tuple(range(len(gates)))
-    full = cut_for(everything)
-    if r.satisfied(full.n_q, full.n_c):
-        return TwoQGrouping(full, everything, None)
-    if len(gates) == 1:
-        return TwoQGrouping(full, (0,), None, flagged=True)
+    if len(gates) == 1 or fits(everything):  # a lone gate runs alone, flagged if it fails r
+        full = cut_for(everything)
+        return TwoQGrouping(full, everything, None, flagged=not r.satisfied(full.n_q, full.n_c))
 
     best = None
     for i in range(len(gates)):
@@ -198,8 +212,7 @@ def two_q_schedule(g, sg2, r, alpha=0.5, k=3, _cuts=None):
                     cand = key
         _, gi, tag = cand
         grp = group_a if tag == 0 else group_b
-        trial = cut_for(frozenset(grp | {gi}))
-        if r.satisfied(trial.n_q, trial.n_c):
+        if fits(grp | {gi}):
             grp.add(gi)
             rest.remove(gi)
         else:

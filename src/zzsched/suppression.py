@@ -111,14 +111,19 @@ def _inside(tab, side):
 
 
 def _largest_class(tab, side):
-    """Size of the largest same-side class of the cut whose partition_s is side.
+    """Size of the largest same-side class of the cut whose partition_s is side."""
+    return _largest_component(tab, side, tab.every & ~side)
 
-    Bit-parallel flood fill over each side in turn: a class grows by the
-    neighbour masks of its newest members, clipped to its side, until
-    nothing new is reached.
+
+def _largest_component(tab, *parts):
+    """Size of the largest connected class within any of the qubit masks parts.
+
+    Bit-parallel flood fill over each mask in turn (sizes start at 1): a
+    class grows by the neighbour masks of its newest members, clipped to
+    its mask, until nothing new is reached.
     """
     nbr, best = tab.nbr, 1
-    for part in (side, tab.every & ~side):
+    for part in parts:
         left = part
         while left.bit_count() > best:
             comp = front = left & -left
@@ -133,6 +138,21 @@ def _largest_class(tab, side):
             left &= ~comp
             best = max(best, comp.bit_count())
     return best
+
+
+def _forced_metrics(tab, qmask):
+    """Componentwise lower bound on (n_q, n_c) of every cut keeping the
+    qubit mask qmask on one side.
+
+    Such a cut leaves every coupling inside qmask unsuppressed, and each
+    connected class of qmask lies within one same-side class.
+    """
+    n_c, left = 0, qmask
+    while left:
+        low = left & -left
+        n_c += (tab.nbr[low.bit_length() - 1] & qmask).bit_count()
+        left ^= low
+    return _largest_component(tab, qmask), n_c // 2
 
 
 def _moved_inside(tab, inside, moved):

@@ -197,6 +197,18 @@ class TestSchedule:
         assert "error [scheduler]" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_brickwork_8x8(self, brickwork, tmp_path, capsys):
+        # its whole-set solves need a matching over more than 16 odd faces;
+        # the requirement rejects those sets before any cut search
+        g, c = brickwork(8, 8, 4, 0)
+        save_topology(tmp_path / "g88.json", g)
+        save_circuit(tmp_path / "bw.zzq", c)
+        out = tmp_path / "p.json"
+        assert main(["schedule", "--topology", str(tmp_path / "g88.json"),
+                     "--circuit", str(tmp_path / "bw.zzq"), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert len(load_plan(out).layers) == 122
+
     def test_missing_circuit(self, workspace, tmp_path, capsys):
         code = main(["schedule", "--topology", str(workspace / "g23.json"),
                      "--circuit", str(tmp_path / "nope.zzq"),

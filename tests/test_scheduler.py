@@ -30,7 +30,7 @@ from zzsched.scheduler import (
     schedule,
     two_q_schedule,
 )
-from zzsched.suppression import alpha_optimal
+from zzsched.suppression import _forced_metrics, _mask, _tables, alpha_optimal
 from zzsched.topology import grid_snake_order, grid_topology, line_topology
 
 EIGHT_QUBIT_PROGRAM = (
@@ -579,6 +579,115 @@ def test_schedule_solves_gate_free_cut_once(g3, monkeypatch):
     plan = schedule(g, c)
     assert len(set(calls)) > 10
     assert len(calls) == len(set(calls))
+
+
+# ------------------------------------------------- forced-coupling bound
+
+
+def _oracle_graph(name, request):
+    if name == "line6":
+        return line_topology(6)
+    if name in ("six_qubit_planar", "chamfered_grid"):
+        return request.getfixturevalue(name)
+    return grid_topology(*map(int, name.split("x")))
+
+
+def _random_gate_set(g, rng):
+    """Two-qubit gates on disjoint couplings, as a ready set holds them."""
+    used, gates = set(), []
+    for e in rng.permutation(len(g.edges)):
+        u, v = (int(x) for x in g.edges[e])
+        if u not in used and v not in used:
+            used |= {u, v}
+            gates.append(Gate("cx", (u, v) if rng.random() < 0.5 else (v, u)))
+    return gates[: rng.integers(1, len(gates) + 1)]
+
+
+def _random_circuit(g, rng, size=24):
+    gates = []
+    for _ in range(size):
+        if rng.random() < 0.5:
+            u, v = (int(x) for x in g.edges[rng.integers(len(g.edges))])
+            gates.append(Gate("cx", (u, v) if rng.random() < 0.5 else (v, u)))
+        else:
+            q = int(rng.integers(g.num_qubits))
+            gates.append(Gate(("h", "t", "x")[rng.integers(3)], (q,)))
+    return to_native(Circuit(g.num_qubits, tuple(gates)))
+
+
+@pytest.mark.parametrize(
+    "name", ["3x3", "3x4", "4x4", "line6", "six_qubit_planar", "chamfered_grid"])
+def test_forced_bound_changes_no_decision(name, request, monkeypatch):
+    # a bound of (1, 0) rejects nothing, so two_q_schedule solves every set
+    # it checks, as it did before the bound
+    g = _oracle_graph(name, request)
+    solves = []
+
+    def counting(g, gate_qubits, alpha, k):
+        solves.append(frozenset(gate_qubits))
+        return alpha_optimal(g, gate_qubits, alpha, k)
+
+    monkeypatch.setattr(scheduler, "alpha_optimal", counting)
+    requirements = [SuppressionRequirement.default(g),
+                    SuppressionRequirement(2, 1.0), SuppressionRequirement(3, 3.5)]
+
+    def run():
+        rng = np.random.default_rng(len(g.edges))
+        out = []
+        for r in requirements:
+            out += [two_q_schedule(g, _random_gate_set(g, rng), r) for _ in range(6)]
+            out += [plan_to_json(schedule(g, _random_circuit(g, rng), r)) for _ in range(3)]
+        return out
+
+    bounded = run()
+    n_bounded = len(solves)
+    monkeypatch.setattr(scheduler, "_forced_metrics", lambda tab, qmask: (1, 0))
+    assert run() == bounded
+    assert len(solves) - n_bounded > n_bounded  # the bound skipped some solves
+
+
+# solves per schedule call on the pinned brickwork circuits; before the
+# bound, the whole-set and trial solves the requirement rejects made them
+# 128 (seed 0) and 109 (seed 1)
+BRICKWORK_SOLVES = {0: 97, 1: 83}
+
+
+@pytest.mark.parametrize("seed", sorted(BRICKWORK_SOLVES))
+def test_brickwork_6x6_solves_no_set_the_bound_rejects(seed, brickwork, monkeypatch):
+    solved = []
+
+    def counting(g, gate_qubits, alpha, k):
+        solved.append(frozenset(gate_qubits))
+        return alpha_optimal(g, gate_qubits, alpha, k)
+
+    monkeypatch.setattr(scheduler, "alpha_optimal", counting)
+    g, c = brickwork(6, 6, 4, seed)
+    r = SuppressionRequirement.default(g)
+    schedule(g, to_native(c), r)
+    tab = _tables(g)
+    assert all(r.satisfied(*_forced_metrics(tab, _mask(q))) for q in solved)
+    assert len(solved) == BRICKWORK_SOLVES[seed]
+
+
+# sha256 of the plan JSON, as for BRICKWORK_SHA256, for the depth-4
+# brickwork circuits with circuit seed 0 on the 7x7 and 8x8 grids, recorded
+# when the bound landed. Without it a whole-set or trial solve of each
+# raised the 16-face matching guard.
+LARGE_BRICKWORK_SHA256 = {
+    7: "936850916f0388629872d67c3ad14e6cc85200a98d5242675120c239ef910953",
+    8: "6231b7aae21757c4c5e7cb04a9588ddfc1347fa1e4d348e719914afd4efbd9c5",
+}
+
+
+@pytest.mark.parametrize("n", sorted(LARGE_BRICKWORK_SHA256))
+def test_large_brickwork_schedules_past_the_matching_guard(n, brickwork):
+    g, c = brickwork(n, n, 4, 0)
+    native = to_native(c)
+    r = SuppressionRequirement.default(g)
+    plan = schedule(g, native, r)
+    assert_plan_valid(g, native, plan, require=r)
+    blob = json.dumps(plan_to_json(plan), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == LARGE_BRICKWORK_SHA256[n]
 
 
 # ------------------------------------------------------ property checks

@@ -523,6 +523,34 @@ def test_side_mask_scorers_match_edge_scan(shape, data, chamfered_grid, six_qubi
             assert updated == supp._inside(tab, new_side) == _edge_scan_inside(g, new_side)
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (3, 3), (3, 4), "chamfered", "six"])
+def test_forced_metrics_bound_every_cut_keeping_q(shape, chamfered_grid, six_qubit_planar):
+    g = _scorer_graph(shape, chamfered_grid, six_qubit_planar)
+    tab = supp._tables(g)
+    n, every = g.num_qubits, tab.every
+    rng = random.Random(sum(map(ord, str(shape))))
+    gate_sets = [frozenset()] + [
+        frozenset(rng.sample(range(n), rng.randint(1, n - 2))) for _ in range(8)
+    ]
+    for q in gate_sets:
+        qmask = supp._mask(q)
+        f_q, f_c = supp._forced_metrics(tab, qmask)
+        # q in partition_s; the flipped cuts have the same metrics
+        free = every & ~qmask
+        sub = free
+        while True:
+            n_q, n_c = supp._mask_metrics(tab, qmask | sub)
+            assert n_q >= f_q and n_c >= f_c
+            if not sub:
+                break
+            sub = (sub - 1) & free
+        for alpha in (0.5, 2.0):
+            res = supp.alpha_optimal(g, q, alpha)
+            assert res.n_q >= f_q and res.n_c >= f_c
+    # q = every qubit leaves one cut, and the bound is its metrics
+    assert supp._forced_metrics(tab, every) == supp._mask_metrics(tab, every) == (n, len(g.edges))
+
+
 # -------------------------------------------------------------------- I/O
 
 
