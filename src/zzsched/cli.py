@@ -12,7 +12,7 @@ import json
 import math
 import operator
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -43,14 +43,33 @@ class PipelineError(RuntimeError):
 
 
 @contextlib.contextmanager
-def _stage(module):
-    """Tag any failure inside a block with the owning module's name."""
+def _stage(module, path=None):
+    """Tag any failure inside a block with the owning module's name, and
+    with the input file the block reads, if it reads one."""
     try:
         yield
     except PipelineError:
         raise
     except Exception as exc:
-        raise PipelineError(module, str(exc)) from exc
+        msg = str(exc)
+        if path is not None:
+            if isinstance(exc, KeyError):
+                msg = f"missing field {msg}"
+            if str(path) not in msg:  # an OSError names its file already
+                msg = f"{path}: {msg}"
+        raise PipelineError(module, msg) from exc
+
+
+def _read(module, load, path):
+    """One input file, loaded under its module's stage."""
+    with _stage(module, path):
+        return load(path)
+
+
+def _write_json(path, doc):
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 @dataclass(frozen=True)
@@ -135,7 +154,7 @@ def provision_pulses(g, backend, lambda_hz, pulses_dir, verbose=False):
     out = {}
     for kind, (m, path) in designs.items():
         if path.exists():
-            op = out[kind] = load_pulse(path)
+            op = out[kind] = _read("pulse", load_pulse, path)
             held = (op.target_gate, op.backend, round(op.spec.duration * 1e9))
             if held != (kind, backend, round(getattr(times, kind) * 1e9)):
                 raise ValueError(f"cached {path.name} holds a {held[1]} {held[0]} pulse "
@@ -157,7 +176,7 @@ def _load_pulse_dir(path):
     if not files:
         raise ValueError(f"no pulse files in {path}")
     for f in files:
-        op = load_pulse(f)
+        op = _read("pulse", load_pulse, f)
         if op.target_gate in pulses:
             raise ValueError(f"duplicate pulse for {op.target_gate!r} ({f.name})")
         pulses[op.target_gate] = op
@@ -167,7 +186,18 @@ def _load_pulse_dir(path):
 # ------------------------------------------------------------------ pipeline
 
 
-def _schedule_policy(g, circ, policy, cfg, gate_times):
+def _load_native(path):
+    return to_native(load_circuit(path))
+
+
+def _run_config(args, **extra):
+    """The RunConfig that a subcommand's parsed flags describe."""
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+    return RunConfig(**given, **extra)
+
+
+def _schedule_policy(g, circ, policy, cfg):
+    gate_times = GateTimes.for_backend(cfg.backend)
     if policy == "par":
         return par_sched(g, circ, gate_times=gate_times)
     base = SuppressionRequirement.default(g)
@@ -187,22 +217,20 @@ def run_pipeline(cfg, threads=1, verbose=False):
     under cfg.out_dir and printing the summary table. threads is accepted
     and unused: all seeds of a plan run in one batched simulation.
     """
-    with _stage("topology"):
-        g = load_topology(cfg.topology)
-    with _stage("circuit"):
-        circ = to_native(load_circuit(cfg.circuit))
+    g = _read("topology", load_topology, cfg.topology)
+    circ = _read("circuit", _load_native, cfg.circuit)
     with _stage("quantumsim"):  # the register is the whole device
         check_sim_size(g.num_qubits)
-    gate_times = GateTimes.for_backend(cfg.backend)
     policies = ("zzx", "par") if cfg.policy == "both" else (cfg.policy,)
 
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _stage("cli"):
+        out_dir.mkdir(parents=True, exist_ok=True)
 
     plans = {}
     with _stage("scheduler"):
         for policy in policies:
-            plans[policy] = _schedule_policy(g, circ, policy, cfg, gate_times)
+            plans[policy] = _schedule_policy(g, circ, policy, cfg)
             save_plan(out_dir / f"plan_{policy}.json", plans[policy])
             if verbose:
                 p = plans[policy]
@@ -221,10 +249,7 @@ def run_pipeline(cfg, threads=1, verbose=False):
 
     with _stage("cli"):
         doc = _report_json(cfg, plans, reports)
-        report_path = out_dir / "report.json"
-        with open(report_path, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        _write_json(out_dir / "report.json", doc)
     _print_summary(doc)
     return reports
 
@@ -255,23 +280,12 @@ def _report_json(cfg, plans, reports):
         if plans["par"].total_duration > 0:
             summary["duration_ratio_zzx_over_par"] = (
                 plans["zzx"].total_duration / plans["par"].total_duration)
-    times = GateTimes.for_backend(cfg.backend)
-    return {
-        "config": cfg.to_json(),
-        "meta": {
-            "alpha": cfg.alpha,
-            "k": cfg.k,
-            "backend": cfg.backend,
-            "policy": cfg.policy,
-            "lambda_mu_hz": cfg.lambda_mu_hz,
-            "lambda_sigma_hz": cfg.lambda_sigma_hz,
-            "seeds": list(cfg.seeds),
-            "gate_times_ns": {"rx90": times.rx90 * 1e9, "id": times.id * 1e9,
-                              "rz": times.rz * 1e9, "rzx90": times.rzx90 * 1e9},
-        },
-        "runs": runs,
-        "summary": summary,
-    }
+    config = cfg.to_json()
+    meta = {key: config[key] for key in
+            ("alpha", "k", "backend", "policy", "lambda_mu_hz", "lambda_sigma_hz", "seeds")}
+    times = asdict(GateTimes.for_backend(cfg.backend))
+    meta["gate_times_ns"] = {kind: t * 1e9 for kind, t in times.items()}
+    return {"config": config, "meta": meta, "runs": runs, "summary": summary}
 
 
 def _print_summary(doc):
@@ -293,14 +307,11 @@ def _print_summary(doc):
 
 
 def _parse_qubits(text):
-    if not text:
-        return frozenset()
     return frozenset(int(tok) for tok in text.split(",") if tok)
 
 
 def cmd_suppress(args):
-    with _stage("topology"):
-        g = load_topology(args.topology)
+    g = _read("topology", load_topology, args.topology)
     with _stage("suppression"):
         q = _parse_qubits(args.qubits)
         res = alpha_optimal(g, q, args.alpha, k=args.k)
@@ -314,7 +325,10 @@ def cmd_bench(args):
     with _stage("circuit"):
         order = None
         if args.grid:
-            rows, cols = (int(v) for v in args.grid.lower().split("x"))
+            try:
+                rows, cols = map(int, args.grid.lower().split("x"))
+            except ValueError:
+                raise ValueError(f"--grid must be RxC, got {args.grid!r}") from None
             order = grid_snake_order(rows, cols)[: args.n]
         circ = benchmark(args.name, args.n, seed=args.seed, qubit_order=order)
         save_circuit(args.out, circ)
@@ -323,16 +337,10 @@ def cmd_bench(args):
 
 
 def cmd_schedule(args):
-    with _stage("topology"):
-        g = load_topology(args.topology)
-    with _stage("circuit"):
-        circ = to_native(load_circuit(args.circuit))
+    g = _read("topology", load_topology, args.topology)
+    circ = _read("circuit", _load_native, args.circuit)
     with _stage("scheduler"):
-        cfg = RunConfig(args.topology, args.circuit, policy=args.policy,
-                        alpha=args.alpha, k=args.k, nq_max=args.nq_max,
-                        nc_max=args.nc_max, backend=args.backend)
-        plan = _schedule_policy(g, circ, args.policy, cfg,
-                                GateTimes.for_backend(args.backend))
+        plan = _schedule_policy(g, circ, args.policy, _run_config(args))
         save_plan(args.out, plan)
     print(f"{args.policy}: {len(plan.layers)} layers, "
           f"{plan.total_duration * 1e9:.0f} ns -> {args.out}")
@@ -349,12 +357,9 @@ def cmd_optimize_pulse(args):
 
 
 def cmd_simulate(args):
-    with _stage("topology"):
-        g = load_topology(args.topology)
-    with _stage("scheduler"):
-        plan = load_plan_file(args.plan)
-    with _stage("pulse"):
-        pulses = _load_pulse_dir(args.pulses)
+    g = _read("topology", load_topology, args.topology)
+    plan = _read("scheduler", load_plan_file, args.plan)
+    pulses = _read("pulse", _load_pulse_dir, args.pulses)
     with _stage("quantumsim"):
         seeds = tuple(range(args.seed, args.seed + args.samples))
         reports = _simulate_seeds(g, plan, pulses, args.lambda_mu_hz,
@@ -376,19 +381,15 @@ def cmd_simulate(args):
             "mean_fidelity": float(np.mean([r.fidelity for r in reports])),
             "total_duration_ns": plan.total_duration * 1e9,
         }
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.out, doc)
     print(f"mean fidelity {doc['mean_fidelity']:.4f} over {len(seeds)} "
           f"samples -> {args.out}")
     return 0
 
 
 def cmd_ramsey(args):
-    with _stage("topology"):
-        g = load_topology(args.topology)
-    with _stage("pulse"):
-        pulses = _load_pulse_dir(args.pulses)
+    g = _read("topology", load_topology, args.topology)
+    pulses = _read("pulse", _load_pulse_dir, args.pulses)
     with _stage("quantumsim"):
         dev = uniform_device(g, args.lambda_hz)
         res = ramsey_experiment(dev, pulses, args.policy, probe=args.probe,
@@ -406,8 +407,7 @@ def cmd_ramsey(args):
 
 
 def cmd_sweep(args):
-    with _stage("pulse"):
-        op = load_pulse(args.pulse)
+    op = _read("pulse", load_pulse, args.pulse)
     with _stage("quantumsim"):
         for flag, bound in (("--lambda-hz-min", args.lambda_hz_min),
                             ("--lambda-hz-max", args.lambda_hz_max)):
@@ -428,14 +428,8 @@ def cmd_sweep(args):
 
 
 def cmd_report(args):
-    seeds = tuple(range(args.seed, args.seed + args.samples))
     with _stage("cli"):
-        cfg = RunConfig(args.topology, args.circuit, policy=args.policy,
-                        alpha=args.alpha, k=args.k, nq_max=args.nq_max,
-                        nc_max=args.nc_max, backend=args.backend,
-                        lambda_mu_hz=args.lambda_mu_hz,
-                        lambda_sigma_hz=args.lambda_sigma_hz,
-                        seeds=seeds, out_dir=args.out_dir)
+        cfg = _run_config(args, seeds=tuple(range(args.seed, args.seed + args.samples)))
     run_pipeline(cfg, verbose=args.verbose)
     return 0
 
@@ -443,74 +437,80 @@ def cmd_report(args):
 # -------------------------------------------------------------------- parser
 
 
+def _shared(*options):
+    """A parent parser declaring options that mean the same wherever they
+    are taken; each is a (flag, add_argument keywords) pair."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for flag, kwargs in options:
+        parent.add_argument(flag, **kwargs)
+    return parent
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="zzsched",
         description="crosstalk-aware scheduling and pulse shaping toolkit")
     sub = p.add_subparsers(dest="command", required=True)
+    defaults = RunConfig
+    topology = _shared(("--topology", {"required": True}))
+    circuit = _shared(("--circuit", {"required": True}))
+    out = _shared(("--out", {"required": True}))
+    cut = _shared(("--alpha", {"type": float, "default": defaults.alpha}),
+                  ("--k", {"type": int, "default": defaults.k}))
+    thresholds = _shared(("--nq-max", {"type": int, "default": defaults.nq_max}),
+                         ("--nc-max", {"type": float, "default": defaults.nc_max}))
+    strengths = _shared(
+        ("--lambda-mu-hz", {"type": float, "default": defaults.lambda_mu_hz}),
+        ("--lambda-sigma-hz", {"type": float, "default": defaults.lambda_sigma_hz}))
+    pulses = _shared(("--pulses", {"required": True, "help": "directory of pulse JSON"}))
+    lambda_hz = _shared(("--lambda-hz", {"type": float, "default": defaults.lambda_mu_hz}))
+    # --seed, --samples, --policy and --backend differ in meaning or default
+    # between subcommands, so each declares its own; subcommands share the
+    # parents' action objects, so a set_defaults on one would reach them all
 
-    s = sub.add_parser("suppress", help="find a cut meeting gate constraints")
-    s.add_argument("--topology", required=True)
+    def command(name, func, help, *parents):
+        s = sub.add_parser(name, help=help, parents=parents)
+        s.set_defaults(func=func)
+        return s
+
+    s = command("suppress", cmd_suppress, "find a cut meeting gate constraints",
+                topology, cut, out)
     s.add_argument("--qubits", default="")
-    s.add_argument("--alpha", type=float, default=0.5)
-    s.add_argument("--k", type=int, default=3)
-    s.add_argument("--out", required=True)
-    s.set_defaults(func=cmd_suppress)
 
-    s = sub.add_parser("bench", help="emit a deterministic benchmark circuit")
+    s = command("bench", cmd_bench, "emit a deterministic benchmark circuit", out)
     s.add_argument("--name", required=True)
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--grid", default=None,
                    help="RxC; embed the chain as a grid snake")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--out", required=True)
-    s.set_defaults(func=cmd_bench)
 
-    s = sub.add_parser("schedule", help="layer a circuit over a device")
-    s.add_argument("--topology", required=True)
-    s.add_argument("--circuit", required=True)
+    s = command("schedule", cmd_schedule, "layer a circuit over a device",
+                topology, circuit, cut, thresholds, out)
     s.add_argument("--policy", choices=("zzx", "par"), default="zzx")
-    s.add_argument("--alpha", type=float, default=0.5)
-    s.add_argument("--k", type=int, default=3)
-    s.add_argument("--nq-max", type=int, default=None)
-    s.add_argument("--nc-max", type=float, default=None)
     s.add_argument("--backend", choices=BACKENDS, default="gaussian",
                    help="sets the gate slot durations")
-    s.add_argument("--out", required=True)
-    s.set_defaults(func=cmd_schedule)
 
-    s = sub.add_parser("optimize-pulse", help="shape one native-gate pulse")
+    s = command("optimize-pulse", cmd_optimize_pulse, "shape one native-gate pulse",
+                lambda_hz, out)
     s.add_argument("--gate", choices=GATE_KINDS, required=True)
-    s.add_argument("--backend", choices=BACKENDS, default="pert")
+    s.add_argument("--backend", choices=BACKENDS, default=defaults.backend)
     s.add_argument("--neighbors", type=int, default=1)
-    s.add_argument("--lambda-hz", type=float, default=200e3)
-    s.add_argument("--out", required=True)
-    s.set_defaults(func=cmd_optimize_pulse)
 
-    s = sub.add_parser("simulate", help="run a plan on sampled devices")
-    s.add_argument("--topology", required=True)
+    s = command("simulate", cmd_simulate, "run a plan on sampled devices",
+                topology, pulses, strengths, out)
     s.add_argument("--plan", required=True)
-    s.add_argument("--pulses", required=True, help="directory of pulse JSON")
     s.add_argument("--samples", type=int, default=20)
-    s.add_argument("--lambda-mu-hz", type=float, default=200e3)
-    s.add_argument("--lambda-sigma-hz", type=float, default=50e3)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--out", required=True)
-    s.set_defaults(func=cmd_simulate)
 
-    s = sub.add_parser("ramsey", help="probe the effective ZZ strength")
-    s.add_argument("--topology", required=True)
-    s.add_argument("--pulses", required=True)
+    s = command("ramsey", cmd_ramsey, "probe the effective ZZ strength",
+                topology, pulses, lambda_hz, out)
     s.add_argument("--policy",
                    choices=("bare", "suppressed_B", "suppressed_C"),
                    default="bare")
-    s.add_argument("--lambda-hz", type=float, default=200e3)
     s.add_argument("--probe", type=int, default=0)
     s.add_argument("--control", type=int, default=1)
-    s.add_argument("--out", required=True)
-    s.set_defaults(func=cmd_ramsey)
 
-    s = sub.add_parser("sweep", help="infidelity vs coupling strength curve")
+    s = command("sweep", cmd_sweep, "infidelity vs coupling strength curve", out)
     s.add_argument("--scenario",
                    choices=("single_gate_pair", "two_gate_chain"),
                    default="single_gate_pair")
@@ -518,25 +518,15 @@ def build_parser():
     s.add_argument("--lambda-hz-min", type=float, default=10e3)
     s.add_argument("--lambda-hz-max", type=float, default=200e3)
     s.add_argument("--points", type=int, default=7)
-    s.add_argument("--out", required=True)
-    s.set_defaults(func=cmd_sweep)
 
-    s = sub.add_parser("report", help="full pipeline with summary table")
-    s.add_argument("--topology", required=True)
-    s.add_argument("--circuit", required=True)
-    s.add_argument("--policy", choices=("zzx", "par", "both"), default="both")
-    s.add_argument("--alpha", type=float, default=0.5)
-    s.add_argument("--k", type=int, default=3)
-    s.add_argument("--nq-max", type=int, default=None)
-    s.add_argument("--nc-max", type=float, default=None)
-    s.add_argument("--backend", choices=BACKENDS, default="pert")
-    s.add_argument("--lambda-mu-hz", type=float, default=200e3)
-    s.add_argument("--lambda-sigma-hz", type=float, default=50e3)
-    s.add_argument("--samples", type=int, default=1)
-    s.add_argument("--out-dir", default="runs")
-    s.add_argument("--seed", type=int, default=0)
+    s = command("report", cmd_report, "full pipeline with summary table",
+                topology, circuit, cut, thresholds, strengths)
+    s.add_argument("--policy", choices=("zzx", "par", "both"), default=defaults.policy)
+    s.add_argument("--backend", choices=BACKENDS, default=defaults.backend)
+    s.add_argument("--samples", type=int, default=len(defaults.seeds))
+    s.add_argument("--out-dir", default=defaults.out_dir)
+    s.add_argument("--seed", type=int, default=defaults.seeds[0])
     s.add_argument("--verbose", action="store_true")
-    s.set_defaults(func=cmd_report)
 
     return p
 

@@ -617,3 +617,67 @@ def test_provisioned_pulse_files_pinned(tmp_path, backend, rows, cols):
     written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                for f in tmp_path.glob("*.json")}
     assert written == PROVISIONED_SHA256[backend, rows, cols]
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["is-a-file", "under-a-file"])
+def test_report_out_dir_that_cannot_be_made(workspace, tmp_path, capsys, under):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker / "runs" if under else blocker
+    code = main(["report", "--topology", str(workspace / "g23.json"),
+                 "--circuit", str(workspace / "qft4.zzq"), "--backend", "gaussian",
+                 "--out-dir", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [cli] ") and str(out) in err
+    assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("kind", ["topology", "plan", "pulse-dir", "pulse", "cached-pulse"])
+def test_malformed_input_names_file_and_field(workspace, tmp_path, capsys, kind):
+    # each used to print only the missing key, e.g. `error [topology] 'edges'`
+    g23, qft4, runs = workspace / "g23.json", workspace / "qft4.zzq", workspace / "runs"
+    pulse = sorted((runs / "pulses").glob("rx90_*.json"))[0]
+    bad = tmp_path / "bad.json"
+    stage, src, field = "pulse", pulse, "T_ns"
+    if kind == "topology":
+        stage, src, field = "topology", g23, "edges"
+        argv = ["suppress", "--topology", bad, "--out", tmp_path / "cut.json"]
+    elif kind == "plan":
+        stage, src, field = "scheduler", runs / "plan_zzx.json", "num_qubits"
+        argv = ["simulate", "--topology", g23, "--plan", bad, "--pulses", runs / "pulses",
+                "--out", tmp_path / "r.json"]
+    elif kind == "pulse-dir":
+        bad = shutil.copytree(runs / "pulses", tmp_path / "pulses") / pulse.name
+        argv = ["ramsey", "--topology", workspace / "line2.json", "--pulses", bad.parent,
+                "--out", tmp_path / "r.csv"]
+    elif kind == "pulse":
+        argv = ["sweep", "--pulse", bad, "--out", tmp_path / "s.csv"]
+    else:
+        bad = tmp_path / "runs" / "pulses" / "rx90_gaussian_20ns.json"
+        bad.parent.mkdir(parents=True)
+        argv = ["report", "--topology", g23, "--circuit", qft4, "--backend", "gaussian",
+                "--out-dir", tmp_path / "runs"]
+    doc = json.loads(src.read_text())
+    del doc[field]
+    bad.write_text(json.dumps(doc))
+    assert main([str(a) for a in argv]) == 1
+    assert capsys.readouterr().err == f"error [{stage}] {bad}: missing field '{field}'\n"
+
+
+def test_malformed_circuit_names_file_and_line(workspace, tmp_path, capsys):
+    bad = tmp_path / "bad.zzq"
+    bad.write_text("qubits 6\nh 0\nfoo 1\n")
+    code = main(["schedule", "--topology", str(workspace / "g23.json"),
+                 "--circuit", str(bad), "--out", str(tmp_path / "p.json")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error [circuit] {bad}: line 3: unknown gate 'foo'\n"
+
+
+@pytest.mark.parametrize("grid", ["2x3x4", "2by3", "x3"])
+def test_bench_grid_must_be_rows_by_columns(tmp_path, capsys, grid):
+    out = tmp_path / "c.zzq"
+    code = main(["bench", "--name", "qft", "--n", "4", "--grid", grid, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error [circuit] --grid must be RxC, got '{grid}'\n"
+    assert not out.exists()
