@@ -309,16 +309,17 @@ def gate_matrix(gate):
 def apply_gate_to_state(state, gate, num_qubits):
     """Apply a gate to a (2^n,) state or a (b, 2^n) batch, batch axis leading.
 
-    One np.dot on an operand whose axes are the gate's qubits, the batch,
-    then the other qubits, so each state's columns are the operand
-    np.tensordot builds for it alone.
+    One ndarray.dot (np.dot's product without its Python dispatch) on an
+    operand whose axes are the gate's qubits, the batch, then the other
+    qubits, so each state's columns are the operand np.tensordot builds
+    for it alone.
     """
     b = len(state) if state.ndim == 2 else 1
     targets = tuple(1 + q for q in gate.qubits)
     perm = targets + tuple(a for a in range(num_qubits + 1) if a not in targets)
     inv_perm = tuple(perm.index(a) for a in range(num_qubits + 1))
     bt = state.reshape((b,) + (2,) * num_qubits).transpose(perm).reshape(1 << len(targets), -1)
-    psi = np.dot(gate_matrix(gate), bt).reshape([b if a == 0 else 2 for a in perm])
+    psi = gate_matrix(gate).dot(bt).reshape([b if a == 0 else 2 for a in perm])
     return np.ascontiguousarray(psi.transpose(inv_perm)).reshape(state.shape)
 
 

@@ -307,7 +307,20 @@ def _print_summary(doc):
 
 
 def _parse_qubits(text):
-    return frozenset(int(tok) for tok in text.split(",") if tok)
+    try:
+        return frozenset(int(tok) for tok in text.split(",") if tok)
+    except ValueError:
+        raise ValueError(f"--qubits must be comma-separated qubit indices, "
+                         f"got {text!r}") from None
+
+
+def _seed_range(args):
+    """Device seeds --seed, --seed + 1, ... for --samples devices."""
+    if args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    return tuple(range(args.seed, args.seed + args.samples))
 
 
 def cmd_suppress(args):
@@ -329,6 +342,8 @@ def cmd_bench(args):
                 rows, cols = map(int, args.grid.lower().split("x"))
             except ValueError:
                 raise ValueError(f"--grid must be RxC, got {args.grid!r}") from None
+            if min(rows, cols) < 1 or rows * cols < args.n:
+                raise ValueError(f"--grid {args.grid} holds fewer than --n {args.n} qubits")
             order = grid_snake_order(rows, cols)[: args.n]
         circ = benchmark(args.name, args.n, seed=args.seed, qubit_order=order)
         save_circuit(args.out, circ)
@@ -357,11 +372,12 @@ def cmd_optimize_pulse(args):
 
 
 def cmd_simulate(args):
+    with _stage("cli"):
+        seeds = _seed_range(args)
     g = _read("topology", load_topology, args.topology)
     plan = _read("scheduler", load_plan_file, args.plan)
     pulses = _read("pulse", _load_pulse_dir, args.pulses)
     with _stage("quantumsim"):
-        seeds = tuple(range(args.seed, args.seed + args.samples))
         reports = _simulate_seeds(g, plan, pulses, args.lambda_mu_hz,
                                   args.lambda_sigma_hz, seeds)
     with _stage("cli"):
@@ -429,7 +445,7 @@ def cmd_sweep(args):
 
 def cmd_report(args):
     with _stage("cli"):
-        cfg = _run_config(args, seeds=tuple(range(args.seed, args.seed + args.samples)))
+        cfg = _run_config(args, seeds=_seed_range(args))
     run_pipeline(cfg, verbose=args.verbose)
     return 0
 

@@ -16,16 +16,16 @@ around closed-form local drive exponentials) used by default, and the
 dense propagator in pulse (_propagate as a one-problem stack, the one
 that also evolves basic regions), kept as a small-system oracle.
 
-Frame rotations and the ideal reference apply gates with one np.dot
-(circuit.apply_gate_to_state), on exactly the operand np.tensordot would
-build for each state alone.
+Frame rotations and the ideal reference apply each gate matrix with one
+ndarray.dot (circuit.apply_gate_to_state), on exactly the operand
+np.tensordot would build for each state alone.
 
 The split-step layer cuts its steps at every window start and end, so a
 segment has one operator sequence; the state lives in a home buffer
 between steps. The leading ZZ half-step reads it through a transposed view
 into the segment's start layout, the step's one permutation, and writes
 the second buffer. Operators then take turns between the two buffers with
-no copy: the first np.dot keeps the layout, each later one reads its
+no copy: the first product keeps the layout, each later one reads its
 targets from the trailing axes through an F-ordered operand and writes
 them first. The trailing half-step writes the result home. Elementwise
 products keep their bits at any stride. Only operators that share a
@@ -35,8 +35,11 @@ A drive operand holds the tensordot operand's columns in another order
 and memory order. zgemm computes each column on its own when the operand
 is below 4 or a multiple of 4 columns wide, and gives an F-ordered
 operand the bits of its contiguous copy (tests check both of the BLAS
-build), so every report keeps the bits of the tensordot formulation. Step
-operators are built once per _run_plan call.
+build), so every report keeps the bits of the tensordot formulation.
+Each operator's step matrices are built once per _run_plan call, as one
+C-contiguous 2-D array per step, and a step applies each with
+ndarray.dot: the product np.dot computes, through the same zgemm call,
+without np.dot's Python dispatch.
 
 Device samples of one topology differ only in the diagonal ZZ phase, so
 simulate_ensemble evolves a group of them in one (devices, 2^n) state
@@ -216,7 +219,8 @@ def _batch_zx(amps, dt):
 
 def _window_ops(windows, duration, steps, cache):
     """[(i0, i1, step operators, qubits)] for a layer's windows, in window
-    order, each window's singles then couplings by register qubit.
+    order, each window's singles then couplings by register qubit; step
+    operators lists one 2-D matrix per step.
 
     cache maps (duration, steps, start, spec, gate size) to the window's
     operators on its gate's own qubit indices, so one _run_plan call builds
@@ -232,8 +236,10 @@ def _window_ops(windows, duration, steps, cache):
             cache[key] = made = []
             local = (start, spec, tuple(range(len(qmap))))
             for i0, i1, singles, couplings in _window_amplitudes([local], mids):
-                made += [(i0, i1, (q,), _batch_su2(ax, ay, dt)) for q, (ax, ay) in singles.items()]
-                made += [(i0, i1, pair, _batch_zx(amps, dt)) for pair, amps in couplings.items()]
+                made += [(i0, i1, (q,), list(_batch_su2(ax, ay, dt)))
+                         for q, (ax, ay) in singles.items()]
+                made += [(i0, i1, pair, list(_batch_zx(amps, dt)))
+                         for pair, amps in couplings.items()]
         placed = [(i0, i1, us, tuple(qmap[q] for q in qs)) for i0, i1, qs, us in cache[key]]
         ops += sorted(placed, key=lambda op: (len(op[3]), op[3]))
     return ops
@@ -307,13 +313,13 @@ def _split_layer(psi, n, zz_diag, windows, duration, rate, cache=None):
         src, dst = _in_layout(bufs[0], b, at, start), _in_layout(bufs[1], b, start)
         for k in range(s1 - s0):
             # the leading half-step carries the step's one permutation
-            np.multiply(src if k else first, start_half, out=dst)
+            np.multiply(src if k else first, start_half, dst)
             for us, x, o in calls:
                 if us is None:
                     np.copyto(o, x)
                 else:
-                    np.dot(us[k], x, out=o)
-            np.multiply(bufs[end], end_half, out=bufs[0])
+                    us[k].dot(x, o)
+            np.multiply(bufs[end], end_half, bufs[0])
         lay = at
     return np.ascontiguousarray(_in_layout(bufs[0], b, lay, range(n + 1))).reshape(b, -1)
 

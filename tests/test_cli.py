@@ -277,7 +277,7 @@ class TestReportPipeline:
                      "--circuit", str(workspace / "qft4.zzq"),
                      "--seed", "-1", "--out-dir", str(out)])
         assert code == 1
-        assert "error [cli] seeds must be nonnegative" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error [cli] --seed must be nonnegative, got -1\n"
         assert not list(out.glob("**/plan_*.json"))
 
     def test_device_past_the_simulator_cap_rejected_before_any_work(self, tmp_path, capsys):
@@ -680,4 +680,54 @@ def test_bench_grid_must_be_rows_by_columns(tmp_path, capsys, grid):
     code = main(["bench", "--name", "qft", "--n", "4", "--grid", grid, "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err == f"error [circuit] --grid must be RxC, got '{grid}'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["0x3", "1x3"])
+def test_bench_grid_must_hold_the_circuit(tmp_path, capsys, grid):
+    # 1x3 used to print `qubit_order must be a permutation of length n`
+    out = tmp_path / "c.zzq"
+    code = main(["bench", "--name", "qft", "--n", "4", "--grid", grid, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error [circuit] --grid {grid} holds fewer than --n 4 qubits\n")
+    assert not out.exists()
+
+
+def test_suppress_qubits_must_be_integers(workspace, tmp_path, capsys):
+    # used to print `invalid literal for int() with base 10: 'x'`
+    out = tmp_path / "cut.json"
+    code = main(["suppress", "--topology", str(workspace / "g23.json"),
+                 "--qubits", "0,x", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error [suppression] --qubits must be comma-separated qubit indices, got '0,x'\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--seed", "-1", "--seed must be nonnegative, got -1"),
+    ("--samples", "0", "--samples must be at least 1, got 0"),
+])
+def test_simulate_seed_flags_named(workspace, tmp_path, capsys, flag, value, message):
+    # the device sampler used to answer `expected non-negative integer`, and
+    # the ensemble `need at least one device`
+    out = tmp_path / "r.json"
+    code = main(["simulate", "--topology", str(workspace / "g23.json"),
+                 "--plan", str(workspace / "runs" / "plan_zzx.json"),
+                 "--pulses", str(workspace / "runs" / "pulses"),
+                 flag, value, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error [cli] {message}\n"
+    assert not out.exists()
+
+
+def test_report_samples_flag_named(workspace, tmp_path, capsys):
+    # RunConfig used to answer `need at least one seed`
+    out = tmp_path / "runs"
+    code = main(["report", "--topology", str(workspace / "g23.json"),
+                 "--circuit", str(workspace / "qft4.zzq"),
+                 "--samples", "0", "--out-dir", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error [cli] --samples must be at least 1, got 0\n"
     assert not out.exists()

@@ -499,6 +499,14 @@ class TestSimulatePlan:
         assert fz >= 2 * fp
 
 
+# fidelity bits of qft-4 on the 2x3 grid, Gaussian library, devices seeded
+# 0-2 at 200 +- 50 kHz
+ENSEMBLE_FIDELITY_HEX = {
+    "zzx": ["0x1.6fd1b99e48202p-7", "0x1.37d6937d66c18p-9", "0x1.6d697beb4164ep-5"],
+    "par": ["0x1.30c995e031f2ep-7", "0x1.1da25a086ab7ep-4", "0x1.29a7f8d0a61dcp-3"],
+}
+
+
 class TestSimulateEnsemble:
     @pytest.mark.parametrize("method,grid", [
         pytest.param("split", None, id="split"),
@@ -518,6 +526,23 @@ class TestSimulateEnsemble:
         batch = simulate_ensemble(devices, plan, gauss_lib, method=method)
         for dev, r in zip(devices, batch):
             assert r == simulate_plan(dev, plan, gauss_lib, method=method)
+
+    @pytest.mark.parametrize("policy", ["zzx", "par"])
+    def test_runs_without_numpy_dot(self, gauss_lib, monkeypatch, policy):
+        """Drive steps, frame rotations and the ideal reference call
+        ndarray.dot, never numpy.dot and its dispatch; with numpy.dot
+        raising, one batch of three devices keeps its fidelity bits."""
+        g = grid_topology(2, 3)
+        c = to_native(benchmark("qft", 4, qubit_order=grid_snake_order(2, 3)[:4]))
+        plan = schedule(g, c) if policy == "zzx" else par_sched(g, c)
+        devices = [sample_device(g, 200e3, 50e3, seed=s) for s in range(3)]
+
+        def no_dot(*args, **kwargs):
+            raise AssertionError("numpy.dot called")
+
+        monkeypatch.setattr(np, "dot", no_dot)
+        fids = [r.fidelity.hex() for r in simulate_ensemble(devices, plan, gauss_lib)]
+        assert fids == ENSEMBLE_FIDELITY_HEX[policy]
 
     def test_empty_device_list(self, gauss_lib):
         plan = par_sched(LINE2, Circuit(2, ()))

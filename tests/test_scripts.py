@@ -103,3 +103,36 @@ def test_ramsey_demo_writes_fringes(tmp_path, monkeypatch, capsys):
             zz_khz[parts[0]] = float(parts[1])
     assert list(zz_khz) == ["bare", "suppressed_B", "suppressed_C"]
     assert zz_khz["bare"] == pytest.approx(800.0, rel=0.05)
+
+
+def test_perf_pairs_alternates_and_flags_incorrect_runs(tmp_path, monkeypatch, capsys):
+    module = _load(next(p for p in SCRIPTS if p.stem == "perf_pairs"))
+    bench = (Path(module.__file__).resolve().parent.parent / "BENCHMARK.json").read_text()
+
+    def checkout(rev, dest):
+        dest.mkdir(parents=True)
+        (dest / "BENCHMARK.json").write_text(bench)
+
+    order = []
+    speed = {"pa": 1.0, "ch": 1.2}
+
+    def run_once(tree, workload, seed, seconds):
+        side = tree.name
+        order.append((seed, side))
+        value = speed[side] + 0.01 * seed
+        return {"correct": not (side == "ch" and seed == 4), "failed": 0,
+                "metrics": {"work_per_s": {"value": value, "unit": "1/s"},
+                            "task_p50_s": {"value": 1 / value, "unit": "s"}}}
+
+    monkeypatch.setattr(module, "checkout", checkout)
+    monkeypatch.setattr(module, "run_once", run_once)
+    assert module.main("A", "B", "report", 1, 4, 15, tmp_path / "w") == 1
+    # the parent first on odd seeds, the change first on even ones
+    assert order == [(1, "pa"), (1, "ch"), (2, "ch"), (2, "pa"),
+                     (3, "pa"), (3, "ch"), (4, "ch"), (4, "pa")]
+    out = capsys.readouterr().out
+    assert "seed 4 ch: correct=False" in out
+    assert "work_per_s   median 1.025 -> 1.225 1/s" in out
+    assert "change better in 4 of 4" in out.split("work_per_s")[1].splitlines()[0]
+    assert "change better in 4 of 4" in out.split("task_p50_s")[1].splitlines()[0]
+    assert "setup_s      missing in some runs" in out
