@@ -7,8 +7,12 @@ paths of the same length: the process heap's layout follows the path, and
 the layout alone can move a workload's speed. For seed s the parent runs
 first when s is odd and the change first when it is even. Each side's runs
 are summed up per end-to-end metric of BENCHMARK.json: the median, the
-quartiles, and the pairs the change wins. The exit status is 1 when any run
-reads `correct: false`.
+quartiles, and the pairs the change wins. Per task kind it then prints the
+median `p50_s` of each side, read from the result file perfbench writes
+for each run (`.perfbench_out/result-<workload>-seed<s>-trace0.json` in
+each tree), and their ratio, parent over change, which shows the kinds
+that carry a gain. The exit status is 1 when any run reads
+`correct: false`.
 """
 
 import argparse
@@ -46,6 +50,15 @@ def run_once(tree, workload, seed, seconds):
                 "error": (proc.stderr.strip().splitlines() or ["no output"])[-1]}
 
 
+def kind_p50s(tree, workload, seed):
+    """Per task kind, p50_s of the untraced run perfbench wrote for seed in tree."""
+    path = tree / ".perfbench_out" / f"result-{workload}-seed{seed}-trace0.json"
+    try:
+        return {k: v["p50_s"] for k, v in json.loads(path.read_text())["kinds"].items()}
+    except (OSError, ValueError, KeyError):
+        return {}
+
+
 def quartiles(values):
     if len(values) < 2:
         return values[0], values[0]
@@ -74,6 +87,19 @@ def summarize(runs, metrics):
     return lines
 
 
+def summarize_kinds(kinds):
+    """One line per task kind: each side's median p50_s and parent / change."""
+    names = list(dict.fromkeys(k for side in SIDES for run in kinds[side] for k in run))
+    lines = []
+    for name in names:
+        med = {side: statistics.median(v) for side in SIDES
+               if (v := [run[name] for run in kinds[side] if name in run])}
+        if len(med) == len(SIDES):
+            lines.append(f"{name:<24} p50 {med['pa']:.4g} -> {med['ch']:.4g} s, "
+                         f"parent/change {med['pa'] / med['ch']:.3f}")
+    return lines
+
+
 def main(parent, change, workload, seed, pairs, seconds, workdir=None):
     root = Path(workdir or tempfile.mkdtemp(prefix="perf-pairs-"))
     trees = {side: root / side for side in SIDES}
@@ -82,10 +108,12 @@ def main(parent, change, workload, seed, pairs, seconds, workdir=None):
             checkout(rev, trees[side])
         metrics = json.loads((trees["ch"] / "BENCHMARK.json").read_text())["end_to_end"]
         runs, bad = [], 0
+        kinds = {side: [] for side in SIDES}
         for s in range(seed, seed + pairs):
             order = SIDES if s % 2 else SIDES[::-1]
             run = {side: run_once(trees[side], workload, s, seconds) for side in order}
             for side in SIDES:
+                kinds[side].append(kind_p50s(trees[side], workload, s))
                 res = run[side]
                 if not res.get("correct"):
                     bad += 1
@@ -96,6 +124,11 @@ def main(parent, change, workload, seed, pairs, seconds, workdir=None):
         print(f"{workload}: {parent} -> {change}, seeds {seed}-{seed + pairs - 1}")
         for line in summarize(runs, metrics):
             print(f"  {line}")
+        kind_lines = summarize_kinds(kinds)
+        if kind_lines:
+            print("  per task kind, median p50_s:")
+        for line in kind_lines:
+            print(f"    {line}")
         return 1 if bad else 0
     finally:
         if workdir is None:

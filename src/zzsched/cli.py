@@ -364,6 +364,9 @@ def cmd_schedule(args):
 
 def cmd_optimize_pulse(args):
     with _stage("pulse"):
+        if args.neighbors < 0:
+            raise ValueError(f"neighbor count must be nonnegative, "
+                             f"got --neighbors {args.neighbors}")
         op = native_pulse(args.gate, args.backend, args.neighbors, args.lambda_hz)
         save_pulse(args.out, op)
     print(f"{args.gate} [{args.backend}] converged={op.converged} "
@@ -430,6 +433,8 @@ def cmd_sweep(args):
             if bound <= 0:  # NaN passes on to the region's finiteness check
                 raise ValueError(f"{flag} must be positive, got {bound:g}: "
                                  f"the strength grid is log-spaced")
+        if args.points < 1:
+            raise ValueError(f"--points must be at least 1, got {args.points}")
         lams_hz = np.logspace(math.log10(args.lambda_hz_min),
                               math.log10(args.lambda_hz_max), args.points)
         curve = suppression_sweep(args.scenario, op,

@@ -24,12 +24,14 @@ which pulse a backend, gaussian included, runs for each native kind. All
 internal units are rad/s and seconds; file formats carry Hz and ns with
 explicit conversion.
 
-Every loss takes a whole finite-difference stencil, or one line-search
-probe per restart, in one call: the pert loss as one batched pass over
-the plane integrals, the optctrl loss as one stack of independent
-problems for the one stepper, which diagonalizes chunks of steps of
-every problem in stacked eigh calls. The restarts descend in lockstep.
-Pulses keep the bits of a per-point, per-step, per-restart loop.
+The restarts descend in lockstep, and each loss call takes one round's
+rows of every restart at once: the finite-difference stencils of all
+live restarts, or each searching restart's next line-search probes. The
+pert loss is one batched pass over the plane integrals; the optctrl
+loss is one stack of independent problems for the one stepper, which
+diagonalizes chunks of steps of every problem in stacked eigh calls
+sized by a byte budget. Pulses keep the bits of a per-point, per-step,
+per-restart loop.
 """
 
 from __future__ import annotations
@@ -268,7 +270,11 @@ def _embed(ops, positions, n):
 
 
 _DENSE_MAX_QUBITS = 6  # the one cap on dense work: regions, device layers, Ramsey
-_STEP_CHUNK = 32  # matrices per stacked eigh; a whole-pulse stack costs memory and time
+# bytes per array of one stacked eigh chunk. A whole-pulse stack costs
+# memory and time, and the arrays, made and freed once per chunk, were
+# handed back to the system and faulted in again when larger (about 1,600
+# page faults per budgeted optctrl design at 128 KiB, against 12 at 32 KiB)
+_STEP_BYTES = 1 << 15
 
 
 def _dense_qubits(n):
@@ -285,14 +291,16 @@ def _step_nodes(h_static, terms, dt, steps):
     terms holds (amplitude per step, constant matrix) pairs. Leading axes
     B of h_static (*B, d, d) and of the amplitudes (*B, steps), broadcast
     together, stack P independent problems; the nodes are (*B, d, d). Each
-    chunk of max(1, _STEP_CHUNK // P) steps builds its Hamiltonians as one
+    chunk takes as many steps as fit their P complex d x d matrices into
+    _STEP_BYTES, and at least one: it builds its Hamiltonians as one
     stack, diagonalizes them in one eigh call and forms the step unitaries
     with one stacked matmul; they are then applied in order, u = su @ u.
     LAPACK and BLAS treat each matrix of a stack on its own, so every
-    problem gets the bits of a per-step loop over it alone.
+    problem gets the bits of a per-step loop over it alone, whatever the
+    chunk size.
     """
     shape = np.broadcast_shapes(h_static.shape, *(a.shape[:-1] + (1, 1) for a, _ in terms))
-    chunk = max(1, _STEP_CHUNK // math.prod(shape[:-2]))
+    chunk = max(1, _STEP_BYTES // (16 * math.prod(shape[:-2]) * shape[-1] * shape[-1]))
     u = np.broadcast_to(np.eye(shape[-1], dtype=complex), shape).copy()
     yield u
     for k0 in range(0, steps, chunk):
@@ -552,6 +560,11 @@ class OptimizeConfig:
 
 
 _GRAD_TOL = 1e-9  # descent stops below this gradient norm
+# envelope steps per plane-integral call, which bounds its work arrays: one
+# stencil of 10 rows at 800 steps, the three stencils of 30 at 200
+_PLANE_ENTRIES = 8192
+_PERT_PROBES = 3  # line-search probes per loss call in a pert descent ...
+_PERT_PROBE_STEPS = 400  # ... on a grid of at most this many steps
 
 
 @dataclass(frozen=True)
@@ -589,7 +602,7 @@ def _fourier_basis(T, steps):
     return np.array(_fourier_rows((np.arange(steps) + 0.5) * (T / steps), T))
 
 
-def _plane_integrals_batch(basis, coeffs, T, steps):
+def _plane_integrals_batch(basis, coeffs, T, steps, work=None):
     """Exact first-order integrals of the piecewise-constant propagator.
 
     Over one constant step the toggled z operator rotates linearly, so
@@ -598,35 +611,48 @@ def _plane_integrals_batch(basis, coeffs, T, steps):
     no quadrature error. coeffs holds one five-coefficient envelope (rad/s)
     per row; returns the arrays (cos integral, sin integral, phi(T)).
 
-    Work arrays are filled in place; the returned arrays are the call's own.
-    Only a batch with a step where 2 |Omega| dt < 1e-12 takes the np.where
-    form; elsewhere the quotients are the same ufuncs on the same operands,
-    so both forms give the same bits.
+    work, a list that starts empty, keeps the work arrays from one call to
+    the next, grown to the most rows a call has taken: fresh arrays this
+    size, freed after every call, can be handed back to the system and
+    faulted in again. The returned arrays are the call's own.
+
+    sin(phi) and -cos(phi) share one buffer, so one subtraction, one
+    division and one sum give both integrals, since negating a
+    difference's operands negates it exactly. Only a batch with a step
+    where 2 |Omega| dt < 1e-12 takes the np.where form; elsewhere the
+    quotients are the same ufuncs on the same operands, so both forms give
+    the same bits.
     """
     dt = T / steps
     half = coeffs / 2
-    om = np.zeros((len(coeffs), steps))
-    tmp = np.empty_like(om)
+    n = len(coeffs)
+    if work is None:
+        work = []
+    if not work or len(work[0]) < n:
+        work[:] = (np.empty((n, steps)), np.empty((n, steps)), np.zeros((n, steps + 1)),
+                   np.empty((2, n, steps + 1)), np.empty((2, n, steps)))
+    om, tmp, phi, trig, diffs = [w[..., :n, :] for w in work]
+    om[...] = 0.0
     for j in range(5):  # envelope_value's summation order
         om += np.multiply(half[:, j, None], basis[j], out=tmp)
-    phi = np.zeros((len(coeffs), steps + 1))
-    acc = np.cumsum(om, axis=1, out=phi[:, 1:])
-    acc *= 2
-    acc *= dt
-    sin_phi, cos_phi = np.sin(phi), np.cos(phi)
+    acc = np.cumsum(om, axis=1, out=phi[:, 1:])  # phi(0) = 0 stays from the allocation
+    np.multiply(acc, 2 * dt, out=acc)  # (acc * 2) * dt: the doubling is exact
+    np.sin(phi, out=trig[0])
+    np.negative(np.cos(phi, out=trig[1]), out=trig[1])
+    np.subtract(trig[..., 1:], trig[..., :-1], out=diffs)  # sin and cos differences
     two_om = np.multiply(om, 2, out=om)
-    small = np.multiply(np.abs(two_om, out=tmp), dt, out=tmp) < 1e-12
-    if small.any():
-        denom = np.where(small, 1.0, two_om)
-        cos_steps = np.where(small, dt * cos_phi[:, :-1],
-                             (sin_phi[:, 1:] - sin_phi[:, :-1]) / denom)
-        sin_steps = np.where(small, dt * sin_phi[:, :-1],
-                             (cos_phi[:, :-1] - cos_phi[:, 1:]) / denom)
-        return cos_steps.sum(axis=1), sin_steps.sum(axis=1), phi[:, -1]
-    np.subtract(sin_phi[:, 1:], sin_phi[:, :-1], out=tmp)
-    cos_int = np.divide(tmp, two_om, out=tmp).sum(axis=1)
-    np.subtract(cos_phi[:, :-1], cos_phi[:, 1:], out=tmp)
-    return cos_int, np.divide(tmp, two_om, out=tmp).sum(axis=1), phi[:, -1]
+    mags = np.abs(two_om, out=tmp)
+    # rounding is monotone, so the least |2 Omega| dt is the least |2 Omega| times dt
+    if np.fmin.reduce(mags, axis=None, initial=np.inf) * dt < 1e-12:
+        small = np.multiply(mags, dt, out=mags) < 1e-12
+        np.divide(diffs, np.where(small, 1.0, two_om), out=diffs)
+        lo = np.multiply(trig[::-1, :, :-1], dt)  # dt cos(phi), dt sin(phi) per step
+        np.negative(lo[0], out=lo[0])
+        diffs = np.where(small, lo, diffs)
+    else:
+        np.divide(diffs, two_om, out=diffs)
+    cos_int, sin_int = diffs.sum(axis=2)
+    return cos_int, sin_int, phi[:, -1].copy()
 
 
 def _pert_system(model, T, angle):
@@ -661,9 +687,13 @@ def _pert_system(model, T, angle):
     steps = num_steps(T, DEFAULT_SAMPLE_RATE)
     basis = _fourier_basis(T, steps)
     d = 2 * g
+    rows = max(1, _PLANE_ENTRIES // steps)  # envelopes per kernel call
+    work = []
 
     def integrals(xs):
-        return _plane_integrals_batch(basis, xs / T, T, steps)
+        parts = [_plane_integrals_batch(basis, xs[i:i + rows] / T, T, steps, work)
+                 for i in range(0, len(xs), rows)]
+        return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
     def score(xs):
         out = []
@@ -716,42 +746,57 @@ def _pert_system(model, T, angle):
     return score, losses, polish, check
 
 
-def _fd_stencil(x):
-    """Central-difference points x + h_0 e_0, x - h_0 e_0, x + h_1 e_1, ... and h."""
-    h = 1e-6 * np.maximum(np.abs(x), 1.0)
-    pts = np.repeat(x[None], 2 * len(x), axis=0)
-    i = np.arange(len(x))
-    pts[2 * i, i] += h
-    pts[2 * i + 1, i] -= h
-    return pts, h
+def _fd_stencil(xs):
+    """Central-difference points x + h_0 e_0, x - h_0 e_0, x + h_1 e_1, ... and h.
+
+    A 2-D xs stacks the stencils of its rows, row after row, and h holds
+    one row per row of xs."""
+    h = 1e-6 * np.maximum(np.abs(xs), 1.0)
+    n = xs.shape[-1]
+    pts = np.repeat(xs[..., None, :], 2 * n, axis=-2)
+    i = np.arange(n)
+    pts[..., 2 * i, i] += h
+    pts[..., 2 * i + 1, i] -= h
+    return pts.reshape(-1, n), h
 
 
-def _descend(losses, grad, starts, max_iter):
+def _descend(losses, grads, starts, max_iter, probes=1):
     """Backtracking gradient descent from every start, in lockstep.
 
     Returns (x, f(x), iterations) per start, each what a descent from that
-    start alone gives: losses scores its rows independently, and every
-    line-search round scores one probe per searching start in one call.
+    start alone gives: losses scores its rows independently. Each round
+    takes the gradients of every live start in one grads call, a row per
+    start. Each line-search round then scores the next `probes` halvings
+    of every searching start in one losses call and keeps the first probe
+    that passes, the one a search probing one step at a time accepts.
     """
-    xs = [np.asarray(x0, dtype=float).copy() for x0 in starts]
-    fxs = list(losses(np.array(xs)))
+    xs = np.array(starts, dtype=float)
+    fxs = list(losses(xs))
     iters = [0] * len(xs)
     steps = [1.0] * len(xs)
-    live = range(len(xs))
+    live = list(range(len(xs)))
     for _ in range(max_iter):
         if not live:
             break
-        search = {}  # start -> (gradient, its norm, step length to probe)
-        for i in live:
-            g = grad(xs[i])
-            gn = float(np.linalg.norm(g))
+        search = {}  # start -> (gradient, its norm, first step length to probe)
+        for i, g in zip(live, grads(xs[live])):
+            gn = math.sqrt(g.dot(g))  # np.linalg.norm's own formula, without its dispatch
             if gn >= _GRAD_TOL:
                 search[i] = (g, gn, steps[i])
         live = []
         while search:
-            probes = {i: xs[i] - alpha * g for i, (g, _, alpha) in search.items()}
-            for (i, xn), fn in zip(probes.items(), losses(np.array(list(probes.values())))):
-                g, gn, alpha = search.pop(i)
+            rows = []  # (start, step length), in each start's probing order
+            for i, (_, _, alpha) in search.items():
+                for _ in range(probes):
+                    rows.append((i, alpha))
+                    alpha /= 2
+                    if not alpha > 1e-14:
+                        break
+            pts = np.array([xs[i] - alpha * search[i][0] for i, alpha in rows])
+            for (i, alpha), xn, fn in zip(rows, pts, losses(pts)):
+                if i not in search:
+                    continue  # an earlier probe of this start passed
+                g, gn, _ = search.pop(i)
                 if fn <= fxs[i] - 1e-4 * alpha * gn * gn:
                     xs[i], fxs[i] = xn, fn
                     steps[i] = min(alpha * 2, 1e6)
@@ -804,10 +849,10 @@ def optimize(model, target, backend, config=None):
         def losses(xs):
             return _optctrl_losses(model, [build(x) for x in xs], gate)
 
-    def grad(x):
-        pts, h = _fd_stencil(x)
-        vals = np.array(losses(pts))
-        return (vals[0::2] - vals[1::2]) / (2 * h)
+    def grads(xs):
+        pts, h = _fd_stencil(xs)
+        vals = np.array(losses(pts)).reshape(len(xs), -1)
+        return (vals[:, 0::2] - vals[:, 1::2]) / (2 * h)
 
     x_init = np.zeros(5)
     x_init[0] = angle  # normalized A1*T; integral Omega = angle/2
@@ -816,7 +861,15 @@ def optimize(model, target, backend, config=None):
         rng = np.random.default_rng(i)
         starts.append(x_init + 0.15 * angle * rng.standard_normal(5))
 
-    x, fx, iters = min(_descend(losses, grad, starts, config.max_iter), key=lambda r: r[1])
+    # a pert row on the default 20 ns grid costs little next to a loss call,
+    # so its line search scores several halvings per call; a longer pert
+    # grid (rzx90's 80 ns) or an optctrl row, a stack of dense steps, costs
+    # more in unused probes than the calls they save
+    probes = 1
+    if backend == "pert" and num_steps(T, DEFAULT_SAMPLE_RATE) <= _PERT_PROBE_STEPS:
+        probes = _PERT_PROBES
+    x, fx, iters = min(_descend(losses, grads, starts, config.max_iter, probes),
+                       key=lambda r: r[1])
     if polish is not None and config.max_iter > 0:
         cand = polish(x_init)
         fc = losses(cand[None])[0]

@@ -731,3 +731,29 @@ def test_report_samples_flag_named(workspace, tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == "error [cli] --samples must be at least 1, got 0\n"
     assert not out.exists()
+
+
+def test_optimize_pulse_neighbors_flag_named(tmp_path, capsys):
+    # `_native_region` answered `neighbor count must be nonnegative` alone
+    out = tmp_path / "p.json"
+    code = main(["optimize-pulse", "--gate", "rx90", "--backend", "pert",
+                 "--neighbors", "-1", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error [pulse] neighbor count must be nonnegative, got --neighbors -1\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("points", ["0", "-2"])
+def test_sweep_points_flag_named(tmp_path, capsys, points):
+    # the sweep used to answer `need at least one strength` (and numpy's
+    # `Number of samples, -2, must be non-negative.` below zero)
+    pulse = tmp_path / "p.json"
+    assert main(["optimize-pulse", "--gate", "rx90", "--backend", "gaussian",
+                 "--out", str(pulse)]) == 0
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--pulse", str(pulse), "--points", points, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error [quantumsim] --points must be at least 1, got {points}\n")
+    assert not out.exists()

@@ -860,6 +860,34 @@ def _plane_integrals_reference(spec, steps):
     return float(cos_steps.sum()), float(sin_steps.sum()), float(phi[-1])
 
 
+def _plane_integrals_former(basis, coeffs, T, steps):
+    """The batched plane-integral pass before sin and -cos shared one buffer."""
+    dt = T / steps
+    half = coeffs / 2
+    om = np.zeros((len(coeffs), steps))
+    tmp = np.empty_like(om)
+    for j in range(5):
+        om += np.multiply(half[:, j, None], basis[j], out=tmp)
+    phi = np.zeros((len(coeffs), steps + 1))
+    acc = np.cumsum(om, axis=1, out=phi[:, 1:])
+    acc *= 2
+    acc *= dt
+    sin_phi, cos_phi = np.sin(phi), np.cos(phi)
+    two_om = np.multiply(om, 2, out=om)
+    small = np.multiply(np.abs(two_om, out=tmp), dt, out=tmp) < 1e-12
+    if small.any():
+        denom = np.where(small, 1.0, two_om)
+        cos_steps = np.where(small, dt * cos_phi[:, :-1],
+                             (sin_phi[:, 1:] - sin_phi[:, :-1]) / denom)
+        sin_steps = np.where(small, dt * sin_phi[:, :-1],
+                             (cos_phi[:, :-1] - cos_phi[:, 1:]) / denom)
+        return cos_steps.sum(axis=1), sin_steps.sum(axis=1), phi[:, -1]
+    np.subtract(sin_phi[:, 1:], sin_phi[:, :-1], out=tmp)
+    cos_int = np.divide(tmp, two_om, out=tmp).sum(axis=1)
+    np.subtract(cos_phi[:, :-1], cos_phi[:, 1:], out=tmp)
+    return cos_int, np.divide(tmp, two_om, out=tmp).sum(axis=1), phi[:, -1]
+
+
 def _step_product_reference(h_static, terms, amps, dt, dim, steps, collect=None):
     """The per-step eigh loop the chunked stepper replaced."""
     u = np.eye(dim, dtype=complex)
@@ -905,13 +933,42 @@ def test_plane_integrals_batch_bit_identical(steps):
         assert all(np.array_equal(a, b) for a, b in zip(got, kept))
 
 
-# each step count spans more than one stacked chunk and ends in a partial
-# one; a stack of P problems takes max(1, 32 // P) steps per chunk
+@pytest.mark.parametrize("rows", [1, 3, 10, 30])
+@pytest.mark.parametrize("steps", [200, 800])
+def test_plane_integrals_batch_matches_former_pass(steps, rows):
+    # the stencils of three restarts are 30 rows; a zero envelope row sends
+    # the whole batch through the np.where form. One work list serves every
+    # call, as in _pert_system, down to smaller batches and an empty one
+    T = 20e-9
+    basis = _fourier_basis(T, steps)
+    coeffs = np.random.default_rng(rows * steps).standard_normal((rows, 5)) * 1.5e8
+    zeroed = coeffs.copy()
+    zeroed[0] = 0.0
+    work = []
+    first = _plane_integrals_batch(basis, coeffs, T, steps, work)
+    kept = [a.copy() for a in first]
+    for batch in (zeroed, coeffs, coeffs[:(rows + 1) // 2], coeffs[:0]):
+        ref = _plane_integrals_former(basis, batch, T, steps)
+        for got in (_plane_integrals_batch(basis, batch, T, steps),
+                    _plane_integrals_batch(basis, batch, T, steps, work)):
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ref))
+        # the results are the call's own, not views of the shared work arrays
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(first, kept))
+
+
+def _chunk_steps(problems, dim):
+    """Steps per stacked eigh chunk: the byte budget over one step's matrices."""
+    return max(1, pulse._STEP_BYTES // (16 * problems * dim * dim))
+
+
+# each step count spans more than one stacked chunk (see _chunk_steps),
+# most ending in a partial one, except 4-70-stack1, which fits one chunk;
+# 4-600-stack1 takes that shape across chunks
 @pytest.mark.parametrize("dim,steps,stack", [
     (4, 600, None), (16, 70, None), (64, 45, None),
-    (4, 70, 1), (4, 45, 3), (16, 25, 3), (4, 45, 40),
+    (4, 70, 1), (4, 45, 3), (16, 25, 3), (4, 45, 40), (4, 600, 1),
 ], ids=["4-600", "16-70", "64-45", "4-70-stack1", "4-45-stack3", "16-25-stack3",
-        "4-45-stack40"])
+        "4-45-stack40", "4-600-stack1"])
 def test_step_nodes_bit_identical(dim, steps, stack):
     rng = np.random.default_rng(dim)
     members = 1 if stack is None else stack
@@ -979,11 +1036,15 @@ def test_stacked_dense_losses_bit_identical(kind):
     assert got == [_optctrl_losses(model, [s], target)[0] for s in specs]
 
 
-@pytest.mark.parametrize("pulses,strengths", [(2, 70), (3, 30)])
+@pytest.mark.parametrize("pulses,strengths", [(2, 70), (3, 30), (3, 200)])
 def test_evolve_large_stack_bit_identical(pulses, strengths):
-    # more problems than one eigh chunk holds, so the stepper takes one
-    # step per chunk; every stack member keeps the bits of evolve
-    assert pulses * strengths > pulse._STEP_CHUNK
+    # more problems than one eigh chunk holds the 45 steps of, so the
+    # stepper takes several chunks; at 3 x 200 (600 problems at d = 4) one
+    # step of the stack alone exceeds the byte budget. Every stack member
+    # keeps the bits of evolve
+    assert _chunk_steps(pulses * strengths, 4) < 45
+    if strengths == 200:
+        assert 16 * pulses * strengths * 4 * 4 > pulse._STEP_BYTES
     models = [single_region(1, lam) for lam in LAM * np.linspace(0.1, 2.0, strengths)]
     specs = [gaussian_pulse(math.pi / 2 * (k + 1), 20e-9, sample_rate=45) for k in range(pulses)]
     got = pulse._evolve_stack(models, specs)
@@ -1026,12 +1087,13 @@ def test_propagate_one_problem_bit_identical(n):
 
 def test_propagate_large_stack_bit_identical():
     # 3 window lists on 30 diagonals: more problems than one eigh chunk
-    # holds. One list lacks the coupling drive and one drives y as well
+    # holds the 100 steps of. One list lacks the coupling drive and one
+    # drives y as well
     zz = [_device_layer(3, seed)[0] for seed in range(30)]
     windows = _device_layer(3, 0)[1]
     extra = (0.0, gaussian_pulse(math.pi / 2, 40e-9, axis="y", target=0, sample_rate=50), (2,))
     stack = [windows, windows[1:], windows + [extra]]
-    assert len(stack) * len(zz) > pulse._STEP_CHUNK
+    assert _chunk_steps(len(stack) * len(zz), 8) < num_steps(40e-9, 50)
     got = _propagate(zz, stack, 40e-9, 50)
     assert got.shape == (3, 30, 8, 8)
     for s, w in enumerate(stack):
@@ -1039,8 +1101,9 @@ def test_propagate_large_stack_bit_identical():
             assert np.array_equal(got[s, m], _propagate([diag], [w], 40e-9, 50)[0, 0])
 
 
-def _descend_reference(f, grad, x0, max_iter):
-    """The one-start descent the lockstep one replaced."""
+def _descend_reference(f, grad, x0, max_iter, searches=None):
+    """The one-start descent the lockstep one replaced. searches, if given,
+    collects the probes each line search took."""
     x = np.asarray(x0, dtype=float).copy()
     fx = f(x)
     iters = 0
@@ -1052,13 +1115,17 @@ def _descend_reference(f, grad, x0, max_iter):
             break
         alpha = step
         accepted = False
+        probes = 0
         while alpha > 1e-14:
             xn = x - alpha * g
             fn = f(xn)
+            probes += 1
             if fn <= fx - 1e-4 * alpha * gn * gn:
                 accepted = True
                 break
             alpha /= 2
+        if searches is not None:
+            searches.append(probes)
         if not accepted:
             break
         x, fx = xn, fn
@@ -1076,36 +1143,52 @@ def _rx90_losses(model, backend, T=20e-9):
     return _pert_system(model, T, math.pi / 2)[1]
 
 
-@pytest.mark.parametrize("backend,lam,max_iter,restarts", [
+@pytest.mark.parametrize("backend,lam,max_iter,restarts,probes", [
     # uncoupled, the calibrated start has a zero gradient and stops at
     # once while the noisy restarts descend
-    ("pert", 0.0, 40, 3),
-    ("pert", LAM, 40, 3),
-    ("pert", LAM, 0, 3),
-    ("pert", LAM, 40, 1),
-    ("optctrl", LAM, 2, 3),
-    ("optctrl", LAM, 0, 2),
+    ("pert", 0.0, 40, 3, 1),
+    ("pert", LAM, 40, 3, 1),
+    ("pert", LAM, 0, 3, 1),
+    ("pert", LAM, 40, 1, 1),
+    ("optctrl", LAM, 2, 3, 1),
+    ("optctrl", LAM, 0, 2, 1),
+    # optimize's pert setting; the long run holds searches of more than
+    # one round's probes
+    ("pert", LAM, 40, 3, pulse._PERT_PROBES),
+    ("pert", LAM, 300, 3, pulse._PERT_PROBES),
+    ("pert", LAM, 0, 3, pulse._PERT_PROBES),
 ], ids=["pert-uncoupled", "pert", "pert-no-iter", "pert-one-start", "optctrl",
-        "optctrl-no-iter"])
-def test_lockstep_descent_matches_sequential(backend, lam, max_iter, restarts):
+        "optctrl-no-iter", "pert-probes", "pert-probes-long-search", "pert-probes-no-iter"])
+def test_lockstep_descent_matches_sequential(backend, lam, max_iter, restarts, probes):
     losses = _rx90_losses(single_region(1, lam), backend)
+    calls = []
+
+    def grads(xs):
+        calls.append(len(xs))
+        pts, h = _fd_stencil(xs)
+        vals = np.array(losses(pts)).reshape(len(xs), -1)
+        return (vals[:, 0::2] - vals[:, 1::2]) / (2 * h)
 
     def grad(x):
-        pts, h = _fd_stencil(x)
-        vals = np.array(losses(pts))
-        return (vals[0::2] - vals[1::2]) / (2 * h)
+        return grads(x[None])[0]
 
     x_init = np.array([math.pi / 2, 0, 0, 0, 0])
     starts = [x_init] + [x_init + 0.15 * math.pi / 2 * np.random.default_rng(i).standard_normal(5)
                          for i in range(1, restarts)]
-    got = _descend(losses, grad, starts, max_iter)
-    ref = [_descend_reference(lambda x: losses(x[None])[0], grad, x0, max_iter)
+    got = _descend(losses, grads, starts, max_iter, probes)
+    # one gradient call per round, holding every start still descending
+    assert calls[:1] == ([len(starts)] if max_iter else [])
+    assert len(calls) <= max_iter and calls == sorted(calls, reverse=True)
+    searches = []
+    ref = [_descend_reference(lambda x: losses(x[None])[0], grad, x0, max_iter, searches)
            for x0 in starts]
     assert len(got) == len(ref)
     for (x, fx, iters), (rx, rfx, riters) in zip(got, ref):
         assert np.array_equal(x, rx) and fx == rfx and iters == riters
     if lam == 0.0:
         assert [r[2] for r in ref] == [0, max_iter, max_iter]
+    if max_iter == 300:
+        assert max(searches) > probes
 
 
 RZX90_M2 = RegionModel("two", neighbor_lambdas_a=(LAM, 0.5 * LAM),

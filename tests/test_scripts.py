@@ -7,6 +7,7 @@ keyword fails here rather than when someone runs the script.
 """
 
 import ast
+import json
 import importlib
 import importlib.util
 import inspect
@@ -136,3 +137,36 @@ def test_perf_pairs_alternates_and_flags_incorrect_runs(tmp_path, monkeypatch, c
     assert "change better in 4 of 4" in out.split("work_per_s")[1].splitlines()[0]
     assert "change better in 4 of 4" in out.split("task_p50_s")[1].splitlines()[0]
     assert "setup_s      missing in some runs" in out
+
+
+def test_perf_pairs_prints_kind_medians(tmp_path, monkeypatch, capsys):
+    # the per-kind table comes from the result files perfbench writes in
+    # each tree; a kind one side lacks is left out
+    module = _load(next(p for p in SCRIPTS if p.stem == "perf_pairs"))
+    bench = (Path(module.__file__).resolve().parent.parent / "BENCHMARK.json").read_text()
+
+    def checkout(rev, dest):
+        dest.mkdir(parents=True)
+        (dest / "BENCHMARK.json").write_text(bench)
+
+    def run_once(tree, workload, seed, seconds):
+        side = tree.name
+        kinds = {"opt.a": {"p50_s": (0.2 if side == "pa" else 0.1) * seed},
+                 "sweep.b": {"p50_s": 0.05}}
+        if side == "ch":
+            kinds["ch.only"] = {"p50_s": 1.0}
+        out = tree / ".perfbench_out"
+        out.mkdir(exist_ok=True)
+        (out / f"result-{workload}-seed{seed}-trace0.json").write_text(
+            json.dumps({"kinds": kinds}))
+        return {"correct": True, "failed": 0,
+                "metrics": {"work_per_s": {"value": 1.0, "unit": "1/s"}}}
+
+    monkeypatch.setattr(module, "checkout", checkout)
+    monkeypatch.setattr(module, "run_once", run_once)
+    assert module.main("A", "B", "pulses", 1, 3, 15, tmp_path / "w") == 0
+    out = capsys.readouterr().out
+    lines = out.split("per task kind, median p50_s:\n")[1].splitlines()
+    assert [ln.split()[0] for ln in lines] == ["opt.a", "sweep.b"]
+    assert "p50 0.4 -> 0.2 s, parent/change 2.000" in lines[0]
+    assert "p50 0.05 -> 0.05 s, parent/change 1.000" in lines[1]
