@@ -408,6 +408,17 @@ def cmd_simulate(args):
 
 def cmd_ramsey(args):
     g = _read("topology", load_topology, args.topology)
+    with _stage("quantumsim"):
+        if not (math.isfinite(args.lambda_hz) and args.lambda_hz >= 0):
+            raise ValueError(f"--lambda-hz must be finite and nonnegative, "
+                             f"got {args.lambda_hz:g}")
+        for flag, q in (("--probe", args.probe), ("--control", args.control)):
+            if not 0 <= q < g.num_qubits:
+                raise ValueError(f"{flag} must be a device qubit, 0 to "
+                                 f"{g.num_qubits - 1}, got {q}")
+        if args.probe == args.control:
+            raise ValueError(f"--probe and --control must be distinct, "
+                             f"both are {args.probe}")
     pulses = _read("pulse", _load_pulse_dir, args.pulses)
     with _stage("quantumsim"):
         dev = uniform_device(g, args.lambda_hz)

@@ -616,6 +616,13 @@ def _plane_integrals_batch(basis, coeffs, T, steps, work=None):
     size, freed after every call, can be handed back to the system and
     faulted in again. The returned arrays are the call's own.
 
+    One broadcast multiply fills a (5, rows, steps) stack of the envelope's
+    terms, and one add-reduce over its outer axis sums them in
+    envelope_value's order, row by row from 0. The stack shares one work
+    block with the trig, difference and magnitude arrays, which are not
+    needed until the phase's cumulative sum is done; the block is as large
+    as those three together, so the stack takes no memory of its own.
+
     sin(phi) and -cos(phi) share one buffer, so one subtraction, one
     division and one sum give both integrals, since negating a
     difference's operands negates it exactly. Only a batch with a step
@@ -624,19 +631,23 @@ def _plane_integrals_batch(basis, coeffs, T, steps, work=None):
     the same bits.
     """
     dt = T / steps
-    half = coeffs / 2
     n = len(coeffs)
     if work is None:
         work = []
     if not work or len(work[0]) < n:
-        work[:] = (np.empty((n, steps)), np.empty((n, steps)), np.zeros((n, steps + 1)),
-                   np.empty((2, n, steps + 1)), np.empty((2, n, steps)))
-    om, tmp, phi, trig, diffs = [w[..., :n, :] for w in work]
-    om[...] = 0.0
-    for j in range(5):  # envelope_value's summation order
-        om += np.multiply(half[:, j, None], basis[j], out=tmp)
-    acc = np.cumsum(om, axis=1, out=phi[:, 1:])  # phi(0) = 0 stays from the allocation
-    np.multiply(acc, 2 * dt, out=acc)  # (acc * 2) * dt: the doubling is exact
+        work[:] = (np.empty((n, steps)), np.zeros((n, steps + 1)),
+                   np.empty(n * (5 * steps + 2)))
+    om, phi, block = work[0][:n], work[1][:n], work[2]
+    terms = block[:5 * n * steps].reshape(5, n, steps)
+    np.multiply((coeffs / 2).T[:, :, None], basis[:, None, :], out=terms)
+    np.add.reduce(terms, axis=0, out=om)  # 0 + term 0 + ... + term 4
+    np.cumsum(om, axis=1, out=phi[:, 1:])  # phi(0) = 0 stays from the allocation
+    np.multiply(phi, 2 * dt, out=phi)  # (sum * 2) * dt: the doubling is exact
+    # the terms are spent: trig, diffs and tmp take their bytes
+    end = 2 * n * (steps + 1)
+    trig = block[:end].reshape(2, n, steps + 1)
+    diffs = block[end:end + 2 * n * steps].reshape(2, n, steps)
+    tmp = block[end + 2 * n * steps:end + 3 * n * steps].reshape(n, steps)
     np.sin(phi, out=trig[0])
     np.negative(np.cos(phi, out=trig[1]), out=trig[1])
     np.subtract(trig[..., 1:], trig[..., :-1], out=diffs)  # sin and cos differences

@@ -496,9 +496,18 @@ def fit_cosine(taus, values):
 
     Coarse frequency from a zero-padded FFT peak, refined by nested grid
     search on the least-squares residual. Returns (f_hz, r_squared).
+
+    Each of the four rounds builds the designs of its 41 candidate
+    frequencies in one pass: one phase product, one cos, one sin and one
+    stack give a (41, delays, 3) array holding the products and columns a
+    design per frequency would. Every candidate keeps its own
+    least-squares solve and residual, so each number has the bits of a
+    one-at-a-time search.
     """
     taus = np.asarray(taus, dtype=float)
     y = np.asarray(values, dtype=float)
+    if not (np.isfinite(taus).all() and np.isfinite(y).all()):
+        raise ValueError("fit expects finite delays and values")
     if len(y) != len(taus):
         raise ValueError("need one value per delay")
     if len(taus) < 8:
@@ -516,25 +525,24 @@ def fit_cosine(taus, values):
     guess = freqs[peak]
     bin_width = 1.0 / (len(y) * step)
 
-    def sse(f):
-        cols = np.column_stack([
-            np.cos(TWO_PI * f * taus),
-            np.sin(TWO_PI * f * taus),
-            np.ones_like(taus),
-        ])
+    def sse(cols):
         coef, _, _, _ = np.linalg.lstsq(cols, y, rcond=None)
         resid = y - cols @ coef
         return float(resid @ resid)
 
+    ones = np.ones((41, len(taus)))
     best = guess
     span = bin_width
     for _ in range(4):
         grid = np.linspace(max(best - span, 0.0), best + span, 41)
-        errs = [sse(f) for f in grid]
-        best = float(grid[int(np.argmin(errs))])
+        phases = (TWO_PI * grid)[:, None] * taus  # TWO_PI * f * taus per row
+        designs = np.stack([np.cos(phases), np.sin(phases), ones], axis=-1)
+        errs = [sse(cols) for cols in designs]
+        k = int(np.argmin(errs))
+        best = float(grid[k])
         span /= 10.0
     sst = float(centered @ centered)
-    r2 = 1.0 - sse(best) / sst if sst > 0 else 0.0
+    r2 = 1.0 - errs[k] / sst if sst > 0 else 0.0
     return best, r2
 
 

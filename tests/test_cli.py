@@ -744,6 +744,25 @@ def test_optimize_pulse_neighbors_flag_named(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--probe", "5", "--probe must be a device qubit, 0 to 1, got 5"),
+    ("--control", "-1", "--control must be a device qubit, 0 to 1, got -1"),
+    ("--control", "0", "--probe and --control must be distinct, both are 0"),
+    ("--lambda-hz", "-5", "--lambda-hz must be finite and nonnegative, got -5"),
+    ("--lambda-hz", "nan", "--lambda-hz must be finite and nonnegative, got nan"),
+])
+def test_ramsey_flags_named(workspace, tmp_path, capsys, flag, value, message):
+    # the protocol used to answer `probe and control must be distinct device
+    # qubits` and the device `ZZ strengths must be finite and nonnegative`
+    out = tmp_path / "r.csv"
+    code = main(["ramsey", "--topology", str(workspace / "line2.json"),
+                 "--pulses", str(workspace / "runs" / "pulses"),
+                 f"{flag}={value}", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error [quantumsim] {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("points", ["0", "-2"])
 def test_sweep_points_flag_named(tmp_path, capsys, points):
     # the sweep used to answer `need at least one strength` (and numpy's

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -744,6 +745,80 @@ class TestFitCosine:
         taus = np.arange(64)[::-1] * 160e-9
         with pytest.raises(ValueError, match="strictly increasing"):
             fit_cosine(taus, np.cos(TWO_PI * 1.3e6 * taus))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("where", ["taus", "values"])
+    def test_rejects_non_finite_input(self, where, bad):
+        # a bad value once gave (0.0, 0.0) after RuntimeWarnings, and a NaN
+        # delay `fit expects strictly increasing delays`
+        taus = np.arange(64) * 160e-9
+        y = np.cos(TWO_PI * 1.3e6 * taus)
+        (taus if where == "taus" else y)[10] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^fit expects finite delays and values$"):
+                fit_cosine(taus, y)
+
+    def test_matches_one_fit_per_frequency(self):
+        # every (f, R^2) keeps the bits of the search that built and solved
+        # one design per grid frequency
+        rng = np.random.default_rng(2033)
+        step = 160e-9
+        cases = []
+        for n in (8, 16, 64, 100):
+            taus = np.arange(n) * step
+            nyquist = 0.5 / step
+            for noise in (0.0, 0.01, 0.1, 0.5, 1.0):
+                for offset in (0.0, 3.0, -0.7):
+                    for f in rng.uniform(0.02, 0.98, 3) * nyquist:
+                        y = offset + rng.uniform(0.1, 1.0) * np.cos(
+                            TWO_PI * f * taus + rng.uniform(0, TWO_PI))
+                        cases.append((taus, y + noise * rng.standard_normal(n)))
+            # near DC: the coarse peak sits within one bin of 0, so the first
+            # grid starts at f = 0, where the cos and constant columns coincide
+            near_dc = 0.5 + 0.3 * np.cos(TWO_PI * 0.05 / (n * step) * taus + 0.4)
+            centered = near_dc - near_dc.mean()
+            peak = int(np.argmax(np.abs(np.fft.rfft(centered, 16 * n)[1:]))) + 1
+            assert np.fft.rfftfreq(16 * n, d=step)[peak] < 1.0 / (n * step)
+            cases.append((taus, near_dc))
+            cases.append((taus, np.cos(TWO_PI * 0.99 * nyquist * taus + 0.3)))
+            cases.append((taus, np.full(n, 0.25)))  # flat: R^2 = 0
+        for taus, y in cases:
+            assert fit_cosine(taus, y) == _fit_cosine_reference(taus, y)
+
+
+def _fit_cosine_reference(taus, values):
+    """fit_cosine as it built and solved one design per grid frequency."""
+    taus = np.asarray(taus, dtype=float)
+    y = np.asarray(values, dtype=float)
+    step = np.diff(taus)[0]
+    centered = y - y.mean()
+    padded = np.fft.rfft(centered, n=16 * len(y))
+    freqs = np.fft.rfftfreq(16 * len(y), d=step)
+    peak = int(np.argmax(np.abs(padded[1:]))) + 1
+    guess = freqs[peak]
+    bin_width = 1.0 / (len(y) * step)
+
+    def sse(f):
+        cols = np.column_stack([
+            np.cos(TWO_PI * f * taus),
+            np.sin(TWO_PI * f * taus),
+            np.ones_like(taus),
+        ])
+        coef, _, _, _ = np.linalg.lstsq(cols, y, rcond=None)
+        resid = y - cols @ coef
+        return float(resid @ resid)
+
+    best = guess
+    span = bin_width
+    for _ in range(4):
+        grid = np.linspace(max(best - span, 0.0), best + span, 41)
+        errs = [sse(f) for f in grid]
+        best = float(grid[int(np.argmin(errs))])
+        span /= 10.0
+    sst = float(centered @ centered)
+    r2 = 1.0 - sse(best) / sst if sst > 0 else 0.0
+    return best, r2
 
 
 # sha256 of json.dumps([effective_zz_hz, freqs_hz, r_squared, taus,
